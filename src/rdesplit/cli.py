@@ -19,8 +19,8 @@ import click
 import numpy as np
 
 from .config import ConfigError, ProblemConfig, build_problem
-from .convergence_lab import (davie_defect, dyadic_sup_rate, fit_rate,
-                              holder_rate, rational_rate)
+from .convergence_lab import (EXACT_AGREEMENT, davie_defect, dyadic_sup_rate,
+                              fit_rate, holder_rate, rational_rate)
 from .errors import NumericFailure
 from .model import check_z_bound, check_z_cocycle, check_z_lipschitz
 from .rough_path import Grid
@@ -40,18 +40,22 @@ def _max_threads() -> int:
 
 
 def _write_json(directory: Path, name: str, payload: dict) -> None:
+    # strict JSON: encode fully before opening, so a NaN leaves no file
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(directory / name, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _prepare(config_path: str, out: str, seed):
+    """Parse the config, apply ``--seed`` to it and copy it into ``out``."""
     cfg = ProblemConfig.from_file(config_path)
+    if seed is not None:
+        cfg.driver.seed = seed
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.ini", "w", encoding="utf-8") as fh:
         fh.write(cfg.emit())
-    return cfg, out_dir, seed
+    return cfg, out_dir
 
 
 def _exit_codes(fn):
@@ -91,8 +95,8 @@ def main():
 @_exit_codes
 def solve(config_path, out, seed, oracle):
     """Run the split scheme once and write the trajectory."""
-    cfg, out_dir, seed = _prepare(config_path, out, seed)
-    problem, grid = build_problem(cfg, seed)
+    cfg, out_dir = _prepare(config_path, out, seed)
+    problem, grid = build_problem(cfg)
     traj = solve_split(problem.driver, problem.field, problem.z, problem.y0, grid)
     with open(out_dir / "trajectory.csv", "w", encoding="utf-8") as fh:
         write_trajectory_csv(traj, fh)
@@ -118,9 +122,9 @@ def solve(config_path, out, seed, oracle):
 @_exit_codes
 def rates(config_path, out, seed, kind):
     """Measure a convergence rate across refining grids."""
-    cfg, out_dir, seed = _prepare(config_path, out, seed)
+    cfg, out_dir = _prepare(config_path, out, seed)
     exp = cfg.experiment
-    base_seed = cfg.driver.seed if seed is None else seed
+    base_seed = cfg.driver.seed
     # a single rough sample path gives a noisy slope; deterministic drivers
     # need only one run
     if cfg.driver.kind == "synthetic":
@@ -145,7 +149,11 @@ def rates(config_path, out, seed, kind):
         with open(out_dir / f"rates_seed{run_seed}.csv", "w", encoding="utf-8") as fh:
             report.write_csv(fh)
     summary = report.summary(seeds)
-    summary["slope"] = float(statistics.median(slopes))
+    slope = float(statistics.median(slopes))
+    if slope == EXACT_AGREEMENT:
+        summary.update(slope=None, exact_agreement=True)
+    else:
+        summary["slope"] = slope
     _write_json(out_dir, "rates_summary.json", summary)
 
 
@@ -156,8 +164,8 @@ def rates(config_path, out, seed, kind):
 @_exit_codes
 def check_z(config_path, out, seed):
     """Estimate the three condition constants of the configured Z map."""
-    cfg, out_dir, seed = _prepare(config_path, out, seed)
-    problem, grid = build_problem(cfg, seed)
+    cfg, out_dir = _prepare(config_path, out, seed)
+    problem, grid = build_problem(cfg)
     exp = cfg.experiment
     rng = np.random.default_rng(cfg.field.seed + 1)
     n = problem.field.n
@@ -190,8 +198,8 @@ def check_z(config_path, out, seed):
 @_exit_codes
 def davie(config_path, out, seed):
     """Measure the Davie-solution defect of the split trajectory."""
-    cfg, out_dir, seed = _prepare(config_path, out, seed)
-    problem, grid = build_problem(cfg, seed)
+    cfg, out_dir = _prepare(config_path, out, seed)
+    problem, grid = build_problem(cfg)
     traj = solve_split(problem.driver, problem.field, problem.z, problem.y0, grid)
     report = davie_defect(traj, problem.field, problem.z, problem.driver,
                           problem.field.gamma, problem.alpha)
@@ -205,8 +213,8 @@ def davie(config_path, out, seed):
 @_exit_codes
 def compare_schemes(config_path, out, seed):
     """Compare split and one-step (Milstein) trajectories over three doublings."""
-    cfg, out_dir, seed = _prepare(config_path, out, seed)
-    problem, grid = build_problem(cfg, seed)
+    cfg, out_dir = _prepare(config_path, out, seed)
+    problem, grid = build_problem(cfg)
     levels = [grid.N, 2 * grid.N, 4 * grid.N]
     diffs = []
     for N in levels:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,17 @@ class ProblemConfig:
             return cls.parse(fh.read())
 
     def validate(self) -> None:
+        floats = [("driver.alpha", self.driver.alpha),
+                  ("field.gamma", self.field.gamma),
+                  ("field.scale", self.field.scale),
+                  ("problem.t_final", self.problem.t_final),
+                  ("experiment.beta", self.experiment.beta),
+                  ("experiment.box", self.experiment.box)]
+        floats += [(f"problem.y0[{i}]", v) for i, v in enumerate(self.problem.y0)]
+        # float() accepts "nan" and "inf", and NaN passes every range check
+        for name, value in floats:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         d = self.driver
         if d.kind not in DRIVER_KINDS:
             raise ConfigError(f"driver.kind must be one of {DRIVER_KINDS}, got {d.kind!r}")

@@ -22,6 +22,7 @@ from .rough_path import Grid, RoughDriver
 __all__ = [
     "VectorField",
     "SecondOrderMap",
+    "GridZ",
     "CheckReport",
     "constant_field",
     "linear_field",
@@ -44,11 +45,14 @@ class VectorField:
     gradient(x) has shape (n, d, n) with [i, a, m] = ∂f^i_a/∂x_m.  The
     declared regularity ``gamma`` and the optional entrywise sup bounds are
     user-supplied metadata (validated numerically, never enforced
-    symbolically).
+    symbolically).  ``value_and_grad_fn`` optionally returns
+    (fn(x), grad_fn(x)) from one evaluation, bitwise equal to the separate
+    calls, for fields whose value and gradient share work.
     """
 
     def __init__(self, n, d, fn, grad_fn, hess_fn=None, gamma=3.0,
-                 sup_f=None, sup_grad=None, name="custom"):
+                 sup_f=None, sup_grad=None, name="custom",
+                 value_and_grad_fn=None):
         if n < 1 or d < 1:
             raise ValueError("dimensions must be positive")
         if gamma <= 2.0:
@@ -58,6 +62,7 @@ class VectorField:
         self._fn = fn
         self._grad_fn = grad_fn
         self._hess_fn = hess_fn
+        self._value_and_grad_fn = value_and_grad_fn
         self.gamma = float(gamma)
         self.sup_f = sup_f
         self.sup_grad = sup_grad
@@ -68,6 +73,13 @@ class VectorField:
 
     def gradient(self, x) -> np.ndarray:
         return self._grad_fn(np.asarray(x, dtype=float))
+
+    def value_and_gradient(self, x):
+        """(f(x), ∇f(x)), from one fused evaluation when the field has one."""
+        x = np.asarray(x, dtype=float)
+        if self._value_and_grad_fn is None:
+            return self._fn(x), self._grad_fn(x)
+        return self._value_and_grad_fn(x)
 
     @property
     def has_hessian(self) -> bool:
@@ -155,6 +167,10 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
         core = amp * np.cos(np.einsum("iam,m->ia", W, x) + phi)
         return core[:, :, None] * W
 
+    def value_and_grad_fn(x):
+        arg = np.einsum("iam,m->ia", W, x) + phi
+        return amp * np.sin(arg), (amp * np.cos(arg))[:, :, None] * W
+
     def hess_fn(x):
         core = -amp * np.sin(np.einsum("iam,m->ia", W, x) + phi)
         return core[:, :, None, None] * W[:, :, :, None] * W[:, :, None, :]
@@ -163,7 +179,7 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
         n, d, fn, grad_fn, hess_fn=hess_fn, gamma=gamma,
         sup_f=float(np.max(np.abs(amp))),
         sup_grad=float(np.max(np.abs(amp[:, :, None] * W))),
-        name="sine",
+        name="sine", value_and_grad_fn=value_and_grad_fn,
     )
 
 
@@ -204,6 +220,77 @@ class SecondOrderMap:
     def __call__(self, x, s: float, t: float) -> np.ndarray:
         return self._fn(np.asarray(x, dtype=float), float(s), float(t))
 
+    def on_grid(self, ss, tt) -> "GridZ":
+        """This map on the fixed intervals [ss[j], tt[j]], evaluated by index j."""
+        return GridZ(self, ss, tt)
+
+
+class GridZ:
+    """A second-order map restricted to fixed intervals, evaluated by index.
+
+    The general form calls the map once per evaluation with the interval's
+    endpoints; area-linear maps replace it with areas fetched up front.
+    """
+
+    def __init__(self, z: SecondOrderMap, ss, tt):
+        self._z = z
+        self._ss = np.asarray(ss, dtype=float).tolist()
+        self._tt = np.asarray(tt, dtype=float).tolist()
+
+    def __call__(self, x, j: int) -> np.ndarray:
+        """Z(x) over interval j."""
+        return self._z(x, self._ss[j], self._tt[j])
+
+    def with_field(self, field: VectorField, x, j: int):
+        """(field(x), Z(x) over interval j)."""
+        return field(x), self(x, j)
+
+
+class _AreaLinearZ(SecondOrderMap):
+    """Z(x)^i_{s,t} = Σ_{m,a,b} ∂_m f^i_b(x) f^m_a(x) XX_{s,t}, with the area
+    indices paired by ``subscripts``; areas come from the map's own driver.
+    """
+
+    def __init__(self, field: VectorField, driver: RoughDriver, subscripts: str,
+                 name: str):
+        # no fn: __call__ is overridden, and a bound method stored on the
+        # instance would be a reference cycle keeping the driver alive until
+        # the cyclic collector runs
+        super().__init__(field.n, None, time_exponent=2.0 * driver.alpha,
+                         space_exponent=field.gamma - 2.0, name=name)
+        self.field = field
+        self.driver = driver
+        self._subscripts = subscripts
+
+    def __call__(self, x, s: float, t: float) -> np.ndarray:
+        f_x, grad_x = self.field.value_and_gradient(x)
+        return self.contract(f_x, grad_x, self.driver.area(float(s), float(t)))
+
+    def contract(self, f_x, grad_x, area) -> np.ndarray:
+        return np.einsum(self._subscripts, grad_x, f_x, area)
+
+    def on_grid(self, ss, tt) -> "GridZ":
+        return _AreaGridZ(self, self.driver.area_many(ss, tt))
+
+
+class _AreaGridZ(GridZ):
+    """An area-linear map with the areas of all intervals from one batch query."""
+
+    def __init__(self, z: _AreaLinearZ, areas: np.ndarray):
+        self._z = z
+        self._areas = areas
+
+    def __call__(self, x, j: int) -> np.ndarray:
+        f_x, grad_x = self._z.field.value_and_gradient(x)
+        return self._z.contract(f_x, grad_x, self._areas[j])
+
+    def with_field(self, field: VectorField, x, j: int):
+        if field is not self._z.field:
+            return super().with_field(field, x, j)
+        # the solve's field is the map's own: evaluate it once for both
+        f_x, grad_x = field.value_and_gradient(x)
+        return f_x, self._z.contract(f_x, grad_x, self._areas[j])
+
 
 def _check_pairing(field: VectorField, driver: RoughDriver) -> None:
     if field.d != driver.dim:
@@ -224,13 +311,7 @@ def canonical_z(field: VectorField, driver: RoughDriver) -> SecondOrderMap:
     the area, and Z(x)_{t,t} = 0 since XX_{t,t} = 0.
     """
     _check_pairing(field, driver)
-
-    def fn(x, s, t):
-        return np.einsum("ibm,ma,ab->i", field.gradient(x), field(x),
-                         driver.area(s, t))
-
-    return SecondOrderMap(field.n, fn, time_exponent=2.0 * driver.alpha,
-                          space_exponent=field.gamma - 2.0, name="canonical")
+    return _AreaLinearZ(field, driver, "ibm,ma,ab->i", "canonical")
 
 
 def transposed_z(field: VectorField, driver: RoughDriver) -> SecondOrderMap:
@@ -241,13 +322,7 @@ def transposed_z(field: VectorField, driver: RoughDriver) -> SecondOrderMap:
     comparison.  Test preset.
     """
     _check_pairing(field, driver)
-
-    def fn(x, s, t):
-        return np.einsum("ibm,ma,ba->i", field.gradient(x), field(x),
-                         driver.area(s, t))
-
-    return SecondOrderMap(field.n, fn, time_exponent=2.0 * driver.alpha,
-                          space_exponent=field.gamma - 2.0, name="transposed")
+    return _AreaLinearZ(field, driver, "ibm,ma,ba->i", "transposed")
 
 
 def zero_z(n: int) -> SecondOrderMap:

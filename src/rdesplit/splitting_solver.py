@@ -8,6 +8,16 @@ Per interval [t_j, t_{j+1}] the split update is
 with the continuous-time trajectory obtained by running each stage at twice
 the rate over half of the interval.  The reference one-step map is the
 second-order Euler (Milstein) update y -> y + f(y) X + Z(y).
+
+Both schemes run on one stepping loop over a fixed grid, so every X_{s,t}
+and XX_{s,t} they need is known before the loop starts.  The increments
+come from one ``increment_many`` query per solve, and Z is evaluated
+through ``SecondOrderMap.on_grid``: maps linear in the area take the areas
+of all intervals from one ``area_many`` query on the map's own driver.  A
+driver without batch hooks is queried once per interval instead.  The
+arithmetic of each step is that of the per-interval scalar queries, so
+trajectories are bitwise those of a loop calling ``increment`` and
+``z(x, s, t)`` step by step.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .model import SecondOrderMap, VectorField, _check_pairing
+from .model import GridZ, SecondOrderMap, VectorField, _check_pairing
 from .rough_path import Grid, RoughDriver, SampledPath
 
 __all__ = [
@@ -82,6 +92,12 @@ class MilsteinTrajectory:
     z: SecondOrderMap
 
 
+def _split_update(u, inc, field: VectorField, z_on: GridZ, j: int):
+    """The split step over interval j: (stage-1 endpoint v, next value)."""
+    v = u + field(u) @ inc
+    return v, v + z_on(v, j)
+
+
 def split_step(u, s: float, t: float, field: VectorField, z: SecondOrderMap,
                driver: RoughDriver):
     """One split interval: returns (stage-1 endpoint v, interval value u_next)."""
@@ -90,59 +106,61 @@ def split_step(u, s: float, t: float, field: VectorField, z: SecondOrderMap,
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise NumericFailure("non-finite state entering split step")
-    v = u + field(u) @ driver.increment(s, t)
-    u_next = v + z(v, s, t)
-    return v, u_next
+    return _split_update(u, driver.increment(s, t), field, z.on_grid([s], [t]), 0)
 
 
-def _validate_start(field: VectorField, driver: RoughDriver, y0) -> np.ndarray:
+def _march(driver: RoughDriver, field: VectorField, z: SecondOrderMap, y0,
+           grid: Grid, update) -> np.ndarray:
+    """Validate the inputs, then iterate ``update`` over the grid intervals.
+
+    ``update(state, X_j, z_on, j)`` returns the state at t_{j+1}; ``z_on``
+    is ``z`` on the grid intervals.  The increments and ``z_on`` are set up
+    once per solve, with batch queries where the driver has them.  Returns
+    the grid values, shape (N+1, n).
+    """
     _check_pairing(field, driver)
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (field.n,):
         raise ValueError(f"initial state must have shape ({field.n},), got {y0.shape}")
-    return y0
+    if not np.isfinite(y0).all():
+        raise NumericFailure("non-finite initial state", step=0)
+    ss, tt = grid.points[:-1], grid.points[1:]
+    incs = driver.increment_many(ss, tt)
+    z_on = z.on_grid(ss, tt)
+    values = np.empty((grid.N + 1, field.n))
+    values[0] = y0
+    state = y0
+    for j in range(grid.N):
+        state = update(state, incs[j], z_on, j)
+        if not np.isfinite(state).all():
+            raise NumericFailure(f"state left finite range at step {j + 1}",
+                                 step=j + 1)
+        values[j + 1] = state
+    return values
 
 
 def solve_split(driver: RoughDriver, field: VectorField, z: SecondOrderMap,
                 y0, grid: Grid) -> SplitTrajectory:
     """Iterate the split update over the grid; deterministic in its inputs."""
-    y0 = _validate_start(field, driver, y0)
-    pts = grid.points
-    u = np.empty((grid.N + 1, field.n))
     v = np.empty((grid.N, field.n))
-    if not np.isfinite(y0).all():
-        raise NumericFailure("non-finite initial state", step=0)
-    u[0] = y0
-    state = y0
-    for j in range(grid.N):
-        vj, nxt = split_step(state, pts[j], pts[j + 1], field, z, driver)
-        if not np.isfinite(nxt).all():
-            raise NumericFailure(f"state left finite range at step {j + 1}",
-                                 step=j + 1)
-        v[j] = vj
-        u[j + 1] = nxt
-        state = nxt
+
+    def update(u, inc, z_on, j):
+        v[j], u_next = _split_update(u, inc, field, z_on, j)
+        return u_next
+
+    u = _march(driver, field, z, y0, grid, update)
     return SplitTrajectory(grid, u, v, driver, field, z)
 
 
 def solve_milstein(driver: RoughDriver, field: VectorField, z: SecondOrderMap,
                    y0, grid: Grid) -> MilsteinTrajectory:
     """Second-order Euler reference: y_{j+1} = y_j + f(y_j) X + Z(y_j)."""
-    y0 = _validate_start(field, driver, y0)
-    pts = grid.points
-    values = np.empty((grid.N + 1, field.n))
-    if not np.isfinite(y0).all():
-        raise NumericFailure("non-finite initial state", step=0)
-    values[0] = y0
-    state = y0
-    for j in range(grid.N):
-        s, t = pts[j], pts[j + 1]
-        nxt = state + field(state) @ driver.increment(s, t) + z(state, s, t)
-        if not np.isfinite(nxt).all():
-            raise NumericFailure(f"state left finite range at step {j + 1}",
-                                 step=j + 1)
-        values[j + 1] = nxt
-        state = nxt
+
+    def update(y, inc, z_on, j):
+        f_y, z_y = z_on.with_field(field, y, j)
+        return y + f_y @ inc + z_y
+
+    values = _march(driver, field, z, y0, grid, update)
     return MilsteinTrajectory(grid, values, driver, field, z)
 
 

@@ -1,3 +1,5 @@
+import configparser
+import io
 import json
 
 import numpy as np
@@ -30,6 +32,25 @@ ZERO_FIELD = SMOOTH.replace("preset = sine", "preset = constant").replace(
 
 BLOWUP = SMOOTH.replace("preset = sine", "preset = linear").replace(
     "scale = 0.8", "scale = 1e8").replace("n_steps = 16", "n_steps = 64")
+
+
+SYNTHETIC = SMOOTH.replace("kind = smooth", "kind = synthetic\nlevels = 8").replace(
+    "resolution = 256", "alpha = 0.45")
+
+
+def with_value(config_text, section, key, value):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(config_text)
+    parser[section][key] = value
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+def strict_json(path):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def run_cli(tmp_path, config_text, args, name="cfg.ini"):
@@ -80,6 +101,35 @@ def test_numeric_blowup_exits_3(tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("key", [
+    "driver.alpha", "field.gamma", "field.scale", "problem.t_final",
+    "problem.y0", "experiment.beta", "experiment.box",
+])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_float_exits_2(tmp_path, key, bad):
+    section, name = key.split(".")
+    text = with_value(SMOOTH, section, name,
+                      f"0.1, {bad}" if name == "y0" else bad)
+    result, out = run_cli(tmp_path, text, ["rates", "--kind", "sup"])
+    assert result.exit_code == 2, result.output
+    assert not (out / "rates_summary.json").exists()
+
+
+@pytest.mark.parametrize("args,outputs", [
+    (["solve"], ["summary.json", "trajectory.csv"]),
+    (["rates", "--kind", "sup"], ["rates_summary.json", "rates_seed5.csv"]),
+])
+def test_copied_config_reproduces_run_under_seed(tmp_path, args, outputs):
+    result, out = run_cli(tmp_path, SYNTHETIC, args + ["--seed", "5"])
+    assert result.exit_code == 0, result.output
+    rerun = tmp_path / "rerun"
+    result = CliRunner().invoke(main, args + ["--config", str(out / "config.ini"),
+                                              "--out", str(rerun)])
+    assert result.exit_code == 0, result.output
+    for name in outputs:
+        assert (rerun / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_outputs_deterministic(tmp_path):
     r1, out1 = run_cli(tmp_path, SMOOTH, ["solve"])
     files1 = {p.name: p.read_bytes() for p in out1.iterdir()}
@@ -99,6 +149,14 @@ def test_rates_sup_smooth(tmp_path):
     csv = (out / "rates_seed0.csv").read_text().splitlines()
     assert csv[0] == "level,N,h,diff,log2_diff"
     assert len(csv) == 4
+
+
+def test_rates_exact_agreement_is_strict_json(tmp_path):
+    result, out = run_cli(tmp_path, ZERO_FIELD, ["rates", "--kind", "sup"])
+    assert result.exit_code == 0, result.output
+    summary = strict_json(out / "rates_summary.json")
+    assert summary["slope"] is None
+    assert summary["exact_agreement"] is True
 
 
 def test_rates_holder_synthetic_runs_three_seeds(tmp_path):

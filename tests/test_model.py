@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -126,6 +128,22 @@ def test_canonical_z_linear_in_area():
     z2 = canonical_z(field, scaled)
     x = np.array([0.2, -0.7])
     assert np.array_equal(z2(x, 0.1, 0.8), 2.0 * z1(x, 0.1, 0.8))
+
+
+def test_area_linear_maps_release_their_driver_without_cycle_collection():
+    # a build per command must not hold the driver's path arrays until the
+    # cyclic collector happens to run
+    gc.disable()
+    try:
+        for make in (canonical_z, transposed_z):
+            drv = l_driver()
+            ref = weakref.ref(drv)
+            z = make(sine_field(2, 2, seed=2), drv)
+            z.on_grid([0.0, 0.5], [0.5, 1.0])
+            del drv, z
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- convention pinning

@@ -1,17 +1,51 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rdesplit import (Grid, NumericFailure, SampledPath, VectorField,
-                      canonical_z, constant_field, eval_joined,
+from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
+                      VectorField, canonical_z, constant_field, eval_joined,
                       hoelder_seminorm, lift_piecewise_linear, linear_field,
-                      scalar_driver, sine_field, smooth_path, solve_milstein,
-                      solve_ode_reference, solve_split, split_step,
+                      rough_probe_z, scalar_driver, sine_field, smooth_path,
+                      solve_milstein, solve_ode_reference, solve_split,
+                      split_step, synth_midpoint_path, transposed_z,
                       write_trajectory_csv, zero_z)
 from rdesplit.convergence_lab import joined_samples, quarter_times
 
 Y0 = np.array([0.1, -0.2])
+
+
+def reference_split(driver, field, z, y0, grid):
+    """The split scheme as a per-interval loop of scalar driver and Z queries."""
+    pts = grid.points
+    u, v = [np.asarray(y0, dtype=float)], []
+    for j in range(grid.N):
+        s, t = pts[j], pts[j + 1]
+        vj = u[-1] + field(u[-1]) @ driver.increment(s, t)
+        u_next = vj + z(vj, s, t)
+        if not np.isfinite(u_next).all():
+            raise NumericFailure("reference split left finite range", step=j + 1)
+        v.append(vj)
+        u.append(u_next)
+    return np.array(u), np.array(v)
+
+
+def reference_milstein(driver, field, z, y0, grid):
+    """The Milstein scheme as a per-interval loop of scalar queries."""
+    pts = grid.points
+    values = [np.asarray(y0, dtype=float)]
+    for j in range(grid.N):
+        s, t = pts[j], pts[j + 1]
+        y = values[-1]
+        y_next = y + field(y) @ driver.increment(s, t) + z(y, s, t)
+        if not np.isfinite(y_next).all():
+            raise NumericFailure("reference Milstein left finite range",
+                                 step=j + 1)
+        values.append(y_next)
+    return np.array(values)
 
 
 def smooth_setup(segments=2**12, field_seed=1):
@@ -129,19 +163,42 @@ def test_euler_degeneration_split_equals_milstein():
     assert np.max(np.abs(split.u - mil.values)) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_blow_up_raises_numeric_failure_with_step():
+def cubic_field():
     # cubic growth pushes the state over the float range in a few steps
-    field = VectorField(
+    return VectorField(
         1, 1,
         lambda x: np.array([[x[0] ** 3]]),
         lambda x: np.array([[[3.0 * x[0] ** 2]]]),
         gamma=3.0, name="cubic",
     )
-    drv = scalar_driver(lambda t: t)
+
+
+def failure_step(solve, *args):
     with pytest.raises(NumericFailure) as err:
-        solve_split(drv, field, zero_z(1), np.array([4.0]), Grid(1.0, 64))
-    assert err.value.step is not None and err.value.step >= 1
+        solve(*args)
+    return err.value.step
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_blow_up_raises_numeric_failure_with_step():
+    field = cubic_field()
+    drv = scalar_driver(lambda t: t)
+    for z, expected in ((zero_z(1), 10), (canonical_z(field, drv), 5)):
+        args = (drv, field, z, np.array([4.0]), Grid(1.0, 64))
+        assert failure_step(reference_split, *args) == expected
+        assert failure_step(solve_split, *args) == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_milstein_blow_up_raises_numeric_failure_with_step():
+    field = cubic_field()
+    drv = scalar_driver(lambda t: t)
+    for z, expected in ((zero_z(1), 10), (canonical_z(field, drv), 7)):
+        args = (drv, field, z, np.array([4.0]), Grid(1.0, 64))
+        assert failure_step(reference_milstein, *args) == expected
+        assert failure_step(solve_milstein, *args) == expected
 
 
 def test_non_finite_initial_state_is_numeric_failure():
@@ -156,6 +213,100 @@ def test_dimension_mismatch_rejected():
     z = canonical_z(field, driver)
     with pytest.raises(ValueError):
         solve_split(driver, field, z, Y0, Grid(1.0, 4))  # y0 has wrong length
+
+
+# ---------------------------------------------------------------- batch stepping
+
+SMOOTH_DRIVER = lift_piecewise_linear(smooth_path(d=2, segments=256))
+
+
+def _driver(kind, seed):
+    if kind == "synthetic":
+        return lift_piecewise_linear(synth_midpoint_path(seed, 0.45, 8, 2),
+                                     alpha=0.45)
+    if kind == "smooth":
+        return SMOOTH_DRIVER
+    # no batch hooks: the solves fall back to per-interval queries
+    return scalar_driver(lambda t: np.sin(3.0 * t) + t * t)
+
+
+def _field(kind, seed, d):
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return constant_field(0.5 + 0.5 * rng.random((2, d)))
+    if kind == "linear":
+        return linear_field(0.5 * rng.standard_normal((2, d, 2)),
+                            offset=0.5 * rng.standard_normal((2, d)))
+    return sine_field(2, d, seed=seed, amplitude=0.8)
+
+
+def _z(kind, field, driver):
+    if kind == "canonical":
+        return canonical_z(field, driver)
+    if kind == "transposed":
+        return transposed_z(field, driver)
+    if kind == "zero":
+        return zero_z(2)
+    if kind == "rough-probe":
+        return rough_probe_z(2, driver.alpha)
+    # the map's own driver differs from the solve's: its areas must be used
+    return canonical_z(field, driver.with_area(
+        lambda s, t: 2.0 * driver.area(s, t)))
+
+
+def _outcome(solve, *args):
+    """(result, None), or (None, failing step) on NumericFailure."""
+    try:
+        return solve(*args), None
+    except NumericFailure as exc:
+        return None, exc.step
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**16), N=st.integers(1, 64),
+       driver_kind=st.sampled_from(("synthetic", "smooth", "scalar")),
+       field_kind=st.sampled_from(("constant", "linear", "sine")),
+       z_kind=st.sampled_from(("canonical", "transposed", "zero",
+                               "rough-probe", "scaled-area")))
+def test_solves_match_scalar_reference_loop_bitwise(seed, N, driver_kind,
+                                                    field_kind, z_kind):
+    driver = _driver(driver_kind, seed)
+    field = _field(field_kind, seed, driver.dim)
+    z = _z(z_kind, field, driver)
+    args = (driver, field, z, Y0, Grid(1.0, N))
+    split, split_failed = _outcome(solve_split, *args)
+    ref, ref_failed = _outcome(reference_split, *args)
+    assert split_failed == ref_failed
+    if ref is not None:
+        assert np.array_equal(split.u, ref[0])
+        assert np.array_equal(split.v, ref[1])
+    milstein, milstein_failed = _outcome(solve_milstein, *args)
+    ref, ref_failed = _outcome(reference_milstein, *args)
+    assert milstein_failed == ref_failed
+    if ref is not None:
+        assert np.array_equal(milstein.values, ref)
+
+
+def test_solves_query_a_batch_driver_once_per_solve():
+    lifted = lift_piecewise_linear(smooth_path(d=2, segments=256))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    driver = RoughDriver(
+        2, 0.5, counted("increment", lifted.increment),
+        counted("area", lifted.area), span=lifted.span,
+        increment_many_fn=counted("increment_many", lifted.increment_many),
+        area_many_fn=counted("area_many", lifted.area_many))
+    field = sine_field(2, 2, seed=1, amplitude=0.8)
+    z = canonical_z(field, driver)
+    solve_split(driver, field, z, Y0, Grid(1.0, 32))
+    solve_milstein(driver, field, z, Y0, Grid(1.0, 32))
+    assert calls == {"increment_many": 2, "area_many": 2}
 
 
 # ---------------------------------------------------------------- joined path
