@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +161,15 @@ class ProblemConfig:
 
     @classmethod
     def from_file(cls, path) -> "ProblemConfig":
+        """Parse a config file; a relative ``driver.path`` names a file
+        relative to the config file's directory, not to the cwd, and is
+        made absolute so that ``emit`` reproduces the run from anywhere."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse(fh.read())
+            cfg = cls.parse(fh.read())
+        if cfg.driver.path is not None:
+            cfg.driver.path = os.path.abspath(
+                os.path.join(os.path.dirname(path), cfg.driver.path))
+        return cfg
 
     def validate(self) -> None:
         floats = [("driver.alpha", self.driver.alpha),

@@ -9,10 +9,18 @@ the unique pairing whose coboundary over an exactly lifted driver reduces
 to ∇f(x) f(x) X_{s,u} ⊗ X_{u,t}.  The checkers are samplers, not provers:
 they report empirical constants with a worst-case witness, since the
 underlying conditions quantify over continua.
+
+The checkers and ``convention_defect_max`` evaluate Z on blocks of at most
+``PAIR_BLOCK`` intervals at once (``on_grid(ss, tt).every(x)``): the areas
+of a block come from one batch query and do not depend on x.  Their
+ratios are bitwise those of a loop calling ``z(x, s, t)`` once per pair,
+and so are their witnesses: the first strict maximum in (state, s, t)
+order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -38,6 +46,10 @@ __all__ = [
     "convention_defect_max",
 ]
 
+# Most intervals one batched Z evaluation covers: bounds the (K, d, d)
+# areas and (K, n) values a checker or the Davie sweep holds at once.
+PAIR_BLOCK = 2**16
+
 
 class VectorField:
     """f: R^n -> R^{n×d} with an analytic gradient tensor.
@@ -55,8 +67,13 @@ class VectorField:
                  value_and_grad_fn=None):
         if n < 1 or d < 1:
             raise ValueError("dimensions must be positive")
-        if gamma <= 2.0:
-            raise ValueError(f"declared regularity gamma must exceed 2, got {gamma}")
+        # NaN passes every range check, so finiteness is tested first
+        if not math.isfinite(gamma) or gamma <= 2.0:
+            raise ValueError(
+                f"declared regularity gamma must be finite and exceed 2, got {gamma}")
+        for name, bound in (("sup_f", sup_f), ("sup_grad", sup_grad)):
+            if bound is not None and not math.isfinite(bound):
+                raise ValueError(f"{name} must be finite, got {bound}")
         self.n = int(n)
         self.d = int(d)
         self._fn = fn
@@ -241,6 +258,11 @@ class GridZ:
         """Z(x) over interval j."""
         return self._z(x, self._ss[j], self._tt[j])
 
+    def every(self, x) -> np.ndarray:
+        """Z(x) over every interval, shape (K, n)."""
+        values = [self._z(x, s, t) for s, t in zip(self._ss, self._tt)]
+        return np.array(values, dtype=float).reshape(len(self._ss), self._z.n)
+
     def with_field(self, field: VectorField, x, j: int):
         """(field(x), Z(x) over interval j)."""
         return field(x), self(x, j)
@@ -248,10 +270,10 @@ class GridZ:
 
 class _AreaLinearZ(SecondOrderMap):
     """Z(x)^i_{s,t} = Σ_{m,a,b} ∂_m f^i_b(x) f^m_a(x) XX_{s,t}, with the area
-    indices paired by ``subscripts``; areas come from the map's own driver.
+    indices ``pairing`` ("ab" or "ba"); areas come from the map's own driver.
     """
 
-    def __init__(self, field: VectorField, driver: RoughDriver, subscripts: str,
+    def __init__(self, field: VectorField, driver: RoughDriver, pairing: str,
                  name: str):
         # no fn: __call__ is overridden, and a bound method stored on the
         # instance would be a reference cycle keeping the driver alive until
@@ -260,7 +282,8 @@ class _AreaLinearZ(SecondOrderMap):
                          space_exponent=field.gamma - 2.0, name=name)
         self.field = field
         self.driver = driver
-        self._subscripts = subscripts
+        self._subscripts = f"ibm,ma,{pairing}->i"
+        self._every_subscripts = f"ibm,ma,k{pairing}->ki"
 
     def __call__(self, x, s: float, t: float) -> np.ndarray:
         f_x, grad_x = self.field.value_and_gradient(x)
@@ -283,6 +306,11 @@ class _AreaGridZ(GridZ):
     def __call__(self, x, j: int) -> np.ndarray:
         f_x, grad_x = self._z.field.value_and_gradient(x)
         return self._z.contract(f_x, grad_x, self._areas[j])
+
+    def every(self, x) -> np.ndarray:
+        # bitwise equal, row by row, to the per-interval contraction
+        f_x, grad_x = self._z.field.value_and_gradient(x)
+        return np.einsum(self._z._every_subscripts, grad_x, f_x, self._areas)
 
     def with_field(self, field: VectorField, x, j: int):
         if field is not self._z.field:
@@ -311,7 +339,7 @@ def canonical_z(field: VectorField, driver: RoughDriver) -> SecondOrderMap:
     the area, and Z(x)_{t,t} = 0 since XX_{t,t} = 0.
     """
     _check_pairing(field, driver)
-    return _AreaLinearZ(field, driver, "ibm,ma,ab->i", "canonical")
+    return _AreaLinearZ(field, driver, "ab", "canonical")
 
 
 def transposed_z(field: VectorField, driver: RoughDriver) -> SecondOrderMap:
@@ -322,7 +350,7 @@ def transposed_z(field: VectorField, driver: RoughDriver) -> SecondOrderMap:
     comparison.  Test preset.
     """
     _check_pairing(field, driver)
-    return _AreaLinearZ(field, driver, "ibm,ma,ba->i", "transposed")
+    return _AreaLinearZ(field, driver, "ba", "transposed")
 
 
 def zero_z(n: int) -> SecondOrderMap:
@@ -384,11 +412,64 @@ class CheckReport:
         return out
 
 
-def _grid_pairs(grid: Grid):
-    pts = grid.points
-    for i in range(len(pts) - 1):
-        for j in range(i + 1, len(pts)):
-            yield pts[i], pts[j]
+def _pair_blocks(m: int):
+    """Index pairs (i, j) with 0 <= i < j < m in row order, as arrays of at
+    most PAIR_BLOCK pairs each."""
+    rows = np.arange(m - 1)
+    starts = rows * (m - 1) - rows * (rows - 1) // 2  # flat index of (i, i+1)
+    total = m * (m - 1) // 2
+    for lo in range(0, total, PAIR_BLOCK):
+        flat = np.arange(lo, min(lo + PAIR_BLOCK, total))
+        ii = np.searchsorted(starts, flat, side="right") - 1
+        yield ii, flat - starts[ii] + ii + 1
+
+
+def _chunks(start: int, stop: int):
+    """Slices covering range(start, stop), each at most PAIR_BLOCK long."""
+    return (slice(lo, min(lo + PAIR_BLOCK, stop))
+            for lo in range(start, stop, PAIR_BLOCK))
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of v, bitwise np.linalg.norm of each row."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
+def _powers(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent elementwise, bitwise the scalar ``**``.
+
+    numpy's ``power`` may take a SIMD path that differs in the last bit,
+    which would move a witness between near-tied pairs; ``float_power``
+    evaluates the scalar pow per element.
+    """
+    return np.float_power(base, exponent)
+
+
+def _first_max(ratios: np.ndarray):
+    """(largest ratio, first index attaining it); a NaN ratio never wins."""
+    ratios = np.where(np.isnan(ratios), -np.inf, ratios)
+    j = int(np.argmax(ratios))
+    return float(ratios[j]), j
+
+
+def _worst(report: CheckReport, per_state) -> None:
+    """Record the first strict maximum over states in order.
+
+    ``per_state`` holds each state's own first strict maximum as
+    (ratio, witness fields), so this is the first strict maximum of the
+    whole (state, interval) sequence.
+    """
+    for ratio, witness in per_state:
+        if ratio > report.max_ratio:
+            report.max_ratio = ratio
+            for key, value in witness.items():
+                setattr(report, key, value)
+
+
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats[k] @ vecs[k] for every k (mats may be one shared matrix),
+    bitwise the single matrix-vector products."""
+    return np.matmul(mats, vecs[..., None])[..., 0]
 
 
 def check_z_bound(z: SecondOrderMap, xs, grid: Grid, alpha: float,
@@ -405,17 +486,19 @@ def check_z_bound(z: SecondOrderMap, xs, grid: Grid, alpha: float,
         raise ValueError("grid must have at least 2 points")
     expo = 2.0 * alpha if exponent is None else float(exponent)
     report = CheckReport("z_bound", 0.0, 0, exponents={"time": expo})
-    count = 0
-    for x in xs:
-        for s, t in _grid_pairs(grid):
-            ratio = float(np.linalg.norm(z(x, s, t))) / (t - s) ** expo
-            count += 1
-            if ratio > report.max_ratio:
-                report.max_ratio = ratio
-                report.witness_x = x
-                report.witness_s = float(s)
-                report.witness_t = float(t)
-    report.samples = count
+    pts = grid.points
+    best = [(0.0, {})] * len(xs)
+    for ii, jj in _pair_blocks(len(pts)):
+        ss, tt = pts[ii], pts[jj]
+        grid_z = z.on_grid(ss, tt)
+        scale = _powers(tt - ss, expo)
+        for q, x in enumerate(xs):
+            ratio, j = _first_max(_row_norms(grid_z.every(x)) / scale)
+            if ratio > best[q][0]:
+                best[q] = (ratio, {"witness_x": x, "witness_s": float(ss[j]),
+                                   "witness_t": float(tt[j])})
+    _worst(report, best)
+    report.samples = len(xs) * grid.N * (grid.N + 1) // 2
     return report
 
 
@@ -431,26 +514,30 @@ def check_z_lipschitz(z: SecondOrderMap, x_pairs, grid: Grid, alpha: float,
     expo_x = gamma - 2.0 if space_exponent is None else float(space_exponent)
     report = CheckReport("z_lipschitz", 0.0, 0,
                          exponents={"time": expo_t, "space": expo_x})
-    count = 0
+    states = []
     for x, y in x_pairs:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         dist = float(np.linalg.norm(x - y))
-        if dist == 0.0:
-            continue
-        for s, t in _grid_pairs(grid):
-            num = float(np.linalg.norm(z(x, s, t) - z(y, s, t)))
-            ratio = num / (dist**expo_x * (t - s) ** expo_t)
-            count += 1
-            if ratio > report.max_ratio:
-                report.max_ratio = ratio
-                report.witness_x = x
-                report.witness_y = y
-                report.witness_s = float(s)
-                report.witness_t = float(t)
-    if count == 0:
+        if dist != 0.0:
+            states.append((x, y, dist**expo_x))
+    if not states:
         raise ValueError("all sample pairs degenerate (x == y)")
-    report.samples = count
+    pts = grid.points
+    best = [(0.0, {})] * len(states)
+    for ii, jj in _pair_blocks(len(pts)):
+        ss, tt = pts[ii], pts[jj]
+        grid_z = z.on_grid(ss, tt)
+        scale = _powers(tt - ss, expo_t)
+        for q, (x, y, dist_scale) in enumerate(states):
+            num = _row_norms(grid_z.every(x) - grid_z.every(y))
+            ratio, j = _first_max(num / (dist_scale * scale))
+            if ratio > best[q][0]:
+                best[q] = (ratio, {"witness_x": x, "witness_y": y,
+                                   "witness_s": float(ss[j]),
+                                   "witness_t": float(tt[j])})
+    _worst(report, best)
+    report.samples = len(states) * grid.N * (grid.N + 1) // 2
     return report
 
 
@@ -463,36 +550,43 @@ def check_z_cocycle(z: SecondOrderMap, field: VectorField, driver: RoughDriver,
     - ∇f(x) Z(x)_{s,u} X_{u,t}| / |t-s|^exponent with exponent defaulting
     to 3*alpha (gamma*alpha for the relaxed budget).  For the canonical map
     over an exact lift the first discrepancy vanishes by Chen's relation.
+    Every triple is validated before any evaluation; triples with s == t
+    are skipped.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     if not xs:
         raise ValueError("empty sample set")
     expo = 3.0 * alpha if exponent is None else float(exponent)
     report = CheckReport("z_cocycle", 0.0, 0, exponents={"time": expo})
-    count = 0
-    for x in xs:
-        f_x = field(x)
-        grad_x = field.gradient(x)
-        for s, u, t in triples:
-            if not (s <= u <= t):
-                raise ValueError(f"triple must satisfy s <= u <= t, got {(s, u, t)}")
-            if t == s:
-                continue
-            x_su = driver.increment(s, u)
-            x_ut = driver.increment(u, t)
-            z_su = z(x, s, u)
-            d_z = z(x, s, t) - z_su - z(x, u, t)
-            quad = field.gradient_product(x, f_x @ x_su, x_ut, grad=grad_x)
-            corr = np.einsum("ibm,m,b->i", grad_x, z_su, x_ut)
-            ratio = float(np.linalg.norm(d_z - quad - corr)) / (t - s) ** expo
-            count += 1
-            if ratio > report.max_ratio:
-                report.max_ratio = ratio
-                report.witness_x = x
-                report.witness_s = float(s)
-                report.witness_u = float(u)
-                report.witness_t = float(t)
-    report.samples = count
+    triples = np.asarray(triples, dtype=float).reshape(-1, 3)
+    ordered = (triples[:, 0] <= triples[:, 1]) & (triples[:, 1] <= triples[:, 2])
+    if not ordered.all():
+        bad = tuple(triples[int(np.argmin(ordered))].tolist())
+        raise ValueError(f"triple must satisfy s <= u <= t, got {bad}")
+    triples = triples[triples[:, 2] != triples[:, 0]]
+    states = [(x, field(x), field.gradient(x)) for x in xs]
+    best = [(0.0, {})] * len(xs)
+    # three intervals per triple go into one batched Z
+    step = PAIR_BLOCK // 3
+    for lo in range(0, len(triples), step):
+        ss, uu, tt = triples[lo:lo + step].T
+        x_su = driver.increment_many(ss, uu)
+        x_ut = driver.increment_many(uu, tt)
+        grid_z = z.on_grid(np.concatenate([ss, ss, uu]),
+                           np.concatenate([uu, tt, tt]))
+        scale = _powers(tt - ss, expo)
+        for q, (x, f_x, grad_x) in enumerate(states):
+            z_su, z_st, z_ut = np.split(grid_z.every(x), 3)
+            d_z = z_st - z_su - z_ut
+            quad = np.einsum("ibm,km,kb->ki", grad_x, _matvec(f_x, x_su), x_ut)
+            corr = np.einsum("ibm,km,kb->ki", grad_x, z_su, x_ut)
+            ratio, j = _first_max(_row_norms(d_z - quad - corr) / scale)
+            if ratio > best[q][0]:
+                best[q] = (ratio, {"witness_x": x, "witness_s": float(ss[j]),
+                                   "witness_u": float(uu[j]),
+                                   "witness_t": float(tt[j])})
+    _worst(report, best)
+    report.samples = len(xs) * len(triples)
     return report
 
 
@@ -501,20 +595,21 @@ def convention_defect_max(z: SecondOrderMap, field: VectorField,
     """Max over all grid triples s <= u <= t of |δZ - ∇f f X_{s,u} ⊗ X_{u,t}|.
 
     This is the index-convention pin: it vanishes (to roundoff) exactly when
-    the coboundary of Z reproduces the Chen cross term.  Evaluates Z once
-    per grid pair and combines triples vectorised.
+    the coboundary of Z reproduces the Chen cross term.  Fills the pair
+    matrix of Z through batched ``on_grid(...).every(x)`` calls and
+    combines triples vectorised; memory grows like m^3 in the number m of
+    grid points.
 
     Returns (max_defect, (s, u, t)).
     """
     x = np.asarray(x, dtype=float)
     pts = grid.points
     m = len(pts)
-    base = np.array([driver.increment(pts[0], p) for p in pts])
+    base = driver.increment_many(np.full(m, pts[0]), pts)
     incr = base[None, :, :] - base[:, None, :]  # (m, m, d)
     zmat = np.zeros((m, m, z.n))
-    for i in range(m):
-        for j in range(i + 1, m):
-            zmat[i, j] = z(x, pts[i], pts[j])
+    for ii, jj in _pair_blocks(m):
+        zmat[ii, jj] = z.on_grid(pts[ii], pts[jj]).every(x)
     # δZ[i,j,k] = Z[i,k] - Z[i,j] - Z[j,k] on i <= j <= k
     d_z = zmat[:, None, :, :] - zmat[:, :, None, :] - zmat[None, :, :, :]
     quad = np.einsum("nbq,qa,ija,jkb->ijkn", field.gradient(x), field(x),

@@ -1,0 +1,62 @@
+"""Drivers, fields and Z maps shared by the property tests."""
+
+import numpy as np
+
+from rdesplit import (SecondOrderMap, canonical_z, constant_field,
+                      lift_piecewise_linear, linear_field, rough_probe_z,
+                      scalar_driver, sine_field, smooth_path,
+                      synth_midpoint_path, transposed_z, zero_z)
+
+SMOOTH_DRIVER = lift_piecewise_linear(smooth_path(d=2, segments=256))
+
+
+def build_driver(kind, seed):
+    if kind == "synthetic":
+        return lift_piecewise_linear(synth_midpoint_path(seed, 0.45, 8, 2),
+                                     alpha=0.45)
+    if kind == "smooth":
+        return SMOOTH_DRIVER
+    # no batch hooks: solves and diagnostics fall back to per-interval queries
+    return scalar_driver(lambda t: np.sin(3.0 * t) + t * t)
+
+
+def build_field(kind, seed, d):
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return constant_field(0.5 + 0.5 * rng.random((2, d)))
+    if kind == "linear":
+        return linear_field(0.5 * rng.standard_normal((2, d, 2)),
+                            offset=0.5 * rng.standard_normal((2, d)))
+    return sine_field(2, d, seed=seed, amplitude=0.8)
+
+
+def nan_probe_z(n):
+    """NaN on the longer intervals: a NaN ratio must never be the maximum."""
+
+    def fn(x, s, t):
+        return np.full(n, np.nan) if t - s > 0.4 else (t - s) * np.cos(x)
+
+    return SecondOrderMap(n, fn, name="nan-probe")
+
+
+def build_z(kind, field, driver):
+    if kind == "canonical":
+        return canonical_z(field, driver)
+    if kind == "transposed":
+        return transposed_z(field, driver)
+    if kind == "zero":
+        return zero_z(2)
+    if kind == "rough-probe":
+        return rough_probe_z(2, driver.alpha)
+    if kind == "nan-probe":
+        return nan_probe_z(2)
+    # the map's own driver differs from the solve's: its areas must be used,
+    # and a driver made by with_area has no batch hooks
+    return canonical_z(field, driver.with_area(
+        lambda s, t: 2.0 * driver.area(s, t)))
+
+
+DRIVER_KINDS = ("synthetic", "smooth", "scalar")
+FIELD_KINDS = ("constant", "linear", "sine")
+Z_KINDS = ("canonical", "transposed", "zero", "rough-probe", "nan-probe",
+           "scaled-area")

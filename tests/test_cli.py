@@ -130,6 +130,35 @@ def test_copied_config_reproduces_run_under_seed(tmp_path, args, outputs):
         assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_relative_driver_path_resolves_against_the_config(tmp_path,
+                                                         monkeypatch):
+    from rdesplit import synth_midpoint_path
+
+    data = tmp_path / "data"
+    data.mkdir()
+    with open(data / "path.csv", "w") as fh:
+        synth_midpoint_path(3, 0.45, 6, 2).to_csv(fh)
+    config = data / "cfg.ini"
+    config.write_text(SMOOTH.replace("kind = smooth",
+                                     "kind = file\npath = path.csv"))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    result = CliRunner().invoke(main, ["solve", "--config", "../data/cfg.ini",
+                                       "--out", "run"])
+    assert result.exit_code == 0, result.output
+    copied = elsewhere / "run" / "config.ini"
+    assert f"path = {data / 'path.csv'}" in copied.read_text()
+    # the copy names the driver file absolutely: it reruns from anywhere
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["solve", "--config", str(copied),
+                                       "--out", "rerun"])
+    assert result.exit_code == 0, result.output
+    for name in ("summary.json", "trajectory.csv"):
+        assert ((tmp_path / "rerun" / name).read_bytes()
+                == (elsewhere / "run" / name).read_bytes())
+
+
 def test_outputs_deterministic(tmp_path):
     r1, out1 = run_cli(tmp_path, SMOOTH, ["solve"])
     files1 = {p.name: p.read_bytes() for p in out1.iterdir()}

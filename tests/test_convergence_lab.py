@@ -1,14 +1,23 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rdesplit import (EXACT_AGREEMENT, Grid, NumericFailure, Problem,
-                      canonical_z, common_indices, constant_field,
-                      davie_defect, dyadic_sup_rate, fit_rate, holder_rate,
-                      lift_piecewise_linear, rational_rate, sine_field,
-                      smooth_path, solve_split, synth_midpoint_path, zero_z)
+                      RoughDriver, canonical_z, check_z_bound, check_z_cocycle,
+                      check_z_lipschitz, common_indices, constant_field,
+                      convention_defect_max, davie_defect, dyadic_sup_rate,
+                      fit_rate, holder_rate, lift_piecewise_linear,
+                      rational_rate, sine_field, smooth_path, solve_split,
+                      synth_midpoint_path, zero_z)
+from rdesplit import model
 from rdesplit.convergence_lab import _davie_indices, quarter_times
+
+from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
+                      build_field, build_z)
 
 Y0 = np.array([0.1, -0.2])
 
@@ -289,6 +298,98 @@ def test_davie_uniform_in_h_on_smooth():
         ratios.append(davie_defect(traj, prob.field, prob.z, prob.driver,
                                    3.0, 0.5).max_ratio)
     assert max(ratios) / min(ratios) <= 2.0
+
+
+def reference_davie(traj, field, z, driver, exponent, exact_limit):
+    """davie_defect as a per-pair loop: (max, k, m, pairs)."""
+    pts = traj.grid.points
+    u = traj.u
+    idx = _davie_indices(traj.grid.N, exact_limit)
+    base = [driver.increment(pts[0], pts[i]) for i in idx]
+    best, best_k, best_m, pairs = -1.0, 0, 0, 0
+    for a, k in enumerate(idx[:-1]):
+        f_k = field(u[k])
+        for b in range(a + 1, len(idx)):
+            m = idx[b]
+            residual = (u[m] - u[k] - f_k @ (base[b] - base[a])
+                        - z(u[k], pts[k], pts[m]))
+            ratio = (float(np.linalg.norm(residual))
+                     / (pts[m] - pts[k]) ** exponent)
+            pairs += 1
+            if ratio > best:
+                best, best_k, best_m = ratio, k, m
+    return best, best_k, best_m, pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), N=st.integers(1, 40),
+       exact_limit=st.sampled_from((4096, 2, 3, 5, 8)),
+       driver_kind=st.sampled_from(DRIVER_KINDS),
+       field_kind=st.sampled_from(FIELD_KINDS),
+       z_kind=st.sampled_from(Z_KINDS))
+def test_davie_matches_per_pair_reference_loop(seed, N, exact_limit,
+                                               driver_kind, field_kind, z_kind):
+    driver = build_driver(driver_kind, seed)
+    field = build_field(field_kind, seed, driver.dim)
+    z = build_z(z_kind, field, driver)
+    # a NaN map cannot be solved with; its residuals are still measured
+    solve_z = zero_z(2) if z_kind == "nan-probe" else z
+    try:
+        traj = solve_split(driver, field, solve_z, Y0, Grid(1.0, N))
+    except NumericFailure:
+        assume(False)
+    exponent = 3.0 * driver.alpha
+    report = davie_defect(traj, field, z, driver, 3.0, driver.alpha,
+                          exact_limit=exact_limit)
+    best, k, m, pairs = reference_davie(traj, field, z, driver, exponent,
+                                        exact_limit)
+    assert report.max_ratio == pytest.approx(best, rel=1e-12, abs=0.0)
+    assert (report.k, report.m, report.pairs) == (k, m, pairs)
+
+
+def test_diagnostics_query_a_batch_driver_in_capped_blocks(monkeypatch):
+    lifted = lift_piecewise_linear(smooth_path(d=2, segments=256))
+    rows = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            rows[name] = max(rows[name], len(args[0]) if "many" in name else 1)
+            return fn(*args)
+        return wrapper
+
+    driver = RoughDriver(
+        2, 0.5, counted("increment", lifted.increment),
+        counted("area", lifted.area), span=lifted.span,
+        increment_many_fn=counted("increment_many", lifted.increment_many),
+        area_many_fn=counted("area_many", lifted.area_many))
+    field = sine_field(2, 2, seed=1, amplitude=0.8)
+    z = canonical_z(field, driver)
+    grid = Grid(1.0, 12)
+    traj = solve_split(lifted, field, canonical_z(field, lifted), Y0, grid)
+    rng = np.random.default_rng(3)
+    xs = list(rng.uniform(-1.0, 1.0, (3, 2)))
+    pts = grid.points
+    triples = np.sort(pts[rng.integers(0, len(pts), (20, 3))], axis=1)
+
+    def run():
+        rows.clear()
+        reports = [
+            check_z_bound(z, xs, grid, 0.5),
+            check_z_lipschitz(z, list(zip(xs, xs[::-1])), grid, 0.5, 3.0),
+            check_z_cocycle(z, field, driver, xs, triples, 0.5),
+            davie_defect(traj, field, z, driver, 3.0, 0.5),
+        ]
+        defect = convention_defect_max(z, field, driver, xs[0], grid)
+        return [r.to_json_dict() for r in reports], defect
+
+    whole = run()
+    assert set(rows) == {"increment_many", "area_many"}  # no scalar query
+    assert rows["area_many"] <= model.PAIR_BLOCK
+    monkeypatch.setattr(model, "PAIR_BLOCK", 7)
+    blocked = run()
+    assert set(rows) == {"increment_many", "area_many"}
+    assert rows["area_many"] <= 7
+    assert blocked == whole
 
 
 # ---------------------------------------------------------------- threading

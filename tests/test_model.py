@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdesplit import (Grid, SampledPath, VectorField, canonical_z,
                       check_z_bound, check_z_cocycle, check_z_lipschitz,
@@ -12,6 +14,9 @@ from rdesplit import (Grid, SampledPath, VectorField, canonical_z,
                       scalar_driver, sine_field, transposed_z,
                       validate_gradient, zero_z)
 from rdesplit.model import SecondOrderMap
+
+from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
+                      build_field, build_z)
 
 
 def l_driver():
@@ -58,6 +63,14 @@ def test_field_validation():
         linear_field(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         VectorField(2, 2, lambda x: x, lambda x: x, gamma=2.0)
+
+
+@pytest.mark.parametrize("key", ["gamma", "sup_f", "sup_grad"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_field_rejects_non_finite_parameters(key, bad):
+    # NaN passes "gamma <= 2" unnoticed, since every comparison with it is False
+    with pytest.raises(ValueError, match=key):
+        VectorField(2, 2, lambda x: x, lambda x: x, **{key: bad})
 
 
 # ---------------------------------------------------------------- canonical Z
@@ -345,3 +358,149 @@ def test_check_report_json_schema():
     assert set(payload["witness"]) == {"x", "s", "u", "t"}
     assert payload["condition"] == "z_bound"
     assert payload["witness"]["u"] is None
+
+
+# ---------------------------------------------------------------- batched checkers
+
+def grid_pairs(pts):
+    for i in range(len(pts) - 1):
+        for j in range(i + 1, len(pts)):
+            yield pts[i], pts[j]
+
+
+def reference_bound(z, xs, pts, expo):
+    """check_z_bound as a per-pair loop: (max, (x, s, t), samples)."""
+    best, witness, count = 0.0, (None, None, None), 0
+    for x in xs:
+        for s, t in grid_pairs(pts):
+            ratio = float(np.linalg.norm(z(x, s, t))) / (t - s) ** expo
+            count += 1
+            if ratio > best:
+                best, witness = ratio, (x, float(s), float(t))
+    return best, witness, count
+
+
+def reference_lipschitz(z, x_pairs, pts, expo_t, expo_x):
+    best, witness, count = 0.0, (None, None, None, None), 0
+    for x, y in x_pairs:
+        dist = float(np.linalg.norm(x - y))
+        if dist == 0.0:
+            continue
+        for s, t in grid_pairs(pts):
+            num = float(np.linalg.norm(z(x, s, t) - z(y, s, t)))
+            ratio = num / (dist**expo_x * (t - s) ** expo_t)
+            count += 1
+            if ratio > best:
+                best, witness = ratio, (x, y, float(s), float(t))
+    return best, witness, count
+
+
+def reference_cocycle(z, field, driver, xs, triples, expo):
+    best, witness, count = 0.0, (None, None, None, None), 0
+    for x in xs:
+        f_x, grad_x = field(x), field.gradient(x)
+        for s, u, t in triples:
+            if t == s:
+                continue
+            x_su = driver.increment(s, u)
+            x_ut = driver.increment(u, t)
+            z_su = z(x, s, u)
+            d_z = z(x, s, t) - z_su - z(x, u, t)
+            quad = field.gradient_product(x, f_x @ x_su, x_ut, grad=grad_x)
+            corr = np.einsum("ibm,m,b->i", grad_x, z_su, x_ut)
+            ratio = float(np.linalg.norm(d_z - quad - corr)) / (t - s) ** expo
+            count += 1
+            if ratio > best:
+                best, witness = ratio, (x, float(s), float(u), float(t))
+    return best, witness, count
+
+
+def same_witness(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        if isinstance(e, np.ndarray):
+            assert g is not None and np.array_equal(g, e)
+        else:
+            assert g == e
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), N=st.integers(1, 20),
+       states=st.integers(1, 3),
+       driver_kind=st.sampled_from(DRIVER_KINDS),
+       field_kind=st.sampled_from(FIELD_KINDS),
+       z_kind=st.sampled_from(Z_KINDS))
+def test_checkers_match_per_pair_reference_loops(seed, N, states, driver_kind,
+                                                 field_kind, z_kind):
+    driver = build_driver(driver_kind, seed)
+    field = build_field(field_kind, seed, driver.dim)
+    z = build_z(z_kind, field, driver)
+    grid = Grid(1.0, N)
+    pts = grid.points
+    rng = np.random.default_rng(seed)
+    xs = list(rng.uniform(-1.0, 1.0, (states, 2)))
+    x_pairs = [(x, x.copy()) for x in xs[:1]]  # one degenerate pair, skipped
+    x_pairs += list(zip(xs, rng.uniform(-1.0, 1.0, (states, 2))))
+    # repeated grid indices give triples with s == u, u == t and s == t
+    triples = np.sort(pts[rng.integers(0, N + 1, (12, 3))], axis=1)
+    triples = np.vstack([triples, [[pts[0]] * 3, [pts[0], pts[0], pts[-1]]]])
+    alpha = driver.alpha
+
+    rep = check_z_bound(z, xs, grid, alpha)
+    best, witness, count = reference_bound(z, xs, pts, 2.0 * alpha)
+    assert rep.max_ratio == pytest.approx(best, rel=1e-12, abs=0.0)
+    same_witness((rep.witness_x, rep.witness_s, rep.witness_t), witness)
+    assert rep.samples == count
+
+    rep = check_z_lipschitz(z, x_pairs, grid, alpha, 3.0)
+    best, witness, count = reference_lipschitz(z, x_pairs, pts, 2.0 * alpha,
+                                               1.0)
+    assert rep.max_ratio == pytest.approx(best, rel=1e-12, abs=0.0)
+    same_witness((rep.witness_x, rep.witness_y, rep.witness_s, rep.witness_t),
+                 witness)
+    assert rep.samples == count
+
+    rep = check_z_cocycle(z, field, driver, xs, triples, alpha)
+    best, witness, count = reference_cocycle(z, field, driver, xs, triples,
+                                             3.0 * alpha)
+    assert rep.max_ratio == pytest.approx(best, rel=1e-12, abs=0.0)
+    same_witness((rep.witness_x, rep.witness_s, rep.witness_u, rep.witness_t),
+                 witness)
+    assert rep.samples == count
+
+
+def test_bound_ratio_is_exact_for_a_map_on_its_budget():
+    # |Z| = |t-s|^(2 alpha) meets the bound with equality on every pair, so
+    # every ratio is exactly 1 and the witness is the first pair; a batched
+    # power that rounds differently from the scalar one would break the tie
+    alpha = 0.45
+    z = SecondOrderMap(2, lambda x, s, t: np.array([abs(t - s) ** (2 * alpha), 0.0]))
+    rep = check_z_bound(z, [np.zeros(2), np.ones(2)], Grid(1.0, 64), alpha)
+    assert rep.max_ratio == 1.0
+    assert (rep.witness_s, rep.witness_t) == (0.0, 1.0 / 64)
+    assert np.array_equal(rep.witness_x, np.zeros(2))
+
+
+def test_cocycle_validates_every_triple_before_evaluating():
+    calls = []
+    z = SecondOrderMap(2, lambda x, s, t: calls.append((s, t)) or np.zeros(2))
+    field = sine_field(2, 2, seed=3)
+    triples = [(0.0, 0.25, 0.5), (0.5, 0.2, 0.8)]
+    with pytest.raises(ValueError, match="s <= u <= t"):
+        check_z_cocycle(z, field, l_driver(), [np.zeros(2)], triples, 0.5)
+    assert calls == []
+
+
+def test_grid_z_every_matches_per_interval_calls():
+    drv = l_driver()
+    field = sine_field(2, 2, seed=3, amplitude=0.8)
+    ss = np.array([0.0, 0.1, 0.3, 0.5, 0.9])
+    tt = np.array([0.0, 0.7, 0.8, 1.0, 0.95])
+    x = np.array([0.3, -0.4])
+    for z in (canonical_z(field, drv), transposed_z(field, drv), zero_z(2),
+              rough_probe_z(2, 0.5)):
+        grid_z = z.on_grid(ss, tt)
+        expected = np.array([z(x, s, t) for s, t in zip(ss, tt)])
+        assert np.array_equal(grid_z.every(x), expected)
+        assert grid_z.every(x).shape == (len(ss), 2)
+    assert zero_z(2).on_grid([], []).every(x).shape == (0, 2)

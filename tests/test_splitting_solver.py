@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
                       VectorField, canonical_z, constant_field, eval_joined,
                       hoelder_seminorm, lift_piecewise_linear, linear_field,
-                      rough_probe_z, scalar_driver, sine_field, smooth_path,
-                      solve_milstein, solve_ode_reference, solve_split,
-                      split_step, synth_midpoint_path, transposed_z,
+                      scalar_driver, sine_field, smooth_path, solve_milstein,
+                      solve_ode_reference, solve_split, split_step,
                       write_trajectory_csv, zero_z)
 from rdesplit.convergence_lab import joined_samples, quarter_times
+
+from builders import DRIVER_KINDS, FIELD_KINDS, build_driver, build_field, build_z
 
 Y0 = np.array([0.1, -0.2])
 
@@ -217,43 +218,6 @@ def test_dimension_mismatch_rejected():
 
 # ---------------------------------------------------------------- batch stepping
 
-SMOOTH_DRIVER = lift_piecewise_linear(smooth_path(d=2, segments=256))
-
-
-def _driver(kind, seed):
-    if kind == "synthetic":
-        return lift_piecewise_linear(synth_midpoint_path(seed, 0.45, 8, 2),
-                                     alpha=0.45)
-    if kind == "smooth":
-        return SMOOTH_DRIVER
-    # no batch hooks: the solves fall back to per-interval queries
-    return scalar_driver(lambda t: np.sin(3.0 * t) + t * t)
-
-
-def _field(kind, seed, d):
-    rng = np.random.default_rng(seed)
-    if kind == "constant":
-        return constant_field(0.5 + 0.5 * rng.random((2, d)))
-    if kind == "linear":
-        return linear_field(0.5 * rng.standard_normal((2, d, 2)),
-                            offset=0.5 * rng.standard_normal((2, d)))
-    return sine_field(2, d, seed=seed, amplitude=0.8)
-
-
-def _z(kind, field, driver):
-    if kind == "canonical":
-        return canonical_z(field, driver)
-    if kind == "transposed":
-        return transposed_z(field, driver)
-    if kind == "zero":
-        return zero_z(2)
-    if kind == "rough-probe":
-        return rough_probe_z(2, driver.alpha)
-    # the map's own driver differs from the solve's: its areas must be used
-    return canonical_z(field, driver.with_area(
-        lambda s, t: 2.0 * driver.area(s, t)))
-
-
 def _outcome(solve, *args):
     """(result, None), or (None, failing step) on NumericFailure."""
     try:
@@ -264,15 +228,15 @@ def _outcome(solve, *args):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**16), N=st.integers(1, 64),
-       driver_kind=st.sampled_from(("synthetic", "smooth", "scalar")),
-       field_kind=st.sampled_from(("constant", "linear", "sine")),
+       driver_kind=st.sampled_from(DRIVER_KINDS),
+       field_kind=st.sampled_from(FIELD_KINDS),
        z_kind=st.sampled_from(("canonical", "transposed", "zero",
                                "rough-probe", "scaled-area")))
 def test_solves_match_scalar_reference_loop_bitwise(seed, N, driver_kind,
                                                     field_kind, z_kind):
-    driver = _driver(driver_kind, seed)
-    field = _field(field_kind, seed, driver.dim)
-    z = _z(z_kind, field, driver)
+    driver = build_driver(driver_kind, seed)
+    field = build_field(field_kind, seed, driver.dim)
+    z = build_z(z_kind, field, driver)
     args = (driver, field, z, Y0, Grid(1.0, N))
     split, split_failed = _outcome(solve_split, *args)
     ref, ref_failed = _outcome(reference_split, *args)
