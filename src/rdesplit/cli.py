@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import statistics
 import sys
 from pathlib import Path
@@ -29,14 +28,6 @@ from .splitting_solver import (solve_milstein, solve_ode_reference,
 
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
-
-
-def _max_threads() -> int:
-    raw = os.environ.get("RDE_SPLIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"RDE_SPLIT_THREADS must be an integer, got {raw!r}")
 
 
 def _write_json(directory: Path, name: str, payload: dict) -> None:
@@ -131,20 +122,17 @@ def rates(config_path, out, seed, kind):
         seeds = [base_seed + i for i in range(exp.seeds)]
     else:
         seeds = [base_seed]
-    workers = _max_threads()
     slopes = []
     report = None
     for i, run_seed in enumerate(seeds):
         problem, _ = build_problem(cfg, run_seed)
         if kind == "sup":
-            report = dyadic_sup_rate(problem, exp.base_n, exp.levels,
-                                     max_workers=workers)
+            report = dyadic_sup_rate(problem, exp.base_n, exp.levels)
         elif kind == "holder":
-            report = holder_rate(problem, exp.beta, exp.base_n, exp.levels,
-                                 max_workers=workers)
+            report = holder_rate(problem, exp.beta, exp.base_n, exp.levels)
         else:
             report = rational_rate(problem, exp.q_num, exp.q_den, exp.base_n,
-                                   exp.levels, max_workers=workers)
+                                   exp.levels)
         slopes.append(report.slope)
         with open(out_dir / f"rates_seed{run_seed}.csv", "w", encoding="utf-8") as fh:
             report.write_csv(fh)

@@ -1,18 +1,19 @@
 """Run configuration: a flat INI schema with strict key checking.
 
-Sections and keys are fixed; unknown keys are errors rather than warnings
-because a silently ignored typo corrupts an experiment.  ``emit`` produces
-the canonical form (fixed section and key order, full-precision floats) and
-``parse(emit(cfg))`` reproduces ``cfg`` exactly.
+The spec dataclasses are the schema: each field of ``ProblemConfig`` is a
+section, each field of a spec is a key in file order, a field without a
+default is required (and so is its section), and the declared type picks
+the key's codec in ``_CODECS``.  Unknown keys are errors rather than
+warnings because a silently ignored typo corrupts an experiment.  ``emit``
+produces the canonical form (fixed section and key order, full-precision
+floats) and ``parse(emit(cfg))`` reproduces ``cfg`` exactly.
 """
-
-from __future__ import annotations
 
 import configparser
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -32,17 +33,6 @@ class ConfigError(ValueError):
 DRIVER_KINDS = ("smooth", "synthetic", "file")
 FIELD_PRESETS = ("constant", "linear", "sine")
 Z_KINDS = ("canonical", "zero", "transposed", "rough-probe")
-
-# canonical section -> ordered keys
-_SCHEMA = {
-    "driver": ("kind", "d", "alpha", "seed", "levels", "resolution", "path"),
-    "field": ("preset", "gamma", "seed", "scale"),
-    "z": ("kind",),
-    "problem": ("y0", "t_final", "n_steps"),
-    "experiment": ("levels", "base_n", "beta", "q_num", "q_den", "seeds",
-                   "samples", "box"),
-}
-
 
 @dataclass
 class DriverSpec:
@@ -102,60 +92,20 @@ class ProblemConfig:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"unparsable config: {exc}") from exc
+        specs = {section.name: section.type for section in fields(cls)}
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in specs:
                 raise ConfigError(f"unknown section [{section}]")
+            known = [key.name for key in fields(specs[section])]
             for key in parser[section]:
-                if key not in _SCHEMA[section]:
+                if key not in known:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
-        for required in ("driver", "problem"):
-            if required not in parser:
-                raise ConfigError(f"missing required section [{required}]")
-
-        def get(section, key, cast, default):
-            if section in parser and key in parser[section]:
-                raw = parser[section][key]
-                try:
-                    return cast(raw)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"bad value for {section}.{key}: {raw!r}") from exc
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key {section}.{key}")
-            return default
-
-        driver = DriverSpec(
-            kind=get("driver", "kind", str, _REQUIRED),
-            d=get("driver", "d", int, 2),
-            alpha=get("driver", "alpha", float, 0.5),
-            seed=get("driver", "seed", int, 0),
-            levels=get("driver", "levels", int, 12),
-            resolution=get("driver", "resolution", int, 16384),
-            path=get("driver", "path", str, None),
-        )
-        field = FieldSpec(
-            preset=get("field", "preset", str, "sine"),
-            gamma=get("field", "gamma", float, 3.0),
-            seed=get("field", "seed", int, 0),
-            scale=get("field", "scale", float, 1.0),
-        )
-        z = ZSpec(kind=get("z", "kind", str, "canonical"))
-        problem = SolveSpec(
-            y0=get("problem", "y0", _parse_vector, _REQUIRED),
-            t_final=get("problem", "t_final", float, 1.0),
-            n_steps=get("problem", "n_steps", int, 256),
-        )
-        experiment = ExperimentSpec(
-            levels=get("experiment", "levels", int, 4),
-            base_n=get("experiment", "base_n", int, 16),
-            beta=get("experiment", "beta", float, 0.2),
-            q_num=get("experiment", "q_num", int, 3),
-            q_den=get("experiment", "q_den", int, 2),
-            seeds=get("experiment", "seeds", int, 3),
-            samples=get("experiment", "samples", int, 16),
-            box=get("experiment", "box", float, 1.0),
-        )
-        cfg = cls(driver, field, z, problem, experiment)
+        for section, spec in specs.items():
+            required = any(key.default is MISSING for key in fields(spec))
+            if section not in parser and required:
+                raise ConfigError(f"missing required section [{section}]")
+        cfg = cls(**{section: _read_section(parser, section, spec)
+                     for section, spec in specs.items()})
         cfg.validate()
         return cfg
 
@@ -219,56 +169,16 @@ class ProblemConfig:
             raise ConfigError("experiment.box must be positive")
 
     def emit(self) -> str:
-        d = self.driver
-        rows = {
-            "driver": {
-                "kind": d.kind,
-                "d": d.d,
-                "alpha": repr(d.alpha),
-                "seed": d.seed,
-                "levels": d.levels,
-                "resolution": d.resolution,
-            },
-            "field": {
-                "preset": self.field.preset,
-                "gamma": repr(self.field.gamma),
-                "seed": self.field.seed,
-                "scale": repr(self.field.scale),
-            },
-            "z": {"kind": self.z.kind},
-            "problem": {
-                "y0": ", ".join(repr(float(v)) for v in self.problem.y0),
-                "t_final": repr(self.problem.t_final),
-                "n_steps": self.problem.n_steps,
-            },
-            "experiment": {
-                "levels": self.experiment.levels,
-                "base_n": self.experiment.base_n,
-                "beta": repr(self.experiment.beta),
-                "q_num": self.experiment.q_num,
-                "q_den": self.experiment.q_den,
-                "seeds": self.experiment.seeds,
-                "samples": self.experiment.samples,
-                "box": repr(self.experiment.box),
-            },
-        }
-        if d.path is not None:
-            rows["driver"]["path"] = d.path
         buf = io.StringIO()
-        for section, keys in _SCHEMA.items():
-            buf.write(f"[{section}]\n")
-            for key in keys:
-                if key in rows[section]:
-                    buf.write(f"{key} = {rows[section][key]}\n")
+        for section in fields(self):
+            buf.write(f"[{section.name}]\n")
+            values = getattr(self, section.name)
+            for key in fields(values):
+                value = getattr(values, key.name)
+                if value is not None:
+                    buf.write(f"{key.name} = {_CODECS[key.type][1](value)}\n")
             buf.write("\n")
         return buf.getvalue()
-
-
-class _Required:
-    pass
-
-
-_REQUIRED = _Required()
 
 
 def _parse_vector(raw: str) -> tuple:
@@ -276,6 +186,39 @@ def _parse_vector(raw: str) -> tuple:
     if not parts:
         raise ValueError("empty vector")
     return tuple(float(p) for p in parts)
+
+
+def _format_vector(values) -> str:
+    return ", ".join(repr(float(v)) for v in values)
+
+
+# declared type of a spec field -> (parse, format) of its INI value; the
+# keys are annotation objects, so this module must not postpone the
+# evaluation of annotations (``from __future__ import annotations``)
+_CODECS = {
+    str: (str, str),
+    str | None: (str, str),
+    int: (int, str),
+    float: (float, repr),
+    tuple: (_parse_vector, _format_vector),
+}
+
+
+def _read_section(parser, section: str, spec):
+    """The ``spec`` instance a parsed section describes; absent keys take
+    the field defaults."""
+    values = {}
+    for key in fields(spec):
+        if section in parser and key.name in parser[section]:
+            raw = parser[section][key.name]
+            try:
+                values[key.name] = _CODECS[key.type][0](raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad value for {section}.{key.name}: {raw!r}") from exc
+        elif key.default is MISSING:
+            raise ConfigError(f"missing required key {section}.{key.name}")
+    return spec(**values)
 
 
 def _build_driver(spec: DriverSpec, seed_override=None):

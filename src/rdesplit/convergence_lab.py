@@ -17,7 +17,6 @@ at a time, never once per pair.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -39,8 +38,6 @@ __all__ = [
     "rational_rate",
     "common_indices",
     "davie_defect",
-    "quarter_times",
-    "joined_samples",
 ]
 
 # Sentinel slope for experiments whose differences vanish identically.
@@ -142,20 +139,16 @@ def fit_rate(levels, diffs) -> float:
     return float(-coeff[0])
 
 
-def _solve_many(problem: Problem, Ns, max_workers=None):
-    def run(N):
-        grid = Grid(problem.T, N)
+def _solve_many(problem: Problem, Ns):
+    trajs = []
+    for N in Ns:
         try:
-            return solve_split(problem.driver, problem.field, problem.z,
-                               problem.y0, grid)
+            trajs.append(solve_split(problem.driver, problem.field, problem.z,
+                                     problem.y0, Grid(problem.T, N)))
         except NumericFailure as exc:
             raise NumericFailure(f"solve at N={N} failed: {exc}",
                                  step=exc.step) from exc
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run, Ns))
-    return [run(N) for N in Ns]
+    return trajs
 
 
 def _sup_rows(a: np.ndarray, b: np.ndarray) -> float:
@@ -163,8 +156,7 @@ def _sup_rows(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def dyadic_sup_rate(problem: Problem, base_N: int, levels: int,
-                    include_half_points: bool = False,
-                    max_workers=None) -> RateReport:
+                    include_half_points: bool = False) -> RateReport:
     """Sup-norm differences between step-h and step-h/2 trajectories.
 
     Level n compares N*2^n against N*2^(n+1) steps at the coarse grid
@@ -178,7 +170,7 @@ def dyadic_sup_rate(problem: Problem, base_N: int, levels: int,
     if base_N < 4:
         raise ValueError(f"base_N must be >= 4, got {base_N}")
     Ns = [base_N * 2**n for n in range(levels + 1)]
-    trajs = _solve_many(problem, Ns, max_workers)
+    trajs = _solve_many(problem, Ns)
     diffs = []
     for n in range(levels):
         coarse, fine = trajs[n], trajs[n + 1]
@@ -212,8 +204,8 @@ def joined_samples(traj: SplitTrajectory, times) -> np.ndarray:
     return np.array([traj.eval_joined(t) for t in times])
 
 
-def holder_rate(problem: Problem, beta: float, base_N: int, levels: int,
-                max_workers=None) -> RateReport:
+def holder_rate(problem: Problem, beta: float, base_N: int,
+                levels: int) -> RateReport:
     """Discrete C^beta seminorm of step-h minus step-h/2 joined paths.
 
     Differences are sampled at the quarter points of the coarse grid.
@@ -228,7 +220,7 @@ def holder_rate(problem: Problem, beta: float, base_N: int, levels: int,
     if base_N < 4:
         raise ValueError(f"base_N must be >= 4, got {base_N}")
     Ns = [base_N * 2**n for n in range(levels + 1)]
-    trajs = _solve_many(problem, Ns, max_workers)
+    trajs = _solve_many(problem, Ns)
     diffs = []
     sup_diffs = []
     spacings = []
@@ -270,7 +262,7 @@ def common_indices(n_coarse: int, q_num: int, q_den: int):
 
 
 def rational_rate(problem: Problem, q_num: int, q_den: int, base_N: int,
-                  levels: int, max_workers=None) -> RateReport:
+                  levels: int) -> RateReport:
     """Sup difference of step-h and step-h/q trajectories at common times.
 
     Requires q = q_num/q_den in lowest terms with 1 < q < 2 (the dyadic
@@ -291,8 +283,8 @@ def rational_rate(problem: Problem, q_num: int, q_den: int, base_N: int,
     if levels < 2:
         raise ValueError(f"need at least 2 levels, got {levels}")
     Ns = [base_N * 2**n for n in range(levels)]
-    coarse_trajs = _solve_many(problem, Ns, max_workers)
-    fine_trajs = _solve_many(problem, [N * q_num // q_den for N in Ns], max_workers)
+    coarse_trajs = _solve_many(problem, Ns)
+    fine_trajs = _solve_many(problem, [N * q_num // q_den for N in Ns])
     diffs = []
     for coarse, fine, N in zip(coarse_trajs, fine_trajs, Ns):
         ci, fi = common_indices(N, q_num, q_den)

@@ -596,9 +596,11 @@ def convention_defect_max(z: SecondOrderMap, field: VectorField,
 
     This is the index-convention pin: it vanishes (to roundoff) exactly when
     the coboundary of Z reproduces the Chen cross term.  Fills the pair
-    matrix of Z through batched ``on_grid(...).every(x)`` calls and
-    combines triples vectorised; memory grows like m^3 in the number m of
-    grid points.
+    matrix of Z through batched ``on_grid(...).every(x)`` calls, then
+    combines the triples of one left end s at a time, so memory grows like
+    m^2 in the number m of grid points.  The witness is the first maximum
+    in (s, u, t) order; a NaN defect wins, as in one ``argmax`` over all
+    triples.
 
     Returns (max_defect, (s, u, t)).
     """
@@ -610,15 +612,19 @@ def convention_defect_max(z: SecondOrderMap, field: VectorField,
     zmat = np.zeros((m, m, z.n))
     for ii, jj in _pair_blocks(m):
         zmat[ii, jj] = z.on_grid(pts[ii], pts[jj]).every(x)
-    # δZ[i,j,k] = Z[i,k] - Z[i,j] - Z[j,k] on i <= j <= k
-    d_z = zmat[:, None, :, :] - zmat[:, :, None, :] - zmat[None, :, :, :]
-    quad = np.einsum("nbq,qa,ija,jkb->ijkn", field.gradient(x), field(x),
-                     incr, incr)
-    defect = np.abs(d_z - quad).max(axis=-1)
-    ii, jj, kk = np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
-                             indexing="ij")
-    mask = (ii <= jj) & (jj <= kk)
-    defect = np.where(mask, defect, -np.inf)
-    flat = int(np.argmax(defect))
-    i, j, k = np.unravel_index(flat, defect.shape)
-    return float(defect[i, j, k]), (float(pts[i]), float(pts[j]), float(pts[k]))
+    grad_x, f_x = field.gradient(x), field(x)
+    best, witness = -np.inf, (0, 0, 0)
+    for i in range(m):
+        # δZ[j,k] = Z[i,k] - Z[i,j] - Z[j,k] over i <= j, k; then k >= j
+        d_z = zmat[i, None, i:] - zmat[i, i:, None] - zmat[i:, i:]
+        quad = np.einsum("nbq,qa,ja,jkb->jkn", grad_x, f_x, incr[i, i:],
+                         incr[i:, i:])
+        defect = np.abs(d_z - quad).max(axis=-1)
+        defect[np.tri(m - i, k=-1, dtype=bool)] = -np.inf
+        flat = int(np.argmax(defect))
+        value = defect.flat[flat]
+        if value > best or (np.isnan(value) and not np.isnan(best)):
+            best = value
+            witness = (i, i + flat // (m - i), i + flat % (m - i))
+    i, j, k = witness
+    return float(best), (float(pts[i]), float(pts[j]), float(pts[k]))

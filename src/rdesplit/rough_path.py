@@ -129,8 +129,9 @@ class SampledPath:
 class RoughDriver:
     """Evaluates increments and areas of a rough path on a time span.
 
-    Immutable after construction; evaluators must be pure so a driver can
-    be read from many threads at once.
+    Immutable after construction; evaluators must be pure.  The batch
+    queries use the optional batch hooks and otherwise fall back to one
+    scalar query per interval.
     """
 
     def __init__(self, dim, alpha, increment_fn, area_fn, value_fn=None,
@@ -169,23 +170,16 @@ class RoughDriver:
     def increment_many(self, ss, tt) -> np.ndarray:
         """X_{s,t} for paired query arrays, shape (K, d); optional hook."""
         if self._increment_many_fn is None:
-            return np.array([self.increment(s, t) for s, t in zip(ss, tt)])
+            rows = [self.increment(s, t) for s, t in zip(ss, tt)]
+            return np.reshape(rows, (-1, self.dim))
         return self._increment_many_fn(np.asarray(ss, float), np.asarray(tt, float))
 
     def area_many(self, ss, tt) -> np.ndarray:
         """XX_{s,t} for paired query arrays, shape (K, d, d); optional hook."""
         if self._area_many_fn is None:
-            return np.array([self.area(s, t) for s, t in zip(ss, tt)])
+            rows = [self.area(s, t) for s, t in zip(ss, tt)]
+            return np.reshape(rows, (-1, self.dim, self.dim))
         return self._area_many_fn(np.asarray(ss, float), np.asarray(tt, float))
-
-    def with_area(self, area_fn) -> "RoughDriver":
-        """Same increments, replaced area evaluator (test instrumentation).
-
-        The batch hooks are dropped: they would no longer agree with the
-        replacement.
-        """
-        return RoughDriver(self.dim, self.alpha, self._increment_fn, area_fn,
-                           self._value_fn, self.span)
 
 
 class _PiecewiseLinearLift:
@@ -239,14 +233,6 @@ class _PiecewiseLinearLift:
     def base_value(self, t: float) -> np.ndarray:
         return self.value(t) - self.values[0]
 
-    def base_area_at(self, t: float) -> np.ndarray:
-        i = self.locate(t)
-        dt = t - self._times_list[i]
-        step = dt * self.slopes[i]
-        return (self.base_area[i]
-                + (0.5 * dt * dt) * self.seg_outer[i]
-                + self.rel0[i][:, None] * step[None, :])
-
     def increment(self, s: float, t: float) -> np.ndarray:
         i = self.locate(s)
         j = self.locate(t)
@@ -282,11 +268,6 @@ class _PiecewiseLinearLift:
             )
         idx = np.searchsorted(self.times, ts, side="right") - 1
         return np.clip(idx, 0, self._top)
-
-    def value_many(self, ts) -> np.ndarray:
-        idx = self.locate_many(ts)
-        dt = ts - self.times[idx]
-        return self.values[idx] + dt[:, None] * self.slopes[idx]
 
     def increment_many(self, ss, tt) -> np.ndarray:
         i = self.locate_many(ss)
@@ -325,7 +306,7 @@ def lift_piecewise_linear(path: SampledPath, alpha: float = 0.5) -> RoughDriver:
     if path.n_samples < 2:
         raise ValueError("need at least 2 samples to interpolate")
     lift = _PiecewiseLinearLift(path)
-    driver = RoughDriver(
+    return RoughDriver(
         path.d,
         alpha,
         lift.increment,
@@ -335,8 +316,6 @@ def lift_piecewise_linear(path: SampledPath, alpha: float = 0.5) -> RoughDriver:
         increment_many_fn=lift.increment_many,
         area_many_fn=lift.area_many,
     )
-    driver.lift = lift
-    return driver
 
 
 def synth_midpoint_path(seed: int, alpha: float, levels: int, d: int) -> SampledPath:
@@ -418,18 +397,14 @@ def chen_defect(driver: RoughDriver, s: float, u: float, t: float) -> float:
 def chen_defect_many(driver: RoughDriver, ss, uu, tt) -> np.ndarray:
     """Chen defects for arrays of triples, shape (K,).
 
-    Uses the driver's batch evaluators when it has them (each agrees
-    bitwise with its scalar counterpart) and falls back to per-triple
-    evaluation otherwise.
+    Bitwise the per-triple :func:`chen_defect`: the driver's batch queries
+    agree bitwise with its scalar ones.
     """
     ss = np.asarray(ss, dtype=float)
     uu = np.asarray(uu, dtype=float)
     tt = np.asarray(tt, dtype=float)
     if np.any(ss > uu) or np.any(uu > tt):
         raise ValueError("triples must satisfy s <= u <= t")
-    if not driver.has_batch:
-        return np.array([chen_defect(driver, s, u, t)
-                         for s, u, t in zip(ss, uu, tt)])
     left = driver.increment_many(ss, uu)
     right = driver.increment_many(uu, tt)
     defect = (driver.area_many(ss, tt)

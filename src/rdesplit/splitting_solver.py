@@ -36,7 +36,6 @@ __all__ = [
     "split_step",
     "solve_split",
     "solve_milstein",
-    "eval_joined",
     "write_trajectory_csv",
     "solve_ode_reference",
 ]
@@ -162,10 +161,6 @@ def solve_milstein(driver: RoughDriver, field: VectorField, z: SecondOrderMap,
 
     values = _march(driver, field, z, y0, grid, update)
     return MilsteinTrajectory(grid, values, driver, field, z)
-
-
-def eval_joined(traj: SplitTrajectory, t: float) -> np.ndarray:
-    return traj.eval_joined(t)
 
 
 def write_trajectory_csv(traj, fileobj) -> None:

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from rdesplit import (SecondOrderMap, canonical_z, constant_field,
-                      lift_piecewise_linear, linear_field, rough_probe_z,
-                      scalar_driver, sine_field, smooth_path,
+from rdesplit import (RoughDriver, SecondOrderMap, canonical_z,
+                      constant_field, lift_piecewise_linear, linear_field,
+                      rough_probe_z, scalar_driver, sine_field, smooth_path,
                       synth_midpoint_path, transposed_z, zero_z)
 
 SMOOTH_DRIVER = lift_piecewise_linear(smooth_path(d=2, segments=256))
@@ -18,6 +18,13 @@ def build_driver(kind, seed):
         return SMOOTH_DRIVER
     # no batch hooks: solves and diagnostics fall back to per-interval queries
     return scalar_driver(lambda t: np.sin(3.0 * t) + t * t)
+
+
+def with_area(driver, area_fn):
+    """``driver`` with its area replaced and no batch hooks, so its batch
+    queries fall back to one scalar query per interval."""
+    return RoughDriver(driver.dim, driver.alpha, driver.increment, area_fn,
+                       driver.value, span=driver.span)
 
 
 def build_field(kind, seed, d):
@@ -52,8 +59,8 @@ def build_z(kind, field, driver):
         return nan_probe_z(2)
     # the map's own driver differs from the solve's: its areas must be used,
     # and a driver made by with_area has no batch hooks
-    return canonical_z(field, driver.with_area(
-        lambda s, t: 2.0 * driver.area(s, t)))
+    return canonical_z(field, with_area(driver,
+                                        lambda s, t: 2.0 * driver.area(s, t)))
 
 
 DRIVER_KINDS = ("synthetic", "smooth", "scalar")

@@ -267,12 +267,3 @@ def test_compare_schemes_zero_z_exact(tmp_path):
     payload = json.loads((out / "compare.json").read_text())
     assert payload["exact_agreement"]
     assert payload["max_diffs"] == [0.0, 0.0, 0.0]
-
-
-def test_thread_env_var_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("RDE_SPLIT_THREADS", "2")
-    result, out = run_cli(tmp_path, SMOOTH, ["rates", "--kind", "sup"])
-    assert result.exit_code == 0, result.output
-    monkeypatch.setenv("RDE_SPLIT_THREADS", "junk")
-    result, _ = run_cli(tmp_path, SMOOTH, ["rates", "--kind", "sup"], name="c2.ini")
-    assert result.exit_code == 2

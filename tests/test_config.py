@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rdesplit.config import ConfigError, ProblemConfig, build_problem
+from rdesplit.config import (DRIVER_KINDS, FIELD_PRESETS, Z_KINDS, ConfigError,
+                             DriverSpec, ExperimentSpec, FieldSpec,
+                             ProblemConfig, SolveSpec, ZSpec, build_problem)
 
 BASE = """
 [driver]
@@ -30,6 +34,101 @@ def test_parse_minimal_config():
 
 def test_round_trip_is_identity_on_canonical_form():
     cfg = ProblemConfig.parse(BASE)
+    text = cfg.emit()
+    again = ProblemConfig.parse(text)
+    assert again == cfg
+    assert again.emit() == text
+
+
+FULL = ProblemConfig(
+    DriverSpec("file", d=3, alpha=0.45, seed=-7, levels=10, resolution=2048,
+               path="/data/runs/path.csv"),
+    FieldSpec("linear", gamma=2.5, seed=2, scale=0.1),
+    ZSpec("transposed"),
+    SolveSpec((0.1, -0.2, 1e-300), t_final=0.75, n_steps=12),
+    ExperimentSpec(levels=5, base_n=32, beta=1 / 3, q_num=5, q_den=4, seeds=2,
+                   samples=8, box=0.5))
+
+FULL_TEXT = """[driver]
+kind = file
+d = 3
+alpha = 0.45
+seed = -7
+levels = 10
+resolution = 2048
+path = /data/runs/path.csv
+
+[field]
+preset = linear
+gamma = 2.5
+seed = 2
+scale = 0.1
+
+[z]
+kind = transposed
+
+[problem]
+y0 = 0.1, -0.2, 1e-300
+t_final = 0.75
+n_steps = 12
+
+[experiment]
+levels = 5
+base_n = 32
+beta = 0.3333333333333333
+q_num = 5
+q_den = 4
+seeds = 2
+samples = 8
+box = 0.5
+
+"""
+
+
+def test_emit_pins_the_file_format():
+    assert FULL.emit() == FULL_TEXT
+    assert ProblemConfig.parse(FULL_TEXT) == FULL
+
+
+def finite(lo=None, hi=None, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+counts = st.integers(1, 10**6)
+ints = st.integers(-10**6, 10**6)
+# INI values are stripped and end at a line break
+paths = st.text(st.characters(exclude_categories=("C", "Z")) | st.just(" "),
+                max_size=20).filter(lambda p: p == p.strip())
+
+
+@st.composite
+def valid_configs(draw):
+    kind = draw(st.sampled_from(DRIVER_KINDS))
+    driver = DriverSpec(
+        kind, d=draw(counts), alpha=draw(finite(1 / 3, 0.5, exclude_min=True)),
+        seed=draw(ints), levels=draw(counts if kind == "synthetic" else ints),
+        resolution=draw(counts if kind == "smooth" else ints),
+        path=draw(paths.filter(bool) if kind == "file"
+                  else st.none() | paths))
+    field = FieldSpec(draw(st.sampled_from(FIELD_PRESETS)),
+                      gamma=draw(finite(2.0, exclude_min=True)),
+                      seed=draw(ints), scale=draw(finite()))
+    problem = SolveSpec(tuple(draw(st.lists(finite(), min_size=1, max_size=4))),
+                        t_final=draw(finite(0.0, exclude_min=True)),
+                        n_steps=draw(counts))
+    experiment = ExperimentSpec(
+        levels=draw(counts), base_n=draw(counts),
+        beta=draw(finite(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        q_num=draw(ints), q_den=draw(ints), seeds=draw(counts),
+        samples=draw(counts), box=draw(finite(0.0, exclude_min=True)))
+    return ProblemConfig(driver, field, ZSpec(draw(st.sampled_from(Z_KINDS))),
+                         problem, experiment)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_round_trip_over_arbitrary_valid_configs(cfg):
+    cfg.validate()
     text = cfg.emit()
     again = ProblemConfig.parse(text)
     assert again == cfg

@@ -390,13 +390,3 @@ def test_diagnostics_query_a_batch_driver_in_capped_blocks(monkeypatch):
     assert set(rows) == {"increment_many", "area_many"}
     assert rows["area_many"] <= 7
     assert blocked == whole
-
-
-# ---------------------------------------------------------------- threading
-
-def test_thread_pool_gives_identical_reports():
-    prob = smooth_problem()
-    serial = dyadic_sup_rate(prob, 16, 3)
-    pooled = dyadic_sup_rate(prob, 16, 3, max_workers=4)
-    assert serial.diffs == pooled.diffs
-    assert serial.slope == pooled.slope

@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,7 +17,7 @@ from rdesplit import (Grid, SampledPath, VectorField, canonical_z,
 from rdesplit.model import SecondOrderMap
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
-                      build_field, build_z)
+                      build_field, build_z, with_area)
 
 
 def l_driver():
@@ -135,7 +136,7 @@ def test_z_vanishes_on_diagonal():
 
 def test_canonical_z_linear_in_area():
     drv = l_driver()
-    scaled = drv.with_area(lambda s, t: 2.0 * drv.area(s, t))
+    scaled = with_area(drv, lambda s, t: 2.0 * drv.area(s, t))
     field = sine_field(2, 2, seed=2)
     z1 = canonical_z(field, drv)
     z2 = canonical_z(field, scaled)
@@ -188,6 +189,62 @@ def test_transposed_indices_fail_convention_on_asymmetric_area():
     quad = field.gradient_product(x, field(x) @ drv.increment(s, u),
                                   drv.increment(u, t))
     assert np.max(np.abs(dz - quad)) == pytest.approx(d_bad, rel=1e-12)
+
+
+def reference_convention_defect(z, field, driver, x, pts):
+    """convention_defect_max over the full (m, m, m) triple tensor, with one
+    argmax: (max_defect, (s, u, t))."""
+    m = len(pts)
+    base = np.array([driver.increment(pts[0], t) for t in pts])
+    incr = base[None, :, :] - base[:, None, :]
+    zmat = np.zeros((m, m, z.n))
+    for i in range(m):
+        for j in range(i + 1, m):
+            zmat[i, j] = z(x, pts[i], pts[j])
+    d_z = zmat[:, None, :, :] - zmat[:, :, None, :] - zmat[None, :, :, :]
+    quad = np.einsum("nbq,qa,ija,jkb->ijkn", field.gradient(x), field(x),
+                     incr, incr)
+    defect = np.abs(d_z - quad).max(axis=-1)
+    ii, jj, kk = np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
+                             indexing="ij")
+    defect = np.where((ii <= jj) & (jj <= kk), defect, -np.inf)
+    i, j, k = np.unravel_index(int(np.argmax(defect)), defect.shape)
+    return float(defect[i, j, k]), (float(pts[i]), float(pts[j]), float(pts[k]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), N=st.integers(1, 12),
+       driver_kind=st.sampled_from(DRIVER_KINDS),
+       field_kind=st.sampled_from(FIELD_KINDS),
+       z_kind=st.sampled_from(Z_KINDS))
+def test_convention_defect_matches_full_tensor_reference(seed, N, driver_kind,
+                                                         field_kind, z_kind):
+    driver = build_driver(driver_kind, seed)
+    field = build_field(field_kind, seed, driver.dim)
+    z = build_z(z_kind, field, driver)
+    grid = Grid(1.0, N)
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, 2)
+    defect, witness = convention_defect_max(z, field, driver, x, grid)
+    expected, expected_witness = reference_convention_defect(
+        z, field, driver, x, grid.points)
+    # bitwise, NaN included (the nan-probe map): the first NaN wins
+    assert np.array_equal(defect, expected, equal_nan=True)
+    assert witness == expected_witness
+
+
+def test_convention_defect_memory_grows_like_m_squared():
+    drv = l_driver()
+    field = sine_field(2, 2, seed=3, amplitude=0.8)
+    z = transposed_z(field, drv)
+    tracemalloc.start()
+    try:
+        convention_defect_max(z, field, drv, np.array([0.3, -0.2]),
+                              Grid(1.0, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (m, m, m, n) tensors of all triples at once took 20 MB at m = 65
+    assert peak < 4e6
 
 
 def test_transposed_cocycle_report_exceeds_canonical():

@@ -10,6 +10,8 @@ from rdesplit import (SampledPath, chen_defect, hoelder_seminorm,
                       smooth_path, synth_midpoint_path)
 from rdesplit.rough_path import chen_defect_many
 
+from builders import with_area
+
 
 def l_shaped_path():
     return SampledPath([0.0, 0.5, 1.0], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
@@ -110,11 +112,18 @@ def test_batch_evaluators_match_scalar_bitwise():
 
 def test_chen_defect_many_matches_scalar():
     rng = np.random.default_rng(4)
-    drv = lift_piecewise_linear(random_path(rng, 9, 2))
+    lifted = lift_piecewise_linear(random_path(rng, 9, 2))
     tri = np.sort(rng.uniform(0, 1, (40, 3)), axis=1)
-    batch = chen_defect_many(drv, tri[:, 0], tri[:, 1], tri[:, 2])
-    scalar = np.array([chen_defect(drv, *row) for row in tri])
-    assert np.array_equal(batch, scalar)
+    # the last two have no batch hooks: their batch queries fall back to
+    # scalar ones, and the scaled area makes the defects nonzero
+    drivers = (lifted,
+               scalar_driver(lambda t: np.sin(3.0 * t) + t * t),
+               with_area(lifted, lambda s, t: 2.0 * lifted.area(s, t)))
+    for drv in drivers:
+        batch = chen_defect_many(drv, tri[:, 0], tri[:, 1], tri[:, 2])
+        scalar = np.array([chen_defect(drv, *row) for row in tri])
+        assert np.array_equal(batch, scalar)
+        assert chen_defect_many(drv, [], [], []).shape == (0,)
 
 
 # ---------------------------------------------------------------- synthetic paths
@@ -180,7 +189,7 @@ def test_chen_defect_rejects_unordered_times():
 
 def test_chen_defect_of_zeroed_area_equals_outer_product():
     drv = lift_piecewise_linear(l_shaped_path())
-    broken = drv.with_area(lambda s, t: np.zeros((2, 2)))
+    broken = with_area(drv, lambda s, t: np.zeros((2, 2)))
     s, u, t = 0.1, 0.45, 0.9
     expected = np.max(np.abs(np.outer(drv.increment(s, u), drv.increment(u, t))))
     assert chen_defect(broken, s, u, t) == pytest.approx(expected, rel=1e-12)

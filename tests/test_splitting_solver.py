@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
-                      VectorField, canonical_z, constant_field, eval_joined,
+                      VectorField, canonical_z, constant_field,
                       hoelder_seminorm, lift_piecewise_linear, linear_field,
                       scalar_driver, sine_field, smooth_path, solve_milstein,
                       solve_ode_reference, solve_split, split_step,
@@ -281,10 +281,10 @@ def test_eval_joined_matches_grid_and_half_points():
     traj = solve_split(driver, field, z, Y0, grid)
     pts = grid.points
     for j in range(grid.N + 1):
-        assert np.array_equal(eval_joined(traj, pts[j]), traj.u[j])
+        assert np.array_equal(traj.eval_joined(pts[j]), traj.u[j])
     for j in range(grid.N):
         half = pts[j] + 0.5 * grid.h
-        assert np.allclose(eval_joined(traj, half), traj.v[j], rtol=0, atol=1e-15)
+        assert np.allclose(traj.eval_joined(half), traj.v[j], rtol=0, atol=1e-15)
 
 
 def test_eval_joined_first_half_formula_constant_field():
@@ -299,16 +299,16 @@ def test_eval_joined_first_half_formula_constant_field():
     t = grid.points[j] + grid.h / 4.0
     expected = traj.u[j] + c @ driver.increment(grid.points[j],
                                                 grid.points[j] + grid.h / 2.0)
-    assert np.allclose(eval_joined(traj, t), expected, rtol=1e-14)
+    assert np.allclose(traj.eval_joined(t), expected, rtol=1e-14)
 
 
 def test_eval_joined_rejects_out_of_range():
     _, driver, field, z = smooth_setup(segments=64)
     traj = solve_split(driver, field, z, Y0, Grid(1.0, 4))
     with pytest.raises(ValueError):
-        eval_joined(traj, -0.1)
+        traj.eval_joined(-0.1)
     with pytest.raises(ValueError):
-        eval_joined(traj, 1.1)
+        traj.eval_joined(1.1)
 
 
 def test_joined_path_hoelder_bounded_under_refinement():
