@@ -11,7 +11,9 @@ stays relative to |t_m - t_k|^(gamma*alpha).  Rates are fitted by least
 squares on log2 differences against the level index; exact agreement is
 reported through a sentinel slope instead of a fit.  The Davie sweep takes
 its base increments from one batch query and evaluates Z one row of pairs
-at a time, never once per pair.
+at a time, never once per pair.  The Hölder experiment samples each joined
+path with one array call of ``eval_joined`` and takes the seminorm over
+blocks of sample pairs.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ def quarter_times(grid: Grid) -> np.ndarray:
 
 def joined_samples(traj: SplitTrajectory, times) -> np.ndarray:
     """Joined-path values at the given times, shape (len(times), n)."""
-    return np.array([traj.eval_joined(t) for t in times])
+    return traj.eval_joined(times)
 
 
 def holder_rate(problem: Problem, beta: float, base_N: int,

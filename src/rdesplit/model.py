@@ -16,6 +16,12 @@ of a block come from one batch query and do not depend on x.  Their
 ratios are bitwise those of a loop calling ``z(x, s, t)`` once per pair,
 and so are their witnesses: the first strict maximum in (state, s, t)
 order.
+
+Fields and Z also take a leading state axis: ``value_and_gradient_many``
+evaluates a (K, n) stack of states and ``on_grid(ss, tt).at(xs)`` gives
+Z(xs[k]) over interval k, row by row bitwise the single-state calls.
+The presets and the area-linear maps do this in one array expression;
+fields built from plain callables and other maps are called per row.
 """
 
 from __future__ import annotations
@@ -60,26 +66,32 @@ class VectorField:
     symbolically).  ``value_and_grad_fn`` optionally returns
     (fn(x), grad_fn(x)) from one evaluation, bitwise equal to the separate
     calls, for fields whose value and gradient share work.
+
+    The ``*_many`` methods evaluate a (K, n) stack of states, row k bitwise
+    the single-state call on xs[k].  The presets do so in one broadcasting
+    expression (``value_and_grad_many_fn``); a field built from plain
+    callables calls them once per row.
     """
 
     def __init__(self, n, d, fn, grad_fn, hess_fn=None, gamma=3.0,
                  sup_f=None, sup_grad=None, name="custom",
-                 value_and_grad_fn=None):
+                 value_and_grad_fn=None, value_and_grad_many_fn=None):
         if n < 1 or d < 1:
             raise ValueError("dimensions must be positive")
         # NaN passes every range check, so finiteness is tested first
         if not math.isfinite(gamma) or gamma <= 2.0:
             raise ValueError(
                 f"declared regularity gamma must be finite and exceed 2, got {gamma}")
-        for name, bound in (("sup_f", sup_f), ("sup_grad", sup_grad)):
+        for key, bound in (("sup_f", sup_f), ("sup_grad", sup_grad)):
             if bound is not None and not math.isfinite(bound):
-                raise ValueError(f"{name} must be finite, got {bound}")
+                raise ValueError(f"{key} must be finite, got {bound}")
         self.n = int(n)
         self.d = int(d)
         self._fn = fn
         self._grad_fn = grad_fn
         self._hess_fn = hess_fn
         self._value_and_grad_fn = value_and_grad_fn
+        self._value_and_grad_many_fn = value_and_grad_many_fn
         self.gamma = float(gamma)
         self.sup_f = sup_f
         self.sup_grad = sup_grad
@@ -97,6 +109,24 @@ class VectorField:
         if self._value_and_grad_fn is None:
             return self._fn(x), self._grad_fn(x)
         return self._value_and_grad_fn(x)
+
+    def value_many(self, xs) -> np.ndarray:
+        """f at every row of a (K, n) stack of states, shape (K, n, d)."""
+        xs = np.asarray(xs, dtype=float)
+        if self._value_and_grad_many_fn is not None:
+            return self._value_and_grad_many_fn(xs)[0]
+        return np.reshape([self._fn(x) for x in xs], (len(xs), self.n, self.d))
+
+    def value_and_gradient_many(self, xs):
+        """(f, ∇f) at every row of a (K, n) stack of states, shapes
+        (K, n, d) and (K, n, d, n)."""
+        xs = np.asarray(xs, dtype=float)
+        if self._value_and_grad_many_fn is not None:
+            return self._value_and_grad_many_fn(xs)
+        pairs = [self.value_and_gradient(x) for x in xs]
+        return (np.reshape([f for f, _ in pairs], (len(xs), self.n, self.d)),
+                np.reshape([g for _, g in pairs],
+                           (len(xs), self.n, self.d, self.n)))
 
     @property
     def has_hessian(self) -> bool:
@@ -132,6 +162,9 @@ def constant_field(matrix, gamma: float = 3.0) -> VectorField:
         sup_f=float(np.max(np.abs(C))),
         sup_grad=0.0,
         name="constant",
+        value_and_grad_many_fn=lambda xs: (
+            np.broadcast_to(C, (len(xs), n, d)),
+            np.broadcast_to(zero_grad, (len(xs), n, d, n))),
     )
 
 
@@ -160,6 +193,9 @@ def linear_field(A, offset=None, gamma: float = 3.0) -> VectorField:
         gamma=gamma,
         sup_grad=float(np.max(np.abs(A))),
         name="linear",
+        value_and_grad_many_fn=lambda xs: (
+            b + _matvec(A, xs[:, None, :]),
+            np.broadcast_to(A, (len(xs), n, d, n))),
     )
 
 
@@ -188,6 +224,10 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
         arg = np.einsum("iam,m->ia", W, x) + phi
         return amp * np.sin(arg), (amp * np.cos(arg))[:, :, None] * W
 
+    def value_and_grad_many_fn(xs):
+        arg = np.einsum("iam,km->kia", W, xs) + phi
+        return amp * np.sin(arg), (amp * np.cos(arg))[..., None] * W
+
     def hess_fn(x):
         core = -amp * np.sin(np.einsum("iam,m->ia", W, x) + phi)
         return core[:, :, None, None] * W[:, :, :, None] * W[:, :, None, :]
@@ -197,6 +237,7 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
         sup_f=float(np.max(np.abs(amp))),
         sup_grad=float(np.max(np.abs(amp[:, :, None] * W))),
         name="sine", value_and_grad_fn=value_and_grad_fn,
+        value_and_grad_many_fn=value_and_grad_many_fn,
     )
 
 
@@ -260,7 +301,12 @@ class GridZ:
 
     def every(self, x) -> np.ndarray:
         """Z(x) over every interval, shape (K, n)."""
-        values = [self._z(x, s, t) for s, t in zip(self._ss, self._tt)]
+        return self.at([x] * len(self._ss))
+
+    def at(self, xs) -> np.ndarray:
+        """Z(xs[k]) over interval k for every k, shape (K, n)."""
+        values = [self._z(x, s, t)
+                  for x, s, t in zip(xs, self._ss, self._tt, strict=True)]
         return np.array(values, dtype=float).reshape(len(self._ss), self._z.n)
 
     def with_field(self, field: VectorField, x, j: int):
@@ -284,6 +330,7 @@ class _AreaLinearZ(SecondOrderMap):
         self.driver = driver
         self._subscripts = f"ibm,ma,{pairing}->i"
         self._every_subscripts = f"ibm,ma,k{pairing}->ki"
+        self._at_subscripts = f"kibm,kma,k{pairing}->ki"
 
     def __call__(self, x, s: float, t: float) -> np.ndarray:
         f_x, grad_x = self.field.value_and_gradient(x)
@@ -311,6 +358,14 @@ class _AreaGridZ(GridZ):
         # bitwise equal, row by row, to the per-interval contraction
         f_x, grad_x = self._z.field.value_and_gradient(x)
         return np.einsum(self._z._every_subscripts, grad_x, f_x, self._areas)
+
+    def at(self, xs) -> np.ndarray:
+        # bitwise equal, row by row, to the per-interval contraction
+        if len(xs) != len(self._areas):
+            # einsum would broadcast a single state over every interval
+            raise ValueError(f"{len(xs)} states for {len(self._areas)} intervals")
+        f_x, grad_x = self._z.field.value_and_gradient_many(xs)
+        return np.einsum(self._z._at_subscripts, grad_x, f_x, self._areas)
 
     def with_field(self, field: VectorField, x, j: int):
         if field is not self._z.field:

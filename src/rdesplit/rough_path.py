@@ -37,6 +37,11 @@ __all__ = [
     "hoelder_seminorm",
 ]
 
+# Most sample pairs one band of hoelder_seminorm holds (64 KB per array).
+# Larger bands were no faster at 1025 samples and raise the peak RSS: bands
+# of model.PAIR_BLOCK = 2^16 pairs by 2 MB in a diagnostics bench run.
+SEMINORM_BAND = 2**13
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -414,24 +419,55 @@ def chen_defect_many(driver: RoughDriver, ss, uu, tt) -> np.ndarray:
     return np.abs(defect).max(axis=(1, 2))
 
 
+def _lag_windows(a: np.ndarray, start: int, lags: int, count: int) -> np.ndarray:
+    """View of the 1-d contiguous array ``a`` with [k, i] = a[start + k + i],
+    shape (lags, count).
+
+    Built on the buffer directly: ``sliding_window_view`` goes through
+    ``as_strided``, which kept Python memory alive from call to call
+    (numpy 2.4) and raised the peak RSS of long runs.
+    """
+    step = a.strides[0]
+    return np.ndarray((lags, count), a.dtype, a, start * step, (step, step))
+
+
 def hoelder_seminorm(path: SampledPath, beta: float) -> float:
     """Discrete C^beta seminorm: max over sample pairs of |X_{s,t}| / |t-s|^beta.
 
     Scales linearly in the values and, for spacings <= 1, is nondecreasing
-    in beta.
+    in beta.  The pairs are taken in bands of consecutive lags, each an
+    array of at most ``SEMINORM_BAND`` entries; every ratio is formed with the
+    arithmetic of the row norm ``np.linalg.norm(..., axis=1)``, summing
+    the squared components in column order, which is bitwise that norm for
+    d <= 2.
     """
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     m = path.n_samples
     if m < 2:
         raise ValueError("need at least 2 samples")
-    times = path.times
-    values = path.values
+    # m padding samples at t = +inf: a band entry past the last sample has
+    # ratio 0 and never raises the maximum
+    times = np.concatenate([path.times, np.full(m, np.inf)])
+    columns = np.concatenate([path.values, np.zeros((m, path.d))]).T.copy()
     best = 0.0
-    for lag in range(1, m):
-        dx = np.linalg.norm(values[lag:] - values[:-lag], axis=1)
-        dt = times[lag:] - times[:-lag]
-        ratio = np.max(dx / dt**beta)
-        if ratio > best:
-            best = float(ratio)
+    lag = 1
+    while lag < m:
+        rows = m - lag
+        width = min(max(SEMINORM_BAND // rows, 1), rows)
+        for lo in range(0, rows, SEMINORM_BAND):
+            hi = min(lo + SEMINORM_BAND, rows)
+            # entry [k, i] pairs sample lo+i with sample lo+i+lag+k
+            start = lo + lag
+            scale = _lag_windows(times, start, width, hi - lo) - times[lo:hi]
+            np.power(scale, beta, out=scale)
+            norm = None
+            for col in columns:
+                diff = _lag_windows(col, start, width, hi - lo) - col[lo:hi]
+                np.multiply(diff, diff, out=diff)
+                norm = diff if norm is None else np.add(norm, diff, out=norm)
+            np.sqrt(norm, out=norm)
+            np.divide(norm, scale, out=norm)
+            best = max(best, float(norm.max()))
+        lag += width
     return best

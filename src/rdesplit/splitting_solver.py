@@ -18,6 +18,10 @@ driver without batch hooks is queried once per interval instead.  The
 arithmetic of each step is that of the per-interval scalar queries, so
 trajectories are bitwise those of a loop calling ``increment`` and
 ``z(x, s, t)`` step by step.
+
+The joined path is evaluated the same way on an array of times: the
+states u_j and v_{j+1} of all requested times form one stack each, for
+one stacked field evaluation and one ``GridZ.at`` call.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .model import GridZ, SecondOrderMap, VectorField, _check_pairing
+from .model import GridZ, SecondOrderMap, VectorField, _check_pairing, _matvec
 from .rough_path import Grid, RoughDriver, SampledPath
 
 __all__ = [
@@ -57,27 +61,44 @@ class SplitTrajectory:
     field: VectorField
     z: SecondOrderMap
 
-    def eval_joined(self, t: float) -> np.ndarray:
-        """Joined twice-speed trajectory at time t in [0, T].
+    def eval_joined(self, t) -> np.ndarray:
+        """Joined twice-speed trajectory at a time or an array of times in [0, T].
 
         Continuous at grid points (equals u_j there) and equal to v_{j+1}
-        at interval midpoints.
+        at interval midpoints.  A scalar time gives shape (n,), an array of
+        K times shape (K, n); one time that is not finite or lies outside
+        [0, T] rejects the whole call.  All times on first half-intervals
+        share one ``increment_many`` query and one stacked field
+        evaluation, all times on second halves one ``on_grid(...).at``
+        call; rows are bitwise those of the per-time formula.
         """
+        ts = np.asarray(t, dtype=float)
         pts = self.grid.points
         T = self.grid.T
         tol = 1e-12 * max(1.0, T)
-        if t < -tol or t > T + tol:
-            raise ValueError(f"time {t} outside [0, {T}]")
-        t = min(max(t, 0.0), T)
-        j = int(np.searchsorted(pts, t, side="right")) - 1
-        j = min(max(j, 0), self.grid.N - 1)
+        flat = ts.reshape(-1)
+        # NaN passes both range comparisons, so finiteness is tested first
+        bad = ~np.isfinite(flat) | (flat < -tol) | (flat > T + tol)
+        if bad.any():
+            raise ValueError(f"time {flat[bad][0]} outside [0, {T}]")
+        flat = np.clip(flat, 0.0, T)
+        j = np.clip(np.searchsorted(pts, flat, side="right") - 1,
+                    0, self.grid.N - 1)
         left, right = pts[j], pts[j + 1]
-        local = t - left
+        local = flat - left
         half = 0.5 * (right - left)
-        if local <= half:
-            return self.u[j] + self.field(self.u[j]) @ self.driver.increment(
-                left, left + 2.0 * local)
-        return self.v[j] + self.z(self.v[j], left, left + 2.0 * (local - half))
+        first = local <= half
+        out = np.empty((len(flat), self.field.n))
+        # first half of interval j, l = t - t_j: u_j + f(u_j) X_{t_j, t_j + 2l}
+        u, s = self.u[j[first]], left[first]
+        inc = self.driver.increment_many(s, s + 2.0 * local[first])
+        out[first] = u + _matvec(self.field.value_many(u), inc)
+        # second half: v_{j+1} + Z(v_{j+1})_{t_j, t_j + 2(l - h/2)}
+        second = ~first
+        v, s = self.v[j[second]], left[second]
+        z_on = self.z.on_grid(s, s + 2.0 * (local[second] - half[second]))
+        out[second] = v + z_on.at(v)
+        return out.reshape(ts.shape + (self.field.n,))
 
 
 @dataclass

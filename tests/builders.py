@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from rdesplit import (RoughDriver, SecondOrderMap, canonical_z,
+from rdesplit import (RoughDriver, SecondOrderMap, VectorField, canonical_z,
                       constant_field, lift_piecewise_linear, linear_field,
                       rough_probe_z, scalar_driver, sine_field, smooth_path,
                       synth_midpoint_path, transposed_z, zero_z)
@@ -34,7 +34,11 @@ def build_field(kind, seed, d):
     if kind == "linear":
         return linear_field(0.5 * rng.standard_normal((2, d, 2)),
                             offset=0.5 * rng.standard_normal((2, d)))
-    return sine_field(2, d, seed=seed, amplitude=0.8)
+    sine = sine_field(2, d, seed=seed, amplitude=0.8)
+    if kind == "callable":
+        # plain callables: stacked evaluations fall back to one call per row
+        return VectorField(2, d, sine.__call__, sine.gradient, gamma=sine.gamma)
+    return sine
 
 
 def nan_probe_z(n):
@@ -64,6 +68,6 @@ def build_z(kind, field, driver):
 
 
 DRIVER_KINDS = ("synthetic", "smooth", "scalar")
-FIELD_KINDS = ("constant", "linear", "sine")
+FIELD_KINDS = ("constant", "linear", "sine", "callable")
 Z_KINDS = ("canonical", "transposed", "zero", "rough-probe", "nan-probe",
            "scaled-area")

@@ -1,15 +1,33 @@
 """The benchmark harness at tiny sizes, so that it cannot rot unnoticed.
 
 Runs ``bench/run.py --smoke`` from the repository root and checks its
-verdict line; it makes no timing assertions.
+verdict line; it makes no timing assertions.  A faster check loads
+``bench/spans.py`` in-process and looks up everything it patches, so that
+a renamed program attribute fails here with its name.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import rdesplit.convergence_lab as lab
+from rdesplit import Grid, solve_split
+from rdesplit.splitting_solver import SplitTrajectory
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_smoke_passes_its_gate():
@@ -20,3 +38,39 @@ def test_bench_smoke_passes_its_gate():
     verdict = json.loads(proc.stdout.strip().splitlines()[-1])
     assert verdict["correct"] is True, proc.stderr[-4000:]
     assert verdict["failed"] == 0
+
+
+def test_every_attribute_the_bench_patches_exists():
+    spans = _bench_module("spans")
+    # building the patch list looks up every wrapped original
+    patches = spans._patches(spans.Tracer())
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in patches
+               if attr not in vars(owner)]
+    assert not missing, f"bench/spans.py patches missing attributes {missing}"
+    patched = {(owner, attr) for owner, attr, _ in patches}
+    assert {(lab, "joined_samples"), (lab, "hoelder_seminorm"),
+            (SplitTrajectory, "eval_joined")} <= patched
+    originals = [vars(owner)[attr] for owner, attr, _ in patches]
+    with spans.instrument(spans.Tracer()):
+        pass
+    assert [vars(owner)[attr] for owner, attr, _ in patches] == originals
+
+
+def test_traced_problem_gives_the_untraced_joined_path():
+    # the traced field and Z take the per-row fallbacks of the stacked calls
+    spans = _bench_module("spans")
+    config = _bench_module("workloads")
+    from rdesplit.config import ProblemConfig, build_problem
+    command = config.SMOKE_COMMANDS[0]
+    cfg = ProblemConfig.parse(config.config_text("diagnostics", command, 17))
+    problem, _ = build_problem(cfg)
+    tracer = spans.Tracer()
+    traced = spans.traced_problem(tracer, problem)
+    grid = Grid(problem.T, 8)
+    times = lab.quarter_times(grid)
+    paths = []
+    for p in (problem, traced):
+        traj = solve_split(p.driver, p.field, p.z, p.y0, grid)
+        paths.append(traj.eval_joined(times))
+    assert np.array_equal(paths[0], paths[1])
+    assert tracer.calls("model.z") > 0 and tracer.calls("model.field") > 0

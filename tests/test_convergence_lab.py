@@ -390,3 +390,31 @@ def test_diagnostics_query_a_batch_driver_in_capped_blocks(monkeypatch):
     assert set(rows) == {"increment_many", "area_many"}
     assert rows["area_many"] <= 7
     assert blocked == whole
+
+
+def test_holder_rate_makes_no_scalar_driver_query_on_a_batch_driver():
+    lifted = lift_piecewise_linear(synth_midpoint_path(5, 0.45, 10, 2),
+                                   alpha=0.45)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    driver = RoughDriver(
+        2, 0.45, counted("increment", lifted.increment),
+        counted("area", lifted.area), span=lifted.span,
+        increment_many_fn=counted("increment_many", lifted.increment_many),
+        area_many_fn=counted("area_many", lifted.area_many))
+    field = sine_field(2, 2, seed=1, amplitude=0.8)
+    problem = Problem(driver=driver, field=field, z=canonical_z(field, driver),
+                      y0=Y0, T=1.0)
+    report = holder_rate(problem, 0.2, 8, 3)
+    # one increment_many and one area_many per solve (4) and per joined
+    # sample set (2 per level)
+    assert calls == {"increment_many": 10, "area_many": 10}
+    lifted_problem = Problem(driver=lifted, field=field,
+                             z=canonical_z(field, lifted), y0=Y0, T=1.0)
+    assert holder_rate(lifted_problem, 0.2, 8, 3) == report

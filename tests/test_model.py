@@ -74,6 +74,42 @@ def test_field_rejects_non_finite_parameters(key, bad):
         VectorField(2, 2, lambda x: x, lambda x: x, **{key: bad})
 
 
+def test_presets_keep_their_names_and_the_hessian_error_names_the_field():
+    assert constant_field(np.ones((2, 2))).name == "constant"
+    assert linear_field(np.ones((2, 2, 2))).name == "linear"
+    assert sine_field(2, 2).name == "sine"
+    field = VectorField(2, 2, lambda x: x, lambda x: x, sup_f=1.0,
+                        sup_grad=2.0, name="mine")
+    assert field.name == "mine"
+    with pytest.raises(ValueError, match="'mine'"):
+        field.hessian(np.zeros(2))
+
+
+def same_bits(got, expected):
+    """Equal shapes and bit patterns (NaN payloads and signed zeros too)."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), K=st.integers(0, 9), d=st.integers(1, 3),
+       field_kind=st.sampled_from(FIELD_KINDS))
+def test_stacked_field_rows_are_the_single_state_calls(seed, K, d, field_kind):
+    field = build_field(field_kind, seed, d)
+    xs = np.random.default_rng(seed).uniform(-3.0, 3.0, (K, 2))
+    values = field.value_many(xs)
+    f_many, grad_many = field.value_and_gradient_many(xs)
+    same_bits(values, f_many)
+    assert grad_many.shape == (K, 2, d, 2)
+    for k, x in enumerate(xs):
+        f_x, grad_x = field.value_and_gradient(x)
+        same_bits(f_many[k], f_x)
+        same_bits(f_many[k], field(x))
+        same_bits(grad_many[k], grad_x)
+        same_bits(grad_many[k], field.gradient(x))
+
+
 # ---------------------------------------------------------------- canonical Z
 
 def test_canonical_z_vanishes_for_constant_field():
@@ -561,3 +597,25 @@ def test_grid_z_every_matches_per_interval_calls():
         assert np.array_equal(grid_z.every(x), expected)
         assert grid_z.every(x).shape == (len(ss), 2)
     assert zero_z(2).on_grid([], []).every(x).shape == (0, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), K=st.integers(0, 12),
+       driver_kind=st.sampled_from(DRIVER_KINDS),
+       field_kind=st.sampled_from(FIELD_KINDS),
+       z_kind=st.sampled_from(Z_KINDS))
+def test_grid_z_at_rows_are_the_single_state_calls(seed, K, driver_kind,
+                                                   field_kind, z_kind):
+    driver = build_driver(driver_kind, seed)
+    field = build_field(field_kind, seed, driver.dim)
+    z = build_z(z_kind, field, driver)
+    rng = np.random.default_rng(seed)
+    # long intervals too, where the NaN map is NaN; s == t gives Z = 0
+    ss, tt = np.sort(rng.uniform(0.0, 1.0, (2, K)), axis=0)
+    tt[: K // 4] = ss[: K // 4]
+    xs = rng.uniform(-1.5, 1.5, (K, 2))
+    rows = z.on_grid(ss, tt).at(xs)
+    same_bits(rows, np.reshape([z(x, s, t) for x, s, t in zip(xs, ss, tt)],
+                               (K, 2)))
+    with pytest.raises(ValueError):
+        z.on_grid(ss, tt).at(np.zeros((K + 1, 2)))

@@ -1,4 +1,6 @@
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from rdesplit import (SampledPath, chen_defect, hoelder_seminorm,
                       lift_piecewise_linear, make_uniform_grid, scalar_driver,
                       smooth_path, synth_midpoint_path)
+from rdesplit import rough_path
 from rdesplit.rough_path import chen_defect_many
 
 from builders import with_area
@@ -245,6 +248,49 @@ def test_hoelder_seminorm_nondecreasing_in_beta(seed, beta1, gap):
     rng = np.random.default_rng(seed)
     path = random_path(rng, 10, 1)
     assert hoelder_seminorm(path, beta1) <= hoelder_seminorm(path, beta2) + 1e-12
+
+
+def reference_hoelder(path, beta):
+    """hoelder_seminorm as one numpy round per lag."""
+    times, values = path.times, path.values
+    best = 0.0
+    for lag in range(1, path.n_samples):
+        dx = np.linalg.norm(values[lag:] - values[:-lag], axis=1)
+        ratio = np.max(dx / (times[lag:] - times[:-lag]) ** beta)
+        if ratio > best:
+            best = float(ratio)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), m=st.integers(2, 70), d=st.integers(1, 3),
+       beta=st.floats(0.05, 1.0), block=st.sampled_from((1, 2, 3, 7, 64, 2**16)))
+def test_hoelder_seminorm_matches_lag_loop(seed, m, d, beta, block):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.01, 2.0, m))
+    path = SampledPath(times, rng.standard_normal((m, d)))
+    with mock.patch.object(rough_path, "SEMINORM_BAND", block):
+        got = hoelder_seminorm(path, beta)
+    expected = reference_hoelder(path, beta)
+    if d <= 2:
+        assert got == expected
+    else:
+        # three or more squared components are summed in another order
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_hoelder_seminorm_memory_is_bounded_in_the_sample_count():
+    rng = np.random.default_rng(4)
+    path = SampledPath(np.linspace(0.0, 1.0, 4097), rng.standard_normal((4097, 2)))
+    tracemalloc.start()
+    try:
+        hoelder_seminorm(path, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # bands of 2^13 pairs take about 0.5 MB; the 8.4M pairs at once would
+    # take 67 MB per array
+    assert peak < 2e6
 
 
 def test_hoelder_seminorm_validation():

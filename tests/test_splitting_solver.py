@@ -1,9 +1,10 @@
+import dataclasses
 import io
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
@@ -14,7 +15,8 @@ from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
                       write_trajectory_csv, zero_z)
 from rdesplit.convergence_lab import joined_samples, quarter_times
 
-from builders import DRIVER_KINDS, FIELD_KINDS, build_driver, build_field, build_z
+from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
+                      build_field, build_z, with_area)
 
 Y0 = np.array([0.1, -0.2])
 
@@ -309,6 +311,82 @@ def test_eval_joined_rejects_out_of_range():
         traj.eval_joined(-0.1)
     with pytest.raises(ValueError):
         traj.eval_joined(1.1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_eval_joined_rejects_non_finite_times(bad):
+    # NaN passes both range comparisons, so it needs its own test
+    _, driver, field, z = smooth_setup(segments=64)
+    traj = solve_split(driver, field, z, Y0, Grid(1.0, 4))
+    with pytest.raises(ValueError, match="outside"):
+        traj.eval_joined(bad)
+    # one bad entry rejects the whole array
+    with pytest.raises(ValueError, match="outside"):
+        traj.eval_joined(np.array([0.0, 0.3, bad, 1.0]))
+
+
+def reference_joined(traj, t):
+    """The joined path at one time, with scalar driver and Z queries."""
+    pts = traj.grid.points
+    T = traj.grid.T
+    t = min(max(t, 0.0), T)
+    j = int(np.searchsorted(pts, t, side="right")) - 1
+    j = min(max(j, 0), traj.grid.N - 1)
+    left, right = pts[j], pts[j + 1]
+    local = t - left
+    half = 0.5 * (right - left)
+    if local <= half:
+        return traj.u[j] + traj.field(traj.u[j]) @ traj.driver.increment(
+            left, left + 2.0 * local)
+    return traj.v[j] + traj.z(traj.v[j], left, left + 2.0 * (local - half))
+
+
+def same_bits(got, expected):
+    """Equal shapes and bit patterns (NaN payloads and signed zeros too)."""
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**16), N=st.integers(1, 40),
+       driver_kind=st.sampled_from(DRIVER_KINDS + ("with-area",)),
+       field_kind=st.sampled_from(FIELD_KINDS),
+       z_kind=st.sampled_from(Z_KINDS))
+# N = 1: second halves reach past length 0.4, where the NaN map is NaN
+@example(seed=0, N=1, driver_kind="synthetic", field_kind="sine",
+         z_kind="nan-probe")
+def test_eval_joined_matches_per_time_reference_bitwise(seed, N, driver_kind,
+                                                        field_kind, z_kind):
+    if driver_kind == "with-area":
+        # a lifted path without batch hooks: batch queries fall back to
+        # scalar ones
+        lifted = build_driver("synthetic", seed)
+        driver = with_area(lifted, lifted.area)
+    else:
+        driver = build_driver(driver_kind, seed)
+    field = build_field(field_kind, seed, driver.dim)
+    z = build_z(z_kind, field, driver)
+    grid = Grid(1.0, N)
+    try:
+        # a NaN map cannot be solved with; the joined path still uses it
+        traj = solve_split(driver, field,
+                           zero_z(2) if z_kind == "nan-probe" else z, Y0, grid)
+    except NumericFailure:
+        assume(False)
+    traj = dataclasses.replace(traj, z=z)
+    tol = 1e-12 * grid.T
+    times = np.concatenate([
+        quarter_times(grid),  # grid, quarter and half points, in order
+        [-0.5 * tol, grid.T + 0.5 * tol, -0.0],
+        np.random.default_rng(seed).uniform(0.0, grid.T, 16),
+    ])
+    expected = np.array([reference_joined(traj, t) for t in times.tolist()])
+    same_bits(traj.eval_joined(times), expected)
+    same_bits(joined_samples(traj, times), expected)
+    same_bits(traj.eval_joined(times[::-1]), expected[::-1])
+    same_bits(traj.eval_joined(times[:0]), expected[:0])
+    for t in times[[0, 1, 2, -1]].tolist():
+        same_bits(traj.eval_joined(t), reference_joined(traj, t))
 
 
 def test_joined_path_hoelder_bounded_under_refinement():
