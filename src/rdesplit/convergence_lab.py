@@ -157,15 +157,13 @@ def _sup_rows(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(a - b, axis=1)))
 
 
-def dyadic_sup_rate(problem: Problem, base_N: int, levels: int,
-                    include_half_points: bool = False) -> RateReport:
+def dyadic_sup_rate(problem: Problem, base_N: int, levels: int) -> RateReport:
     """Sup-norm differences between step-h and step-h/2 trajectories.
 
     Level n compares N*2^n against N*2^(n+1) steps at the coarse grid
-    points (plus, optionally, the interval midpoints of the joined paths;
-    midpoint differences carry the slower joined-path discrepancy, see the
-    README note on cross-consistency with the rational-ratio experiment).
-    Target exponent: gamma*alpha - 1.
+    points only: interval midpoints of the joined paths carry the slower
+    joined-path discrepancy (see the README note on cross-consistency with
+    the rational-ratio experiment).  Target exponent: gamma*alpha - 1.
     """
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
@@ -175,11 +173,7 @@ def dyadic_sup_rate(problem: Problem, base_N: int, levels: int,
     trajs = _solve_many(problem, Ns)
     diffs = []
     for n in range(levels):
-        coarse, fine = trajs[n], trajs[n + 1]
-        diff = _sup_rows(coarse.u, fine.u[::2])
-        if include_half_points:
-            diff = max(diff, _sup_rows(coarse.v, fine.u[1::2]))
-        diffs.append(diff)
+        diffs.append(_sup_rows(trajs[n].u, trajs[n + 1].u[::2]))
     slope = fit_rate(Ns[:levels], diffs)
     target = problem.gamma_capped * problem.alpha - 1.0
     return RateReport(
@@ -189,7 +183,6 @@ def dyadic_sup_rate(problem: Problem, base_N: int, levels: int,
         slope=slope,
         target=target,
         norm_kind="sup",
-        meta={"half_points": include_half_points},
     )
 
 
@@ -304,24 +297,12 @@ def rational_rate(problem: Problem, q_num: int, q_den: int, base_N: int,
     )
 
 
-def _davie_indices(N: int, exact_limit: int):
-    if N + 1 <= exact_limit + 1:
-        return list(range(N + 1))
-    stride = -(-N // exact_limit)  # ceil
-    idx = list(range(0, N + 1, stride))
-    if idx[-1] != N:
-        idx.append(N)
-    return idx
-
-
 def davie_defect(traj: SplitTrajectory, field: VectorField, z: SecondOrderMap,
-                 driver: RoughDriver, gamma: float, alpha: float,
-                 exact_limit: int = 4096) -> DavieReport:
+                 driver: RoughDriver, gamma: float, alpha: float) -> DavieReport:
     """Worst normalised consistency residual of a computed trajectory.
 
-    Evaluates J_{km} for all grid pairs k < m when N <= exact_limit and on
-    a uniformly strided index subset above; the diagonal (J_{kk} = 0) is
-    excluded.  The exponent is min(gamma, 3) * alpha.
+    Evaluates J_{km} for all N(N+1)/2 grid pairs k < m at every N; the
+    diagonal (J_{kk} = 0) is excluded.  The exponent is min(gamma, 3) * alpha.
 
     Row k is evaluated as arrays: Z over its pairs is one
     ``z.on_grid(t_k, t_{m>k}).every(u_k)`` call (per ``PAIR_BLOCK`` pairs
@@ -330,24 +311,23 @@ def davie_defect(traj: SplitTrajectory, field: VectorField, z: SecondOrderMap,
     """
     grid = traj.grid
     exponent = min(gamma, 3.0) * alpha
-    idx = _davie_indices(grid.N, exact_limit)
-    times = grid.points[idx]
-    u = traj.u[idx]
-    base = driver.increment_many(np.full(len(idx), times[0]), times)
+    times = grid.points
+    u = traj.u
+    base = driver.increment_many(np.full(len(times), times[0]), times)
     best = -1.0
     best_k = best_m = 0
-    for a in range(len(idx) - 1):
-        f_a = field(u[a])
-        for cols in _chunks(a + 1, len(idx)):
+    for k in range(grid.N):
+        f_k = field(u[k])
+        for cols in _chunks(k + 1, grid.N + 1):
             t_m = times[cols]
-            z_row = z.on_grid(np.full(len(t_m), times[a]), t_m).every(u[a])
-            residual = (u[cols] - u[a] - _matvec(f_a, base[cols] - base[a])
+            z_row = z.on_grid(np.full(len(t_m), times[k]), t_m).every(u[k])
+            residual = (u[cols] - u[k] - _matvec(f_k, base[cols] - base[k])
                         - z_row)
             ratio, j = _first_max(_row_norms(residual)
-                                  / _powers(t_m - times[a], exponent))
+                                  / _powers(t_m - times[k], exponent))
             if ratio > best:
                 best = ratio
-                best_k, best_m = idx[a], idx[cols.start + j]
+                best_k, best_m = k, cols.start + j
     return DavieReport(
         h=grid.h,
         n_steps=grid.N,
@@ -355,5 +335,5 @@ def davie_defect(traj: SplitTrajectory, field: VectorField, z: SecondOrderMap,
         k=best_k,
         m=best_m,
         exponent=exponent,
-        pairs=len(idx) * (len(idx) - 1) // 2,
+        pairs=grid.N * (grid.N + 1) // 2,
     )

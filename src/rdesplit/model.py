@@ -137,12 +137,6 @@ class VectorField:
             raise ValueError(f"field {self.name!r} has no Hessian evaluator")
         return self._hess_fn(np.asarray(x, dtype=float))
 
-    def gradient_product(self, x, u, w, grad=None) -> np.ndarray:
-        """(∇f(x) u) w with components Σ_{m,b} ∂_m f^i_b u^m w^b."""
-        if grad is None:
-            grad = self.gradient(x)
-        return np.einsum("ibm,m,b->i", grad, u, w)
-
 
 def constant_field(matrix, gamma: float = 3.0) -> VectorField:
     """Constant coefficient f(y) = C; the gradient vanishes identically."""

@@ -17,7 +17,6 @@ piecewise-linear interpolant.
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -27,7 +26,6 @@ __all__ = [
     "Grid",
     "SampledPath",
     "RoughDriver",
-    "make_uniform_grid",
     "lift_piecewise_linear",
     "synth_midpoint_path",
     "smooth_path",
@@ -68,11 +66,6 @@ class Grid:
         return self._points
 
 
-def make_uniform_grid(T: float, N: int) -> Grid:
-    """Build the uniform grid {j*h : 0 <= j <= N} with h = T/N."""
-    return Grid(float(T), int(N))
-
-
 class SampledPath:
     """A path in R^d known at finitely many strictly increasing times."""
 
@@ -110,11 +103,6 @@ class SampledPath:
         fileobj.write(header + "\n")
         for t, row in zip(self.times, self.values):
             fileobj.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
     @classmethod
     def from_csv(cls, fileobj) -> "SampledPath":

@@ -14,7 +14,7 @@ from rdesplit import (EXACT_AGREEMENT, Grid, NumericFailure, Problem,
                       rational_rate, sine_field, smooth_path, solve_split,
                       synth_midpoint_path, zero_z)
 from rdesplit import model
-from rdesplit.convergence_lab import _davie_indices, quarter_times
+from rdesplit.convergence_lab import quarter_times
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
                       build_field, build_z)
@@ -134,14 +134,6 @@ def test_dyadic_telescoping_triangle_inequality():
     d_01 = np.max(np.linalg.norm(u16 - u32[::2], axis=1))
     d_12 = np.max(np.linalg.norm(u32 - u64[::2], axis=1))
     assert d_02 <= d_01 + d_12 + 1e-15
-
-
-def test_half_point_variant_dominates_grid_variant():
-    prob = smooth_problem()
-    grid_only = dyadic_sup_rate(prob, 16, 3)
-    with_half = dyadic_sup_rate(prob, 16, 3, include_half_points=True)
-    assert all(h >= g for h, g in zip(with_half.diffs, grid_only.diffs))
-    assert with_half.meta["half_points"]
 
 
 def test_rate_report_csv():
@@ -276,17 +268,26 @@ def test_davie_exponent_caps_gamma_at_three():
     assert report.exponent == pytest.approx(1.5)
 
 
-def test_davie_subsampling_above_limit():
-    idx = _davie_indices(20, 8)
-    assert idx[0] == 0 and idx[-1] == 20
-    assert len(idx) <= 10
-    assert _davie_indices(20, 4096) == list(range(21))
-    prob = smooth_problem(segments=256)
-    traj = solve_split(prob.driver, prob.field, prob.z, prob.y0, Grid(1.0, 32))
-    full = davie_defect(traj, prob.field, prob.z, prob.driver, 3.0, 0.5)
-    sub = davie_defect(traj, prob.field, prob.z, prob.driver, 3.0, 0.5,
-                       exact_limit=8)
-    assert sub.pairs < full.pairs
+def test_davie_sweeps_every_pair_above_4096_steps():
+    # one-dimensional so that the 8.4 million pairs take about two seconds;
+    # a strided sweep never visits the one-step pairs where the worst
+    # defect sits
+    path = synth_midpoint_path(3, 0.45, 12, 1)
+    driver = lift_piecewise_linear(path, alpha=0.45)
+    field = sine_field(1, 1, seed=1, amplitude=0.8)
+    z = canonical_z(field, driver)
+    grid = Grid(1.0, 4097)
+    traj = solve_split(driver, field, z, np.array([0.1]), grid)
+    report = davie_defect(traj, field, z, driver, 3.0, 0.45)
+    assert report.pairs == 4097 * 4098 // 2
+    k, m = report.k, report.m
+    assert m == k + 1
+    pts = grid.points
+    residual = (traj.u[m] - traj.u[k]
+                - field(traj.u[k]) @ driver.increment(pts[k], pts[m])
+                - z(traj.u[k], pts[k], pts[m]))
+    ratio = np.linalg.norm(residual) / (pts[m] - pts[k]) ** report.exponent
+    assert ratio == pytest.approx(report.max_ratio, rel=1e-12)
 
 
 def test_davie_uniform_in_h_on_smooth():
@@ -300,18 +301,16 @@ def test_davie_uniform_in_h_on_smooth():
     assert max(ratios) / min(ratios) <= 2.0
 
 
-def reference_davie(traj, field, z, driver, exponent, exact_limit):
+def reference_davie(traj, field, z, driver, exponent):
     """davie_defect as a per-pair loop: (max, k, m, pairs)."""
     pts = traj.grid.points
     u = traj.u
-    idx = _davie_indices(traj.grid.N, exact_limit)
-    base = [driver.increment(pts[0], pts[i]) for i in idx]
+    base = [driver.increment(pts[0], t) for t in pts]
     best, best_k, best_m, pairs = -1.0, 0, 0, 0
-    for a, k in enumerate(idx[:-1]):
+    for k in range(traj.grid.N):
         f_k = field(u[k])
-        for b in range(a + 1, len(idx)):
-            m = idx[b]
-            residual = (u[m] - u[k] - f_k @ (base[b] - base[a])
+        for m in range(k + 1, traj.grid.N + 1):
+            residual = (u[m] - u[k] - f_k @ (base[m] - base[k])
                         - z(u[k], pts[k], pts[m]))
             ratio = (float(np.linalg.norm(residual))
                      / (pts[m] - pts[k]) ** exponent)
@@ -323,12 +322,11 @@ def reference_davie(traj, field, z, driver, exponent, exact_limit):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**16), N=st.integers(1, 40),
-       exact_limit=st.sampled_from((4096, 2, 3, 5, 8)),
        driver_kind=st.sampled_from(DRIVER_KINDS),
        field_kind=st.sampled_from(FIELD_KINDS),
        z_kind=st.sampled_from(Z_KINDS))
-def test_davie_matches_per_pair_reference_loop(seed, N, exact_limit,
-                                               driver_kind, field_kind, z_kind):
+def test_davie_matches_per_pair_reference_loop(seed, N, driver_kind,
+                                               field_kind, z_kind):
     driver = build_driver(driver_kind, seed)
     field = build_field(field_kind, seed, driver.dim)
     z = build_z(z_kind, field, driver)
@@ -339,10 +337,8 @@ def test_davie_matches_per_pair_reference_loop(seed, N, exact_limit,
     except NumericFailure:
         assume(False)
     exponent = 3.0 * driver.alpha
-    report = davie_defect(traj, field, z, driver, 3.0, driver.alpha,
-                          exact_limit=exact_limit)
-    best, k, m, pairs = reference_davie(traj, field, z, driver, exponent,
-                                        exact_limit)
+    report = davie_defect(traj, field, z, driver, 3.0, driver.alpha)
+    best, k, m, pairs = reference_davie(traj, field, z, driver, exponent)
     assert report.max_ratio == pytest.approx(best, rel=1e-12, abs=0.0)
     assert (report.k, report.m, report.pairs) == (k, m, pairs)
 

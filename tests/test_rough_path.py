@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdesplit import (SampledPath, chen_defect, hoelder_seminorm,
-                      lift_piecewise_linear, make_uniform_grid, scalar_driver,
-                      smooth_path, synth_midpoint_path)
+from rdesplit import (Grid, SampledPath, chen_defect, hoelder_seminorm,
+                      lift_piecewise_linear, scalar_driver, smooth_path,
+                      synth_midpoint_path)
 from rdesplit import rough_path
 from rdesplit.rough_path import chen_defect_many
 
@@ -28,27 +28,27 @@ def random_path(rng, segments, d):
 # ---------------------------------------------------------------- grid
 
 def test_uniform_grid_points():
-    g = make_uniform_grid(1.0, 4)
+    g = Grid(1.0, 4)
     assert np.allclose(g.points, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert g.h == 0.25
 
 
 def test_single_step_grid():
-    g = make_uniform_grid(2.0, 1)
+    g = Grid(2.0, 1)
     assert list(g.points) == [0.0, 2.0]
 
 
 def test_grid_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        make_uniform_grid(1.0, 0)
+        Grid(1.0, 0)
     with pytest.raises(ValueError):
-        make_uniform_grid(0.0, 4)
+        Grid(0.0, 4)
     with pytest.raises(ValueError):
-        make_uniform_grid(-1.0, 4)
+        Grid(-1.0, 4)
 
 
 def test_grid_endpoints_exact():
-    g = make_uniform_grid(1.0, 63)
+    g = Grid(1.0, 63)
     assert g.points[0] == 0.0
     assert g.points[-1] == 1.0
     assert np.all(np.diff(g.points) > 0)
@@ -330,7 +330,9 @@ def test_driver_alpha_label_validated():
 def test_sampled_path_csv_round_trip():
     rng = np.random.default_rng(8)
     path = random_path(rng, 6, 3)
-    text = path.to_csv_string()
+    buf = io.StringIO()
+    path.to_csv(buf)
+    text = buf.getvalue()
     assert text.splitlines()[0] == "t,x1,x2,x3"
     back = SampledPath.from_csv(io.StringIO(text))
     assert np.array_equal(back.times, path.times)
