@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import statistics
 import sys
 from pathlib import Path
 
@@ -18,8 +17,8 @@ import click
 import numpy as np
 
 from .config import ConfigError, ProblemConfig, build_problem
-from .convergence_lab import (EXACT_AGREEMENT, davie_defect, dyadic_sup_rate,
-                              fit_rate, holder_rate, rational_rate)
+from .convergence_lab import (davie_defect, dyadic_sup_rate, fit_rate,
+                              holder_rate, rational_rate, rates_summary)
 from .errors import NumericFailure
 from .model import check_z_bound, check_z_cocycle, check_z_lipschitz
 from .rough_path import Grid
@@ -122,27 +121,23 @@ def rates(config_path, out, seed, kind):
         seeds = [base_seed + i for i in range(exp.seeds)]
     else:
         seeds = [base_seed]
-    slopes = []
-    report = None
-    for i, run_seed in enumerate(seeds):
-        problem, _ = build_problem(cfg, run_seed)
+    # one problem per seed; each level's solves of all seeds are one march
+    problems = [build_problem(cfg, run_seed)[0] for run_seed in seeds]
+    try:
         if kind == "sup":
-            report = dyadic_sup_rate(problem, exp.base_n, exp.levels)
+            reports = dyadic_sup_rate(problems, exp.base_n, exp.levels)
         elif kind == "holder":
-            report = holder_rate(problem, exp.beta, exp.base_n, exp.levels)
+            reports = holder_rate(problems, exp.beta, exp.base_n, exp.levels)
         else:
-            report = rational_rate(problem, exp.q_num, exp.q_den, exp.base_n,
-                                   exp.levels)
-        slopes.append(report.slope)
+            reports = rational_rate(problems, exp.q_num, exp.q_den, exp.base_n,
+                                    exp.levels)
+    except NumericFailure as exc:
+        raise NumericFailure(f"seed {seeds[exc.member]}: {exc}", step=exc.step,
+                             member=exc.member) from exc
+    for run_seed, report in zip(seeds, reports):
         with open(out_dir / f"rates_seed{run_seed}.csv", "w", encoding="utf-8") as fh:
             report.write_csv(fh)
-    summary = report.summary(seeds)
-    slope = float(statistics.median(slopes))
-    if slope == EXACT_AGREEMENT:
-        summary.update(slope=None, exact_agreement=True)
-    else:
-        summary["slope"] = slope
-    _write_json(out_dir, "rates_summary.json", summary)
+    _write_json(out_dir, "rates_summary.json", rates_summary(reports, seeds))
 
 
 @main.command("check-z")

@@ -10,6 +10,7 @@ floats) and ``parse(emit(cfg))`` reproduces ``cfg`` exactly.
 """
 
 import configparser
+import functools
 import io
 import math
 import os
@@ -234,17 +235,26 @@ def _build_driver(spec: DriverSpec, seed_override=None):
 
 
 def _build_field(spec: FieldSpec, n: int, d: int):
-    if spec.preset == "constant":
-        rng = np.random.default_rng(spec.seed)
-        matrix = spec.scale * (0.5 + 0.5 * rng.random((n, d)))
-        return constant_field(matrix, gamma=spec.gamma)
-    if spec.preset == "linear":
-        rng = np.random.default_rng(spec.seed)
-        A = spec.scale * rng.standard_normal((n, d, n))
-        offset = spec.scale * rng.standard_normal((n, d))
-        return linear_field(A, offset=offset, gamma=spec.gamma)
-    return sine_field(n, d, seed=spec.seed, amplitude=spec.scale,
-                      gamma=spec.gamma)
+    return _preset_field(spec.preset, spec.gamma, spec.seed, spec.scale, n, d)
+
+
+# One instance per distinct field: the problems of the seeds of one rate
+# experiment then share their field object, which is what lets a march
+# evaluate them as one stack.  Preset fields are immutable (read-only
+# coefficient arrays), so sharing them is safe.
+@functools.lru_cache(maxsize=16)
+def _preset_field(preset: str, gamma: float, seed: int, scale: float, n: int,
+                  d: int):
+    if preset == "constant":
+        rng = np.random.default_rng(seed)
+        matrix = scale * (0.5 + 0.5 * rng.random((n, d)))
+        return constant_field(matrix, gamma=gamma)
+    if preset == "linear":
+        rng = np.random.default_rng(seed)
+        A = scale * rng.standard_normal((n, d, n))
+        offset = scale * rng.standard_normal((n, d))
+        return linear_field(A, offset=offset, gamma=gamma)
+    return sine_field(n, d, seed=seed, amplitude=scale, gamma=gamma)
 
 
 def _build_z(spec: ZSpec, field, driver):

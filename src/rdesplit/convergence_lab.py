@@ -9,7 +9,10 @@ one-step consistency residual
 
 stays relative to |t_m - t_k|^(gamma*alpha).  Rates are fitted by least
 squares on log2 differences against the level index; exact agreement is
-reported through a sentinel slope instead of a fit.  The Davie sweep takes
+reported through a sentinel slope instead of a fit.  The rate experiments
+take a list of problems sharing T (the seeds of a synthetic driver) and
+solve each level of all of them in one march, with one report per
+problem, bitwise that of the problem run alone.  The Davie sweep takes
 its base increments from one batch query and evaluates Z one row of pairs
 at a time, never once per pair.  The Hölder experiment samples each joined
 path with one array call of ``eval_joined`` and takes the seminorm over
@@ -19,6 +22,7 @@ blocks of sample pairs.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -27,7 +31,9 @@ from .errors import NumericFailure
 from .model import (SecondOrderMap, VectorField, _chunks, _first_max, _matvec,
                     _powers, _row_norms)
 from .rough_path import Grid, RoughDriver, SampledPath, hoelder_seminorm
-from .splitting_solver import SplitTrajectory, solve_split
+from .splitting_solver import SplitTrajectory, solve_split_many
+# not called here: bench/spans.py patches this module attribute
+from .splitting_solver import solve_split  # noqa: F401
 
 __all__ = [
     "EXACT_AGREEMENT",
@@ -38,6 +44,7 @@ __all__ = [
     "dyadic_sup_rate",
     "holder_rate",
     "rational_rate",
+    "rates_summary",
     "common_indices",
     "davie_defect",
 ]
@@ -85,13 +92,6 @@ class RateReport:
             log2 = repr(math.log2(diff)) if diff > 0 else ""
             fileobj.write(f"{idx},{N},{h!r},{diff!r},{log2}\n")
 
-    def summary(self, seeds) -> dict:
-        return {
-            "target": self.target,
-            "slope": self.slope,
-            "norm_kind": self.norm_kind,
-            "seeds": list(seeds),
-        }
 
 
 @dataclass
@@ -141,25 +141,58 @@ def fit_rate(levels, diffs) -> float:
     return float(-coeff[0])
 
 
-def _solve_many(problem: Problem, Ns):
-    trajs = []
+def _solve_levels(problems, Ns):
+    """Split trajectories [level][problem]: one march of every problem per
+    level, each trajectory bitwise its own ``solve_split``."""
+    if not problems:
+        raise ValueError("need at least one problem")
+    T = problems[0].T
+    if any(p.T != T for p in problems):
+        raise ValueError("problems of one rate experiment must share T")
+    members = [(p.driver, p.field, p.z, p.y0) for p in problems]
+    levels = []
     for N in Ns:
         try:
-            trajs.append(solve_split(problem.driver, problem.field, problem.z,
-                                     problem.y0, Grid(problem.T, N)))
+            levels.append(solve_split_many(members, Grid(T, N)))
         except NumericFailure as exc:
             raise NumericFailure(f"solve at N={N} failed: {exc}",
-                                 step=exc.step) from exc
-    return trajs
+                                 step=exc.step, member=exc.member) from exc
+    return levels
+
+
+def rates_summary(reports, seeds) -> dict:
+    """The summary of one rate experiment run on several seeds.
+
+    ``slopes`` holds each seed's slope, None where its differences vanish
+    identically.  Exact agreement is reported (``slope`` None,
+    ``exact_agreement`` true) only when every seed agrees exactly;
+    otherwise ``slope`` is the median of the finite slopes.  Target and
+    norm kind are the last report's, as every seed shares them.
+    """
+    slopes = [None if r.slope == EXACT_AGREEMENT else r.slope for r in reports]
+    finite = [s for s in slopes if s is not None]
+    summary = {
+        "target": reports[-1].target,
+        "norm_kind": reports[-1].norm_kind,
+        "seeds": list(seeds),
+        "slopes": slopes,
+    }
+    if finite:
+        summary["slope"] = float(statistics.median(finite))
+    else:
+        summary.update(slope=None, exact_agreement=True)
+    return summary
 
 
 def _sup_rows(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(a - b, axis=1)))
 
 
-def dyadic_sup_rate(problem: Problem, base_N: int, levels: int) -> RateReport:
+def dyadic_sup_rate(problems, base_N: int, levels: int) -> list:
     """Sup-norm differences between step-h and step-h/2 trajectories.
 
+    One report per problem (for instance the seeds of one synthetic
+    driver); the problems share T and each level's solves are one march.
     Level n compares N*2^n against N*2^(n+1) steps at the coarse grid
     points only: interval midpoints of the joined paths carry the slower
     joined-path discrepancy (see the README note on cross-consistency with
@@ -170,20 +203,20 @@ def dyadic_sup_rate(problem: Problem, base_N: int, levels: int) -> RateReport:
     if base_N < 4:
         raise ValueError(f"base_N must be >= 4, got {base_N}")
     Ns = [base_N * 2**n for n in range(levels + 1)]
-    trajs = _solve_many(problem, Ns)
-    diffs = []
-    for n in range(levels):
-        diffs.append(_sup_rows(trajs[n].u, trajs[n + 1].u[::2]))
-    slope = fit_rate(Ns[:levels], diffs)
-    target = problem.gamma_capped * problem.alpha - 1.0
-    return RateReport(
-        levels=Ns[:levels],
-        hs=[problem.T / N for N in Ns[:levels]],
-        diffs=diffs,
-        slope=slope,
-        target=target,
-        norm_kind="sup",
-    )
+    trajs = _solve_levels(problems, Ns)
+    reports = []
+    for k, problem in enumerate(problems):
+        diffs = [_sup_rows(trajs[n][k].u, trajs[n + 1][k].u[::2])
+                 for n in range(levels)]
+        reports.append(RateReport(
+            levels=Ns[:levels],
+            hs=[problem.T / N for N in Ns[:levels]],
+            diffs=diffs,
+            slope=fit_rate(Ns[:levels], diffs),
+            target=problem.gamma_capped * problem.alpha - 1.0,
+            norm_kind="sup",
+        ))
+    return reports
 
 
 def quarter_times(grid: Grid) -> np.ndarray:
@@ -199,46 +232,50 @@ def joined_samples(traj: SplitTrajectory, times) -> np.ndarray:
     return traj.eval_joined(times)
 
 
-def holder_rate(problem: Problem, beta: float, base_N: int,
-                levels: int) -> RateReport:
+def holder_rate(problems, beta: float, base_N: int, levels: int) -> list:
     """Discrete C^beta seminorm of step-h minus step-h/2 joined paths.
 
-    Differences are sampled at the quarter points of the coarse grid.
-    Target exponent: min(alpha - beta, gamma*alpha - 1).
+    One report per problem, as in ``dyadic_sup_rate``.  Differences are
+    sampled at the quarter points of the coarse grid.  Target exponent:
+    min(alpha - beta, gamma*alpha - 1).
     """
-    if not (0.0 < beta < problem.alpha):
-        raise ValueError(
-            f"beta must lie in (0, alpha) = (0, {problem.alpha}), got {beta}"
-        )
+    for problem in problems:
+        if not (0.0 < beta < problem.alpha):
+            raise ValueError(
+                f"beta must lie in (0, alpha) = (0, {problem.alpha}), got {beta}"
+            )
     if levels < 2:
         raise ValueError(f"need at least 2 levels, got {levels}")
     if base_N < 4:
         raise ValueError(f"base_N must be >= 4, got {base_N}")
     Ns = [base_N * 2**n for n in range(levels + 1)]
-    trajs = _solve_many(problem, Ns)
-    diffs = []
-    sup_diffs = []
-    spacings = []
-    for n in range(levels):
-        times = quarter_times(trajs[n].grid)
-        delta = joined_samples(trajs[n], times) - joined_samples(trajs[n + 1], times)
-        sup_diffs.append(float(np.max(np.linalg.norm(delta, axis=1))))
-        spacings.append(float(np.min(np.diff(times))))
-        if np.all(delta == 0.0):
-            diffs.append(0.0)
-        else:
-            diffs.append(hoelder_seminorm(SampledPath(times, delta), beta))
-    slope = fit_rate(Ns[:levels], diffs)
-    target = min(problem.alpha - beta, problem.gamma_capped * problem.alpha - 1.0)
-    return RateReport(
-        levels=Ns[:levels],
-        hs=[problem.T / N for N in Ns[:levels]],
-        diffs=diffs,
-        slope=slope,
-        target=target,
-        norm_kind=f"holder({beta})",
-        meta={"sup_diffs": sup_diffs, "min_spacings": spacings},
-    )
+    trajs = _solve_levels(problems, Ns)
+    reports = []
+    for k, problem in enumerate(problems):
+        diffs = []
+        sup_diffs = []
+        spacings = []
+        for n in range(levels):
+            coarse, fine = trajs[n][k], trajs[n + 1][k]
+            times = quarter_times(coarse.grid)
+            delta = joined_samples(coarse, times) - joined_samples(fine, times)
+            sup_diffs.append(float(np.max(np.linalg.norm(delta, axis=1))))
+            spacings.append(float(np.min(np.diff(times))))
+            if np.all(delta == 0.0):
+                diffs.append(0.0)
+            else:
+                diffs.append(hoelder_seminorm(SampledPath(times, delta), beta))
+        reports.append(RateReport(
+            levels=Ns[:levels],
+            hs=[problem.T / N for N in Ns[:levels]],
+            diffs=diffs,
+            slope=fit_rate(Ns[:levels], diffs),
+            target=min(problem.alpha - beta,
+                       problem.gamma_capped * problem.alpha - 1.0),
+            norm_kind=f"holder({beta})",
+            meta={"sup_diffs": sup_diffs, "min_spacings": spacings},
+        ))
+    return reports
 
 
 def common_indices(n_coarse: int, q_num: int, q_den: int):
@@ -256,11 +293,11 @@ def common_indices(n_coarse: int, q_num: int, q_den: int):
     return coarse, fine
 
 
-def rational_rate(problem: Problem, q_num: int, q_den: int, base_N: int,
-                  levels: int) -> RateReport:
+def rational_rate(problems, q_num: int, q_den: int, base_N: int,
+                  levels: int) -> list:
     """Sup difference of step-h and step-h/q trajectories at common times.
 
-    Requires q = q_num/q_den in lowest terms with 1 < q < 2 (the dyadic
+    One report per problem, as in ``dyadic_sup_rate``.  Requires q = q_num/q_den in lowest terms with 1 < q < 2 (the dyadic
     experiment covers q = 2) and base_N divisible by q_den.  Target
     exponent: gamma*alpha - 1.
     """
@@ -278,23 +315,24 @@ def rational_rate(problem: Problem, q_num: int, q_den: int, base_N: int,
     if levels < 2:
         raise ValueError(f"need at least 2 levels, got {levels}")
     Ns = [base_N * 2**n for n in range(levels)]
-    coarse_trajs = _solve_many(problem, Ns)
-    fine_trajs = _solve_many(problem, [N * q_num // q_den for N in Ns])
-    diffs = []
-    for coarse, fine, N in zip(coarse_trajs, fine_trajs, Ns):
-        ci, fi = common_indices(N, q_num, q_den)
-        diffs.append(_sup_rows(coarse.u[ci], fine.u[fi]))
-    slope = fit_rate(Ns, diffs)
-    target = problem.gamma_capped * problem.alpha - 1.0
-    return RateReport(
-        levels=Ns,
-        hs=[problem.T / N for N in Ns],
-        diffs=diffs,
-        slope=slope,
-        target=target,
-        norm_kind="sup",
-        meta={"q": f"{q_num}/{q_den}"},
-    )
+    coarse_trajs = _solve_levels(problems, Ns)
+    fine_trajs = _solve_levels(problems, [N * q_num // q_den for N in Ns])
+    shared = [common_indices(N, q_num, q_den) for N in Ns]
+    reports = []
+    for k, problem in enumerate(problems):
+        diffs = [_sup_rows(coarse[k].u[ci], fine[k].u[fi])
+                 for coarse, fine, (ci, fi)
+                 in zip(coarse_trajs, fine_trajs, shared)]
+        reports.append(RateReport(
+            levels=Ns,
+            hs=[problem.T / N for N in Ns],
+            diffs=diffs,
+            slope=fit_rate(Ns, diffs),
+            target=problem.gamma_capped * problem.alpha - 1.0,
+            norm_kind="sup",
+            meta={"q": f"{q_num}/{q_den}"},
+        ))
+    return reports
 
 
 def davie_defect(traj: SplitTrajectory, field: VectorField, z: SecondOrderMap,

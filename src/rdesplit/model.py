@@ -69,13 +69,15 @@ class VectorField:
 
     The ``*_many`` methods evaluate a (K, n) stack of states, row k bitwise
     the single-state call on xs[k].  The presets do so in one broadcasting
-    expression (``value_and_grad_many_fn``); a field built from plain
-    callables calls them once per row.
+    expression (``value_and_grad_many_fn``, with ``value_many_fn`` for the
+    values alone); a field built from plain callables calls them once per
+    row.
     """
 
     def __init__(self, n, d, fn, grad_fn, hess_fn=None, gamma=3.0,
                  sup_f=None, sup_grad=None, name="custom",
-                 value_and_grad_fn=None, value_and_grad_many_fn=None):
+                 value_and_grad_fn=None, value_and_grad_many_fn=None,
+                 value_many_fn=None):
         if n < 1 or d < 1:
             raise ValueError("dimensions must be positive")
         # NaN passes every range check, so finiteness is tested first
@@ -92,6 +94,10 @@ class VectorField:
         self._hess_fn = hess_fn
         self._value_and_grad_fn = value_and_grad_fn
         self._value_and_grad_many_fn = value_and_grad_many_fn
+        if value_many_fn is None and value_and_grad_many_fn is not None:
+            def value_many_fn(xs):
+                return value_and_grad_many_fn(xs)[0]
+        self._value_many_fn = value_many_fn
         self.gamma = float(gamma)
         self.sup_f = sup_f
         self.sup_grad = sup_grad
@@ -113,8 +119,8 @@ class VectorField:
     def value_many(self, xs) -> np.ndarray:
         """f at every row of a (K, n) stack of states, shape (K, n, d)."""
         xs = np.asarray(xs, dtype=float)
-        if self._value_and_grad_many_fn is not None:
-            return self._value_and_grad_many_fn(xs)[0]
+        if self._value_many_fn is not None:
+            return self._value_many_fn(xs)
         return np.reshape([self._fn(x) for x in xs], (len(xs), self.n, self.d))
 
     def value_and_gradient_many(self, xs):
@@ -159,6 +165,7 @@ def constant_field(matrix, gamma: float = 3.0) -> VectorField:
         value_and_grad_many_fn=lambda xs: (
             np.broadcast_to(C, (len(xs), n, d)),
             np.broadcast_to(zero_grad, (len(xs), n, d, n))),
+        value_many_fn=lambda xs: np.broadcast_to(C, (len(xs), n, d)),
     )
 
 
@@ -190,6 +197,7 @@ def linear_field(A, offset=None, gamma: float = 3.0) -> VectorField:
         value_and_grad_many_fn=lambda xs: (
             b + _matvec(A, xs[:, None, :]),
             np.broadcast_to(A, (len(xs), n, d, n))),
+        value_many_fn=lambda xs: b + _matvec(A, xs[:, None, :]),
     )
 
 
@@ -218,9 +226,17 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
         arg = np.einsum("iam,m->ia", W, x) + phi
         return amp * np.sin(arg), (amp * np.cos(arg))[:, :, None] * W
 
+    # the stacked forms give the coefficients a leading axis of length 1:
+    # numpy combines arrays of equal rank faster, and a single-member solve
+    # evaluates a one-state stack on every step
+    amp_k, W_k, phi_k = amp[None], W[None], phi[None]
+
     def value_and_grad_many_fn(xs):
-        arg = np.einsum("iam,km->kia", W, xs) + phi
-        return amp * np.sin(arg), (amp * np.cos(arg))[..., None] * W
+        arg = np.einsum("iam,km->kia", W, xs) + phi_k
+        return amp_k * np.sin(arg), (amp_k * np.cos(arg))[..., None] * W_k
+
+    def value_many_fn(xs):
+        return amp_k * np.sin(np.einsum("iam,km->kia", W, xs) + phi_k)
 
     def hess_fn(x):
         core = -amp * np.sin(np.einsum("iam,m->ia", W, x) + phi)
@@ -232,6 +248,7 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
         sup_grad=float(np.max(np.abs(amp[:, :, None] * W))),
         name="sine", value_and_grad_fn=value_and_grad_fn,
         value_and_grad_many_fn=value_and_grad_many_fn,
+        value_many_fn=value_many_fn,
     )
 
 
@@ -303,10 +320,6 @@ class GridZ:
                   for x, s, t in zip(xs, self._ss, self._tt, strict=True)]
         return np.array(values, dtype=float).reshape(len(self._ss), self._z.n)
 
-    def with_field(self, field: VectorField, x, j: int):
-        """(field(x), Z(x) over interval j)."""
-        return field(x), self(x, j)
-
 
 class _AreaLinearZ(SecondOrderMap):
     """Z(x)^i_{s,t} = Σ_{m,a,b} ∂_m f^i_b(x) f^m_a(x) XX_{s,t}, with the area
@@ -328,10 +341,8 @@ class _AreaLinearZ(SecondOrderMap):
 
     def __call__(self, x, s: float, t: float) -> np.ndarray:
         f_x, grad_x = self.field.value_and_gradient(x)
-        return self.contract(f_x, grad_x, self.driver.area(float(s), float(t)))
-
-    def contract(self, f_x, grad_x, area) -> np.ndarray:
-        return np.einsum(self._subscripts, grad_x, f_x, area)
+        return np.einsum(self._subscripts, grad_x, f_x,
+                         self.driver.area(float(s), float(t)))
 
     def on_grid(self, ss, tt) -> "GridZ":
         return _AreaGridZ(self, self.driver.area_many(ss, tt))
@@ -346,7 +357,7 @@ class _AreaGridZ(GridZ):
 
     def __call__(self, x, j: int) -> np.ndarray:
         f_x, grad_x = self._z.field.value_and_gradient(x)
-        return self._z.contract(f_x, grad_x, self._areas[j])
+        return np.einsum(self._z._subscripts, grad_x, f_x, self._areas[j])
 
     def every(self, x) -> np.ndarray:
         # bitwise equal, row by row, to the per-interval contraction
@@ -360,13 +371,6 @@ class _AreaGridZ(GridZ):
             raise ValueError(f"{len(xs)} states for {len(self._areas)} intervals")
         f_x, grad_x = self._z.field.value_and_gradient_many(xs)
         return np.einsum(self._z._at_subscripts, grad_x, f_x, self._areas)
-
-    def with_field(self, field: VectorField, x, j: int):
-        if field is not self._z.field:
-            return super().with_field(field, x, j)
-        # the solve's field is the map's own: evaluate it once for both
-        f_x, grad_x = field.value_and_gradient(x)
-        return f_x, self._z.contract(f_x, grad_x, self._areas[j])
 
 
 def _check_pairing(field: VectorField, driver: RoughDriver) -> None:

@@ -10,14 +10,18 @@ the rate over half of the interval.  The reference one-step map is the
 second-order Euler (Milstein) update y -> y + f(y) X + Z(y).
 
 Both schemes run on one stepping loop over a fixed grid, so every X_{s,t}
-and XX_{s,t} they need is known before the loop starts.  The increments
-come from one ``increment_many`` query per solve, and Z is evaluated
-through ``SecondOrderMap.on_grid``: maps linear in the area take the areas
-of all intervals from one ``area_many`` query on the map's own driver.  A
-driver without batch hooks is queried once per interval instead.  The
-arithmetic of each step is that of the per-interval scalar queries, so
-trajectories are bitwise those of a loop calling ``increment`` and
-``z(x, s, t)`` step by step.
+and XX_{s,t} they need is known before the loop starts.  The loop has a
+leading member axis: one Python step advances M problems (driver, field,
+Z, start) on the same grid, for instance the seeds of one rate level, and
+a single solve is the march of one member.  The increments come from one
+``increment_many`` query per member.  Members that share one preset field
+evaluate it as an (M, n) stack, and area-linear maps on that field take
+the areas of all intervals from one ``area_many`` query on each map's own
+driver and contract them for all members in one einsum; other members
+fall back to one call per member row.  A driver without batch hooks is
+queried once per interval.  The arithmetic of each step is that of the
+per-interval scalar queries, so every member's trajectory is bitwise that
+of a loop calling ``increment`` and ``z(x, s, t)`` step by step.
 
 The joined path is evaluated the same way on an array of times: the
 states u_j and v_{j+1} of all requested times form one stack each, for
@@ -31,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .model import GridZ, SecondOrderMap, VectorField, _check_pairing, _matvec
+from .model import (SecondOrderMap, VectorField, _AreaLinearZ, _check_pairing,
+                    _matvec)
 from .rough_path import Grid, RoughDriver, SampledPath
 
 __all__ = [
@@ -39,6 +44,7 @@ __all__ = [
     "MilsteinTrajectory",
     "split_step",
     "solve_split",
+    "solve_split_many",
     "solve_milstein",
     "write_trajectory_csv",
     "solve_ode_reference",
@@ -112,12 +118,6 @@ class MilsteinTrajectory:
     z: SecondOrderMap
 
 
-def _split_update(u, inc, field: VectorField, z_on: GridZ, j: int):
-    """The split step over interval j: (stage-1 endpoint v, next value)."""
-    v = u + field(u) @ inc
-    return v, v + z_on(v, j)
-
-
 def split_step(u, s: float, t: float, field: VectorField, z: SecondOrderMap,
                driver: RoughDriver):
     """One split interval: returns (stage-1 endpoint v, interval value u_next)."""
@@ -126,62 +126,165 @@ def split_step(u, s: float, t: float, field: VectorField, z: SecondOrderMap,
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise NumericFailure("non-finite state entering split step")
-    return _split_update(u, driver.increment(s, t), field, z.on_grid([s], [t]), 0)
+    v = u + field(u) @ driver.increment(s, t)
+    return v, v + z(v, s, t)
 
 
-def _march(driver: RoughDriver, field: VectorField, z: SecondOrderMap, y0,
-           grid: Grid, update) -> np.ndarray:
-    """Validate the inputs, then iterate ``update`` over the grid intervals.
+# Steps run between two finite-state checks.  The first non-finite row of a
+# block is the failing step for any field or map: every stage adds to the
+# state it starts from, and IEEE addition keeps a non-finite entry
+# non-finite.
+FINITE_BLOCK = 64
 
-    ``update(state, X_j, z_on, j)`` returns the state at t_{j+1}; ``z_on``
-    is ``z`` on the grid intervals.  The increments and ``z_on`` are set up
-    once per solve, with batch queries where the driver has them.  Returns
-    the grid values, shape (N+1, n).
+
+def _member_stages(members, ss, tt):
+    """Stage evaluators of M members on the intervals [ss[j], tt[j]].
+
+    Returns ``drift(y, j)``, the rows f_k(y[k]) X^k_{j}, ``z_at(y, j)``,
+    the rows Z_k(y[k]) over interval j, and ``both(y, j)``, the pair of
+    them, for an (M, n) stack of states y.  Members that share one field
+    with stacked hooks evaluate it in one array expression, and
+    area-linear maps of one pairing on that field contract every member's
+    areas (N, M, d, d) in one einsum.  Otherwise each member is evaluated
+    on its own row, with its own field, driver and map.  Either way row k
+    is bitwise member k's single-state evaluation.
     """
-    _check_pairing(field, driver)
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (field.n,):
-        raise ValueError(f"initial state must have shape ({field.n},), got {y0.shape}")
-    if not np.isfinite(y0).all():
-        raise NumericFailure("non-finite initial state", step=0)
-    ss, tt = grid.points[:-1], grid.points[1:]
-    incs = driver.increment_many(ss, tt)
-    z_on = z.on_grid(ss, tt)
-    values = np.empty((grid.N + 1, field.n))
-    values[0] = y0
-    state = y0
-    for j in range(grid.N):
-        state = update(state, incs[j], z_on, j)
-        if not np.isfinite(state).all():
-            raise NumericFailure(f"state left finite range at step {j + 1}",
-                                 step=j + 1)
-        values[j + 1] = state
-    return values
+    drivers, fields, zs, _ = zip(*members)
+    field = fields[0]
+    incs = [driver.increment_many(ss, tt) for driver in drivers]
+    stacked = (field._value_many_fn is not None
+               and all(f is field for f in fields))
+    if stacked:
+        value_many = field._value_many_fn
+        incs = np.stack(incs, axis=1)[..., None]
+
+        def drift(y, j):
+            return np.matmul(value_many(y), incs[j])[..., 0]
+    else:
+        def drift(y, j):
+            return np.array([f(x) @ inc[j]
+                             for f, x, inc in zip(fields, y, incs)])
+
+    z0 = zs[0]
+    if (stacked and field._value_and_grad_many_fn is not None
+            and all(isinstance(z, _AreaLinearZ) and z.field is field
+                    and z._at_subscripts == z0._at_subscripts for z in zs)):
+        value_and_grad_many = field._value_and_grad_many_fn
+        areas = np.stack([z.driver.area_many(ss, tt) for z in zs], axis=1)
+        subscripts = z0._at_subscripts
+
+        def z_at(y, j):
+            f_y, grad_y = value_and_grad_many(y)
+            return np.einsum(subscripts, grad_y, f_y, areas[j])
+
+        def both(y, j):
+            # the field is the map's own: evaluate it once for both stages
+            f_y, grad_y = value_and_grad_many(y)
+            return (np.matmul(f_y, incs[j])[..., 0],
+                    np.einsum(subscripts, grad_y, f_y, areas[j]))
+
+        return drift, z_at, both
+
+    grid_zs = [z.on_grid(ss, tt) for z in zs]
+
+    def z_at(y, j):
+        return np.array([z_on(x, j) for z_on, x in zip(grid_zs, y)])
+
+    return drift, z_at, lambda y, j: (drift(y, j), z_at(y, j))
+
+
+def _check_finite(values: np.ndarray, lo: int, hi: int) -> None:
+    """Raise NumericFailure at the first non-finite state among rows lo..hi-1
+    of ``values`` (steps, M, n); the lowest member wins a tie."""
+    block = values[lo:hi]
+    if np.isfinite(block).all():
+        return
+    row, member = np.argwhere(~np.isfinite(block).all(axis=2))[0]
+    step = lo + int(row)
+    message = (f"state left finite range at step {step}" if step
+               else "non-finite initial state")
+    if values.shape[1] > 1:
+        message += f" in member {member}"
+    raise NumericFailure(message, step=step, member=int(member))
+
+
+def _march(members, grid: Grid, milstein: bool):
+    """Advance M members (driver, field, z, y0) over one grid together.
+
+    One Python step advances every member, as an (M, n) stack of states;
+    the increments and Z on the grid intervals are set up once, with batch
+    queries where the drivers have them.  Each step is the split update
+    (transport, then Z at the stage-1 endpoint) or, with ``milstein``, the
+    one-step second-order Euler update.  Every member is bitwise its own
+    single-member march.  Returns the grid values, shape (M, N+1, n), and
+    the split stage-1 endpoints, shape (M, N, n), or None for Milstein.
+
+    The states are checked every ``FINITE_BLOCK`` steps; a member that left
+    the finite range raises NumericFailure with the first failing step and
+    the member's index (the lowest member at equal steps).
+    """
+    if not members:
+        raise ValueError("need at least one member")
+    n = members[0][1].n
+    values = np.empty((grid.N + 1, len(members), n))
+    for k, (driver, field, _, y0) in enumerate(members):
+        _check_pairing(field, driver)
+        if field.n != n:
+            raise ValueError(f"member fields have state dimensions {n} and {field.n}")
+        y0 = np.asarray(y0, dtype=float)
+        if y0.shape != (n,):
+            raise ValueError(f"initial state must have shape ({n},), got {y0.shape}")
+        values[0, k] = y0
+    _check_finite(values, 0, 1)
+    drift, z_at, both = _member_stages(members, grid.points[:-1],
+                                       grid.points[1:])
+    mid = None if milstein else np.empty((grid.N, len(members), n))
+    state = values[0]
+    for lo in range(0, grid.N, FINITE_BLOCK):
+        hi = min(lo + FINITE_BLOCK, grid.N)
+        try:
+            for j in range(lo, hi):
+                if milstein:
+                    f_x, z_x = both(state, j)
+                    state = state + f_x + z_x
+                else:
+                    v = mid[j] = state + drift(state, j)
+                    state = v + z_at(v, j)
+                values[j + 1] = state
+        except Exception:
+            # a field or map may reject the non-finite state that a failed
+            # member carries on to the end of its block
+            _check_finite(values, lo + 1, j + 1)
+            raise
+        _check_finite(values, lo + 1, hi + 1)
+    u = np.ascontiguousarray(values.transpose(1, 0, 2))
+    return u, None if milstein else np.ascontiguousarray(mid.transpose(1, 0, 2))
+
+
+def solve_split_many(members, grid: Grid) -> list:
+    """``solve_split`` of every (driver, field, z, y0) member on one grid.
+
+    The members are marched together, one Python step for all of them,
+    and each trajectory is bitwise its own ``solve_split``.  Members that
+    share one preset field and area-linear maps on it (the seeds of one
+    rate level) are evaluated as stacks.
+    """
+    u, v = _march(members, grid, milstein=False)
+    return [SplitTrajectory(grid, u[k], v[k], driver, field, z)
+            for k, (driver, field, z, _) in enumerate(members)]
 
 
 def solve_split(driver: RoughDriver, field: VectorField, z: SecondOrderMap,
                 y0, grid: Grid) -> SplitTrajectory:
     """Iterate the split update over the grid; deterministic in its inputs."""
-    v = np.empty((grid.N, field.n))
-
-    def update(u, inc, z_on, j):
-        v[j], u_next = _split_update(u, inc, field, z_on, j)
-        return u_next
-
-    u = _march(driver, field, z, y0, grid, update)
-    return SplitTrajectory(grid, u, v, driver, field, z)
+    return solve_split_many([(driver, field, z, y0)], grid)[0]
 
 
 def solve_milstein(driver: RoughDriver, field: VectorField, z: SecondOrderMap,
                    y0, grid: Grid) -> MilsteinTrajectory:
     """Second-order Euler reference: y_{j+1} = y_j + f(y_j) X + Z(y_j)."""
-
-    def update(y, inc, z_on, j):
-        f_y, z_y = z_on.with_field(field, y, j)
-        return y + f_y @ inc + z_y
-
-    values = _march(driver, field, z, y0, grid, update)
-    return MilsteinTrajectory(grid, values, driver, field, z)
+    values, _ = _march([(driver, field, z, y0)], grid, milstein=True)
+    return MilsteinTrajectory(grid, values[0], driver, field, z)
 
 
 def write_trajectory_csv(traj, fileobj) -> None:

@@ -119,12 +119,12 @@ def test_criterion_3_smooth_driver_oracle():
 
 def test_criterion_4_dyadic_rates():
     start = time.perf_counter()
-    smooth_report = dyadic_sup_rate(smooth_preset(), 16, 5)
+    [smooth_report] = dyadic_sup_rate([smooth_preset()], 16, 5)
     ok_smooth = (smooth_report.target == pytest.approx(0.5)
                  and smooth_report.slope >= 0.35)
     slopes = []
-    for seed in (SYNTH_SEED, SYNTH_SEED + 1, SYNTH_SEED + 2):
-        r = dyadic_sup_rate(synthetic_preset(seed), 16, 5)
+    seeds = (SYNTH_SEED, SYNTH_SEED + 1, SYNTH_SEED + 2)
+    for r in dyadic_sup_rate([synthetic_preset(seed) for seed in seeds], 16, 5):
         assert r.target == pytest.approx(3.0 * SYNTH_ALPHA - 1.0)
         slopes.append(r.slope)
     median = statistics.median(slopes)
@@ -141,8 +141,8 @@ def test_criterion_5_holder_rate():
     beta = 0.2
     slopes = []
     consistent = True
-    for seed in (SYNTH_SEED, SYNTH_SEED + 1, SYNTH_SEED + 2):
-        r = holder_rate(synthetic_preset(seed), beta, 32, 7)
+    seeds = (SYNTH_SEED, SYNTH_SEED + 1, SYNTH_SEED + 2)
+    for r in holder_rate([synthetic_preset(seed) for seed in seeds], beta, 32, 7):
         assert r.target == pytest.approx(0.25)
         slopes.append(r.slope)
         # a C^beta difference can never exceed twice the sup difference
@@ -164,8 +164,8 @@ def test_criterion_6_rational_ratio():
     start = time.perf_counter()
     indices_ok = common_indices(6, 3, 2) == ([0, 2, 4, 6], [0, 3, 6, 9])
     prob = smooth_preset()
-    dyadic = dyadic_sup_rate(prob, 16, 5)
-    rational = rational_rate(prob, 3, 2, 16, 5)
+    [dyadic] = dyadic_sup_rate([prob], 16, 5)
+    [rational] = rational_rate([prob], 3, 2, 16, 5)
     gap = abs(rational.slope - dyadic.slope)
     elapsed = time.perf_counter() - start
     report(6, "rational step ratio",

@@ -74,3 +74,32 @@ def test_traced_problem_gives_the_untraced_joined_path():
         paths.append(traj.eval_joined(times))
     assert np.array_equal(paths[0], paths[1])
     assert tracer.calls("model.z") > 0 and tracer.calls("model.field") > 0
+
+
+def test_traced_rates_write_the_untraced_files(tmp_path):
+    # traced problems carry a field per seed and an opaque Z, so their
+    # march takes the per-row fallback; untraced seeds share one stacked
+    # field
+    from rdesplit.cli import main
+    spans = _bench_module("spans")
+    config = _bench_module("workloads")
+    command = config.Command("rates_sup_s", ("rates", "--kind", "sup"), {},
+                             {"base_n": 8, "levels": 3, "seeds": 3})
+    cfg = tmp_path / "rates.ini"
+    cfg.write_text(config.config_text("trajectory", command, 17))
+    outputs = []
+    for traced in (False, True):
+        out = tmp_path / ("traced" if traced else "untraced")
+        argv = list(command.argv) + ["--config", str(cfg), "--out", str(out)]
+        tracer = spans.Tracer()
+        if traced:
+            with spans.instrument(tracer):
+                main(argv, standalone_mode=False)
+            assert tracer.calls("model.z") > 0
+        else:
+            main(argv, standalone_mode=False)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name.startswith("rates_")})
+    assert sorted(outputs[0]) == ["rates_seed17.csv", "rates_seed18.csv",
+                                  "rates_seed19.csv", "rates_summary.json"]
+    assert outputs[0] == outputs[1]

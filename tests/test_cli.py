@@ -1,6 +1,7 @@
 import configparser
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ def test_missing_config_file_exits_2(tmp_path):
 def test_numeric_blowup_exits_3(tmp_path):
     result, _ = run_cli(tmp_path, BLOWUP, ["solve"])
     assert result.exit_code == 3
+    # rates marches seeds 5, 6 and 7 together and names the one that failed
+    text = SYNTHETIC.replace("preset = sine", "preset = linear").replace(
+        "scale = 0.8", "scale = 1e8")
+    result, out = run_cli(tmp_path, text, ["rates", "--kind", "sup",
+                                           "--seed", "5"])
+    assert result.exit_code == 3
+    assert re.search(r"numeric failure: seed [567]: solve at N=\d+ failed: "
+                     r"state left finite range at step \d+( in member \d)?$",
+                     result.output.strip()), result.output
+    assert not (out / "rates_summary.json").exists()
 
 
 @pytest.mark.parametrize("key", [
@@ -172,7 +183,7 @@ def test_rates_sup_smooth(tmp_path):
     result, out = run_cli(tmp_path, SMOOTH, ["rates", "--kind", "sup"])
     assert result.exit_code == 0, result.output
     summary = json.loads((out / "rates_summary.json").read_text())
-    assert set(summary) == {"target", "slope", "norm_kind", "seeds"}
+    assert set(summary) == {"target", "slope", "slopes", "norm_kind", "seeds"}
     assert summary["target"] == pytest.approx(0.5)
     assert summary["seeds"] == [0]
     csv = (out / "rates_seed0.csv").read_text().splitlines()

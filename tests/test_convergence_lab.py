@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -7,11 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rdesplit import (EXACT_AGREEMENT, Grid, NumericFailure, Problem,
-                      RoughDriver, canonical_z, check_z_bound, check_z_cocycle,
-                      check_z_lipschitz, common_indices, constant_field,
-                      convention_defect_max, davie_defect, dyadic_sup_rate,
-                      fit_rate, holder_rate, lift_piecewise_linear,
-                      rational_rate, sine_field, smooth_path, solve_split,
+                      RateReport, RoughDriver, canonical_z, check_z_bound,
+                      check_z_cocycle, check_z_lipschitz, common_indices,
+                      constant_field, convention_defect_max, davie_defect,
+                      dyadic_sup_rate, fit_rate, holder_rate,
+                      lift_piecewise_linear, rates_summary, rational_rate,
+                      sine_field, smooth_path, solve_split,
                       synth_midpoint_path, zero_z)
 from rdesplit import model
 from rdesplit.convergence_lab import quarter_times
@@ -86,13 +88,13 @@ def test_fit_rate_needs_two_points():
 # ---------------------------------------------------------------- dyadic
 
 def test_dyadic_zero_field_exact_agreement():
-    report = dyadic_sup_rate(zero_problem(), 4, 3)
+    [report] = dyadic_sup_rate([zero_problem()], 4, 3)
     assert all(d == 0.0 for d in report.diffs)
     assert report.slope == EXACT_AGREEMENT
 
 
 def test_dyadic_smooth_slope_and_target():
-    report = dyadic_sup_rate(smooth_problem(), 16, 3)
+    [report] = dyadic_sup_rate([smooth_problem()], 16, 3)
     assert report.target == pytest.approx(0.5)
     assert report.slope >= 0.35
     assert report.norm_kind == "sup"
@@ -100,9 +102,9 @@ def test_dyadic_smooth_slope_and_target():
 
 def test_dyadic_validation():
     with pytest.raises(ValueError):
-        dyadic_sup_rate(smooth_problem(), 16, 2)
+        dyadic_sup_rate([smooth_problem()], 16, 2)
     with pytest.raises(ValueError):
-        dyadic_sup_rate(smooth_problem(), 2, 3)
+        dyadic_sup_rate([smooth_problem()], 2, 3)
 
 
 def test_dyadic_propagates_numeric_failure_with_level():
@@ -119,7 +121,7 @@ def test_dyadic_propagates_numeric_failure_with_level():
     problem = Problem(driver=driver, field=field, z=zero_z(1),
                       y0=np.array([40.0]), T=1.0, path=path)
     with np.errstate(over="ignore"), pytest.raises(NumericFailure) as err:
-        dyadic_sup_rate(problem, 4, 3)
+        dyadic_sup_rate([problem], 4, 3)
     assert "N=" in str(err.value)
 
 
@@ -139,7 +141,7 @@ def test_dyadic_telescoping_triangle_inequality():
 def test_rate_report_csv():
     import io
 
-    report = dyadic_sup_rate(smooth_problem(), 16, 3)
+    [report] = dyadic_sup_rate([smooth_problem()], 16, 3)
     buf = io.StringIO()
     report.write_csv(buf)
     lines = buf.getvalue().splitlines()
@@ -148,28 +150,49 @@ def test_rate_report_csv():
     cells = lines[1].split(",")
     assert cells[1] == "16"
     assert float(cells[3]) == report.diffs[0]
-    summary = report.summary([0])
-    assert set(summary) == {"target", "slope", "norm_kind", "seeds"}
+    summary = rates_summary([report], [0])
+    assert set(summary) == {"target", "slope", "slopes", "norm_kind", "seeds"}
+    assert summary["slopes"] == [report.slope] == [summary["slope"]]
+
+
+def test_rates_summary_agrees_exactly_only_when_every_seed_does():
+    def summary(*slopes):
+        reports = [RateReport(levels=[16, 32], hs=[1 / 16, 1 / 32],
+                              diffs=[0.1, 0.05], slope=slope, target=0.35,
+                              norm_kind="sup") for slope in slopes]
+        return rates_summary(reports, list(range(len(slopes))))
+
+    # one exact seed of two: the median of all slopes would be inf
+    mixed = summary(EXACT_AGREEMENT, 1.0)
+    assert mixed["slope"] == 1.0 and mixed["slopes"] == [None, 1.0]
+    assert "exact_agreement" not in mixed
+    assert summary(0.25, EXACT_AGREEMENT, 0.75)["slope"] == 0.5
+    assert summary(0.4, 0.2, 0.3)["slope"] == 0.3
+    exact = summary(EXACT_AGREEMENT, EXACT_AGREEMENT)
+    assert exact["slope"] is None and exact["exact_agreement"] is True
+    assert exact["slopes"] == [None, None]
+    assert exact["seeds"] == [0, 1] and exact["target"] == 0.35
+    json.dumps(mixed, allow_nan=False)
 
 
 # ---------------------------------------------------------------- holder
 
 def test_holder_zero_field():
-    report = holder_rate(zero_problem(), 0.2, 4, 2)
+    [report] = holder_rate([zero_problem()], 0.2, 4, 2)
     assert all(d == 0.0 for d in report.diffs)
     assert report.slope == EXACT_AGREEMENT
 
 
 def test_holder_beta_must_be_below_alpha():
     with pytest.raises(ValueError):
-        holder_rate(smooth_problem(), 0.6, 16, 3)
+        holder_rate([smooth_problem()], 0.6, 16, 3)
     with pytest.raises(ValueError):
-        holder_rate(smooth_problem(), 0.0, 16, 3)
+        holder_rate([smooth_problem()], 0.0, 16, 3)
 
 
 def test_holder_target_is_min_of_exponents():
     prob = synthetic_problem()
-    report = holder_rate(prob, 0.2, 8, 2)
+    [report] = holder_rate([prob], 0.2, 8, 2)
     assert report.target == pytest.approx(min(0.45 - 0.2, 3 * 0.45 - 1.0))
     assert report.norm_kind == "holder(0.2)"
     assert all(d > 0 for d in report.diffs)
@@ -195,28 +218,28 @@ def test_common_indices_three_halves():
 
 def test_rational_rejects_q_equal_two():
     with pytest.raises(ValueError):
-        rational_rate(smooth_problem(), 2, 1, 16, 3)
+        rational_rate([smooth_problem()], 2, 1, 16, 3)
 
 
 def test_rational_rejects_non_lowest_terms_and_range():
     prob = smooth_problem()
     with pytest.raises(ValueError):
-        rational_rate(prob, 6, 4, 16, 3)
+        rational_rate([prob], 6, 4, 16, 3)
     with pytest.raises(ValueError):
-        rational_rate(prob, 5, 2, 16, 3)
+        rational_rate([prob], 5, 2, 16, 3)
     with pytest.raises(ValueError):
-        rational_rate(prob, 3, 2, 15, 3)  # base_N not divisible by q_den
+        rational_rate([prob], 3, 2, 15, 3)  # base_N not divisible by q_den
 
 
 def test_rational_zero_field():
-    report = rational_rate(zero_problem(), 3, 2, 4, 2)
+    [report] = rational_rate([zero_problem()], 3, 2, 4, 2)
     assert all(d == 0.0 for d in report.diffs)
 
 
 def test_rational_slope_close_to_dyadic_on_smooth():
     prob = smooth_problem()
-    dyadic = dyadic_sup_rate(prob, 16, 4)
-    rational = rational_rate(prob, 3, 2, 16, 4)
+    [dyadic] = dyadic_sup_rate([prob], 16, 4)
+    [rational] = rational_rate([prob], 3, 2, 16, 4)
     assert abs(rational.slope - dyadic.slope) <= 0.2
     assert rational.target == dyadic.target
 
@@ -407,10 +430,10 @@ def test_holder_rate_makes_no_scalar_driver_query_on_a_batch_driver():
     field = sine_field(2, 2, seed=1, amplitude=0.8)
     problem = Problem(driver=driver, field=field, z=canonical_z(field, driver),
                       y0=Y0, T=1.0)
-    report = holder_rate(problem, 0.2, 8, 3)
+    [report] = holder_rate([problem], 0.2, 8, 3)
     # one increment_many and one area_many per solve (4) and per joined
     # sample set (2 per level)
     assert calls == {"increment_many": 10, "area_many": 10}
     lifted_problem = Problem(driver=lifted, field=field,
                              z=canonical_z(field, lifted), y0=Y0, T=1.0)
-    assert holder_rate(lifted_problem, 0.2, 8, 3) == report
+    assert holder_rate([lifted_problem], 0.2, 8, 3) == [report]

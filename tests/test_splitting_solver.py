@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,9 @@ from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
                       scalar_driver, sine_field, smooth_path, solve_milstein,
                       solve_ode_reference, solve_split, split_step,
                       write_trajectory_csv, zero_z)
+from rdesplit import splitting_solver
 from rdesplit.convergence_lab import joined_samples, quarter_times
+from rdesplit.splitting_solver import _march
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
                       build_field, build_z, with_area)
@@ -204,6 +207,73 @@ def test_milstein_blow_up_raises_numeric_failure_with_step():
         assert failure_step(solve_milstein, *args) == expected
 
 
+def math_cubic_field():
+    # the cubic field through math.cos, which raises on an infinite state
+    # where numpy would return NaN
+    return VectorField(
+        1, 1,
+        lambda x: np.array([[x[0] ** 3 + 0.0 * math.cos(x[0])]]),
+        lambda x: np.array([[[3.0 * x[0] ** 2]]]),
+        gamma=3.0, name="math-cubic",
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_blocked_finite_check_reports_the_first_failing_step(monkeypatch,
+                                                             block):
+    monkeypatch.setattr(splitting_solver, "FINITE_BLOCK", block)
+    drv = scalar_driver(lambda t: t)
+    field = cubic_field()
+    cases = [
+        # the cases of the blow-up tests above: steps 10, 5 and 7
+        (field, zero_z(1), 4.0, Grid(1.0, 64)),
+        (field, canonical_z(field, drv), 4.0, Grid(1.0, 64)),
+        # past the first block of 64 steps (66 to 74), and past several
+        # (258 to 268)
+        (field, zero_z(1), 2.0, Grid(1.0, 512)),
+        (field, canonical_z(field, drv), 2.0, Grid(1.0, 512)),
+        (field, canonical_z(field, drv), 1.0, Grid(1.0, 512)),
+        # a field that raises on the infinite state carried on in its block
+        (math_cubic_field(), zero_z(1), 2.0, Grid(1.0, 512)),
+    ]
+    for field, z, y0, grid in cases:
+        for solve, reference in ((solve_split, reference_split),
+                                 (solve_milstein, reference_milstein)):
+            args = (drv, field, z, np.array([y0]), grid)
+            expected = failure_step(reference, *args)
+            assert failure_step(solve, *args) == expected
+            # the same blow-up on the last step of a grid
+            last = (drv, field, z, np.array([y0]),
+                    Grid(grid.T * expected / grid.N, expected))
+            assert failure_step(reference, *last) == expected
+            assert failure_step(solve, *last) == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_numeric_failure_names_the_failing_member():
+    field = cubic_field()
+    steep = scalar_driver(lambda t: t)
+    mild = scalar_driver(lambda t: 0.01 * t)
+    grid = Grid(1.0, 64)
+    y0 = np.array([4.0])
+    members = [(mild, field, canonical_z(field, mild), y0),
+               (steep, field, canonical_z(field, steep), y0)]
+    solve_split(*members[0], grid)  # the mild member alone stays finite
+    for milstein, reference in ((False, reference_split),
+                                (True, reference_milstein)):
+        with pytest.raises(NumericFailure, match="in member 1") as err:
+            _march(members, grid, milstein)
+        assert err.value.member == 1
+        assert err.value.step == failure_step(reference, *members[1], grid)
+    # a single solve names member 0 without mentioning members
+    with pytest.raises(NumericFailure) as err:
+        solve_split(*members[1], grid)
+    assert err.value.member == 0 and "member" not in str(err.value)
+
+
 def test_non_finite_initial_state_is_numeric_failure():
     _, driver, field, z = smooth_setup(segments=64)
     with pytest.raises(NumericFailure):
@@ -251,6 +321,83 @@ def test_solves_match_scalar_reference_loop_bitwise(seed, N, driver_kind,
     assert milstein_failed == ref_failed
     if ref is not None:
         assert np.array_equal(milstein.values, ref)
+
+
+def _reference_outcome(reference, member, grid):
+    """The reference values (u, v) or (values, None), or the failing step."""
+    values, step = _outcome(reference, *member, grid)
+    if step is not None:
+        return None, step
+    return (values if isinstance(values, tuple) else (values, None)), None
+
+
+@settings(max_examples=80, deadline=None)
+@given(specs=st.lists(st.tuples(st.sampled_from(DRIVER_KINDS),
+                                st.sampled_from(("canonical", "scaled-area",
+                                                 "transposed", "zero",
+                                                 "nan-probe")),
+                                st.integers(0, 2**16)),
+                      min_size=1, max_size=4),
+       field_kind=st.sampled_from(FIELD_KINDS), shared=st.booleans(),
+       N=st.integers(1, 40))
+# one shared preset field and area-linear maps: the stacked path
+@example(specs=[("synthetic", "canonical", 1), ("synthetic", "scaled-area", 2),
+                ("smooth", "canonical", 3)],
+         field_kind="sine", shared=True, N=9)
+@example(specs=[("scalar", "canonical", 1), ("scalar", "scaled-area", 2)],
+         field_kind="linear", shared=True, N=5)
+# mixed dimensions, a plain-callable field and a NaN map: per-row rows
+@example(specs=[("synthetic", "nan-probe", 1), ("scalar", "canonical", 2)],
+         field_kind="callable", shared=False, N=2)
+def test_every_member_of_a_march_is_its_reference_loop(specs, field_kind,
+                                                       shared, N):
+    fields = {}
+    members = []
+    for k, (driver_kind, z_kind, seed) in enumerate(specs):
+        driver = build_driver(driver_kind, seed)
+        if shared:
+            # one field object per driver dimension
+            field = fields.setdefault(driver.dim,
+                                      build_field(field_kind, 0, driver.dim))
+        else:
+            field = build_field(field_kind, seed, driver.dim)
+        members.append((driver, field, build_z(z_kind, field, driver),
+                        Y0 + 0.125 * k))
+    grid = Grid(1.0, N)
+    for milstein, reference in ((False, reference_split),
+                                (True, reference_milstein)):
+        expected = [_reference_outcome(reference, m, grid) for m in members]
+        failures = [(step, k) for k, (_, step) in enumerate(expected)
+                    if step is not None]
+        try:
+            u, v = _march(members, grid, milstein)
+        except NumericFailure as exc:
+            assert (exc.step, exc.member) == min(failures)
+            continue
+        assert not failures
+        for k, ((ref_u, ref_v), _) in enumerate(expected):
+            same_bits(u[k], ref_u)
+            if not milstein:
+                same_bits(v[k], ref_v)
+
+
+def test_sixty_four_stacked_members_are_their_reference_loops():
+    field = sine_field(2, 2, seed=1, amplitude=0.8)
+    members = []
+    for seed in range(64):
+        driver = build_driver("synthetic", seed)
+        members.append((driver, field, canonical_z(field, driver), Y0))
+    grid = Grid(1.0, 24)
+    for milstein, reference in ((False, reference_split),
+                                (True, reference_milstein)):
+        u, v = _march(members, grid, milstein)
+        for k, member in enumerate(members):
+            expected = reference(*member, grid)
+            if milstein:
+                same_bits(u[k], expected)
+            else:
+                same_bits(u[k], expected[0])
+                same_bits(v[k], expected[1])
 
 
 def test_solves_query_a_batch_driver_once_per_solve():
