@@ -17,11 +17,11 @@ ratios are bitwise those of a loop calling ``z(x, s, t)`` once per pair,
 and so are their witnesses: the first strict maximum in (state, s, t)
 order.
 
-Fields and Z also take a leading state axis: ``value_and_gradient_many``
-evaluates a (K, n) stack of states and ``on_grid(ss, tt).at(xs)`` gives
-Z(xs[k]) over interval k, row by row bitwise the single-state calls.
-The presets and the area-linear maps do this in one array expression;
-fields built from plain callables and other maps are called per row.
+Fields and Z also take a leading state axis: a field has one stacked form
+on a (K, n) stack of states, and ``z(x, s, t)``, ``on_grid(ss, tt).every(x)``
+and ``.at(xs)`` of the canonical and transposed maps are one contraction;
+other maps are called per row.  Rows are bitwise the single-state calls but
+for n = 1 and d = 2, where numpy's einsum sums a stack in another order.
 """
 
 from __future__ import annotations
@@ -63,21 +63,20 @@ class VectorField:
     gradient(x) has shape (n, d, n) with [i, a, m] = ∂f^i_a/∂x_m.  The
     declared regularity ``gamma`` and the optional entrywise sup bounds are
     user-supplied metadata (validated numerically, never enforced
-    symbolically).  ``value_and_grad_fn`` optionally returns
-    (fn(x), grad_fn(x)) from one evaluation, bitwise equal to the separate
-    calls, for fields whose value and gradient share work.
+    symbolically).
 
-    The ``*_many`` methods evaluate a (K, n) stack of states, row k bitwise
-    the single-state call on xs[k].  The presets do so in one broadcasting
-    expression (``value_and_grad_many_fn``, with ``value_many_fn`` for the
-    values alone); a field built from plain callables calls them once per
-    row.
+    Every field has one stacked form on a (K, n) stack of states, row k
+    bitwise the single-state call on xs[k]: ``value_and_grad_many_fn``
+    returns (f, ∇f) of every row and ``value_many_fn`` f alone.  The presets
+    supply them as broadcasting expressions; a missing hook is derived here
+    once, the values from the fused hook, or, for a field built from plain
+    callables, both as one call of ``fn`` and ``grad_fn`` per row.  The
+    single-state ``value_and_gradient`` is row 0 of the fused form.
     """
 
     def __init__(self, n, d, fn, grad_fn, hess_fn=None, gamma=3.0,
                  sup_f=None, sup_grad=None, name="custom",
-                 value_and_grad_fn=None, value_and_grad_many_fn=None,
-                 value_many_fn=None):
+                 value_and_grad_many_fn=None, value_many_fn=None):
         if n < 1 or d < 1:
             raise ValueError("dimensions must be positive")
         # NaN passes every range check, so finiteness is tested first
@@ -87,16 +86,23 @@ class VectorField:
         for key, bound in (("sup_f", sup_f), ("sup_grad", sup_grad)):
             if bound is not None and not math.isfinite(bound):
                 raise ValueError(f"{key} must be finite, got {bound}")
-        self.n = int(n)
-        self.d = int(d)
+        n = self.n = int(n)
+        d = self.d = int(d)
+        if value_and_grad_many_fn is None:
+            if value_many_fn is None:
+                def value_many_fn(xs):
+                    return np.reshape([fn(x) for x in xs], (len(xs), n, d))
+
+            def value_and_grad_many_fn(xs):
+                return value_many_fn(xs), np.reshape([grad_fn(x) for x in xs],
+                                                     (len(xs), n, d, n))
+        elif value_many_fn is None:
+            def value_many_fn(xs):
+                return value_and_grad_many_fn(xs)[0]
         self._fn = fn
         self._grad_fn = grad_fn
         self._hess_fn = hess_fn
-        self._value_and_grad_fn = value_and_grad_fn
         self._value_and_grad_many_fn = value_and_grad_many_fn
-        if value_many_fn is None and value_and_grad_many_fn is not None:
-            def value_many_fn(xs):
-                return value_and_grad_many_fn(xs)[0]
         self._value_many_fn = value_many_fn
         self.gamma = float(gamma)
         self.sup_f = sup_f
@@ -110,29 +116,19 @@ class VectorField:
         return self._grad_fn(np.asarray(x, dtype=float))
 
     def value_and_gradient(self, x):
-        """(f(x), ∇f(x)), from one fused evaluation when the field has one."""
-        x = np.asarray(x, dtype=float)
-        if self._value_and_grad_fn is None:
-            return self._fn(x), self._grad_fn(x)
-        return self._value_and_grad_fn(x)
+        """(f(x), ∇f(x)), as row 0 of the fused stacked form."""
+        f_x, grad_x = self._value_and_grad_many_fn(
+            np.asarray(x, dtype=float)[None])
+        return f_x[0], grad_x[0]
 
     def value_many(self, xs) -> np.ndarray:
         """f at every row of a (K, n) stack of states, shape (K, n, d)."""
-        xs = np.asarray(xs, dtype=float)
-        if self._value_many_fn is not None:
-            return self._value_many_fn(xs)
-        return np.reshape([self._fn(x) for x in xs], (len(xs), self.n, self.d))
+        return self._value_many_fn(np.asarray(xs, dtype=float))
 
     def value_and_gradient_many(self, xs):
         """(f, ∇f) at every row of a (K, n) stack of states, shapes
         (K, n, d) and (K, n, d, n)."""
-        xs = np.asarray(xs, dtype=float)
-        if self._value_and_grad_many_fn is not None:
-            return self._value_and_grad_many_fn(xs)
-        pairs = [self.value_and_gradient(x) for x in xs]
-        return (np.reshape([f for f, _ in pairs], (len(xs), self.n, self.d)),
-                np.reshape([g for _, g in pairs],
-                           (len(xs), self.n, self.d, self.n)))
+        return self._value_and_grad_many_fn(np.asarray(xs, dtype=float))
 
     @property
     def has_hessian(self) -> bool:
@@ -165,7 +161,6 @@ def constant_field(matrix, gamma: float = 3.0) -> VectorField:
         value_and_grad_many_fn=lambda xs: (
             np.broadcast_to(C, (len(xs), n, d)),
             np.broadcast_to(zero_grad, (len(xs), n, d, n))),
-        value_many_fn=lambda xs: np.broadcast_to(C, (len(xs), n, d)),
     )
 
 
@@ -197,7 +192,6 @@ def linear_field(A, offset=None, gamma: float = 3.0) -> VectorField:
         value_and_grad_many_fn=lambda xs: (
             b + _matvec(A, xs[:, None, :]),
             np.broadcast_to(A, (len(xs), n, d, n))),
-        value_many_fn=lambda xs: b + _matvec(A, xs[:, None, :]),
     )
 
 
@@ -222,10 +216,6 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
         core = amp * np.cos(np.einsum("iam,m->ia", W, x) + phi)
         return core[:, :, None] * W
 
-    def value_and_grad_fn(x):
-        arg = np.einsum("iam,m->ia", W, x) + phi
-        return amp * np.sin(arg), (amp * np.cos(arg))[:, :, None] * W
-
     # the stacked forms give the coefficients a leading axis of length 1:
     # numpy combines arrays of equal rank faster, and a single-member solve
     # evaluates a one-state stack on every step
@@ -235,6 +225,7 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
         arg = np.einsum("iam,km->kia", W, xs) + phi_k
         return amp_k * np.sin(arg), (amp_k * np.cos(arg))[..., None] * W_k
 
+    # the values alone save a cos per transport stage
     def value_many_fn(xs):
         return amp_k * np.sin(np.einsum("iam,km->kia", W, xs) + phi_k)
 
@@ -246,8 +237,7 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
         n, d, fn, grad_fn, hess_fn=hess_fn, gamma=gamma,
         sup_f=float(np.max(np.abs(amp))),
         sup_grad=float(np.max(np.abs(amp[:, :, None] * W))),
-        name="sine", value_and_grad_fn=value_and_grad_fn,
-        value_and_grad_many_fn=value_and_grad_many_fn,
+        name="sine", value_and_grad_many_fn=value_and_grad_many_fn,
         value_many_fn=value_many_fn,
     )
 
@@ -306,28 +296,36 @@ class GridZ:
         self._ss = np.asarray(ss, dtype=float).tolist()
         self._tt = np.asarray(tt, dtype=float).tolist()
 
-    def __call__(self, x, j: int) -> np.ndarray:
-        """Z(x) over interval j."""
-        return self._z(x, self._ss[j], self._tt[j])
+    def __len__(self) -> int:
+        return len(self._ss)
 
     def every(self, x) -> np.ndarray:
         """Z(x) over every interval, shape (K, n)."""
-        return self.at([x] * len(self._ss))
+        return self.at([x] * len(self))
 
     def at(self, xs) -> np.ndarray:
         """Z(xs[k]) over interval k for every k, shape (K, n)."""
-        values = [self._z(x, s, t)
-                  for x, s, t in zip(xs, self._ss, self._tt, strict=True)]
-        return np.array(values, dtype=float).reshape(len(self._ss), self._z.n)
+        if len(xs) != len(self):
+            raise ValueError(f"{len(xs)} states for {len(self)} intervals")
+        return self._rows(xs)
+
+    def _rows(self, xs) -> np.ndarray:
+        values = [self._z(x, s, t) for x, s, t in zip(xs, self._ss, self._tt)]
+        return np.array(values, dtype=float).reshape(len(self), self._z.n)
+
+
+# Σ_{m,a,b} ∂_m f^i_b f^m_a XX^{ab} over a leading axis k of states and areas
+# (a one-state stack broadcasts): the one contraction of every area-linear map
+_Z_SUBSCRIPTS = "kibm,kma,kab->ki"
 
 
 class _AreaLinearZ(SecondOrderMap):
-    """Z(x)^i_{s,t} = Σ_{m,a,b} ∂_m f^i_b(x) f^m_a(x) XX_{s,t}, with the area
-    indices ``pairing`` ("ab" or "ba"); areas come from the map's own driver.
+    """Z(x)^i_{s,t} = Σ_{m,a,b} ∂_m f^i_b(x) f^m_a(x) XX^{ab}_{s,t}, on the
+    areas of the map's own driver, transposed if ``transpose``.
     """
 
-    def __init__(self, field: VectorField, driver: RoughDriver, pairing: str,
-                 name: str):
+    def __init__(self, field: VectorField, driver: RoughDriver,
+                 transpose: bool, name: str):
         # no fn: __call__ is overridden, and a bound method stored on the
         # instance would be a reference cycle keeping the driver alive until
         # the cyclic collector runs
@@ -335,17 +333,20 @@ class _AreaLinearZ(SecondOrderMap):
                          space_exponent=field.gamma - 2.0, name=name)
         self.field = field
         self.driver = driver
-        self._subscripts = f"ibm,ma,{pairing}->i"
-        self._every_subscripts = f"ibm,ma,k{pairing}->ki"
-        self._at_subscripts = f"kibm,kma,k{pairing}->ki"
+        self.transpose = transpose
 
     def __call__(self, x, s: float, t: float) -> np.ndarray:
-        f_x, grad_x = self.field.value_and_gradient(x)
-        return np.einsum(self._subscripts, grad_x, f_x,
-                         self.driver.area(float(s), float(t)))
+        f_x, grad_x = self.field.value_and_gradient_many(
+            np.asarray(x, dtype=float)[None])
+        area = self.driver.area(float(s), float(t))[None]
+        return np.einsum(_Z_SUBSCRIPTS, grad_x, f_x, self.oriented(area))[0]
+
+    def oriented(self, areas: np.ndarray) -> np.ndarray:
+        """A (..., d, d) stack of driver areas as this map contracts them."""
+        return areas.swapaxes(-1, -2) if self.transpose else areas
 
     def on_grid(self, ss, tt) -> "GridZ":
-        return _AreaGridZ(self, self.driver.area_many(ss, tt))
+        return _AreaGridZ(self, self.oriented(self.driver.area_many(ss, tt)))
 
 
 class _AreaGridZ(GridZ):
@@ -355,22 +356,15 @@ class _AreaGridZ(GridZ):
         self._z = z
         self._areas = areas
 
-    def __call__(self, x, j: int) -> np.ndarray:
-        f_x, grad_x = self._z.field.value_and_gradient(x)
-        return np.einsum(self._z._subscripts, grad_x, f_x, self._areas[j])
+    def __len__(self) -> int:
+        return len(self._areas)
 
     def every(self, x) -> np.ndarray:
-        # bitwise equal, row by row, to the per-interval contraction
-        f_x, grad_x = self._z.field.value_and_gradient(x)
-        return np.einsum(self._z._every_subscripts, grad_x, f_x, self._areas)
+        return self._rows(np.asarray(x, dtype=float)[None])
 
-    def at(self, xs) -> np.ndarray:
-        # bitwise equal, row by row, to the per-interval contraction
-        if len(xs) != len(self._areas):
-            # einsum would broadcast a single state over every interval
-            raise ValueError(f"{len(xs)} states for {len(self._areas)} intervals")
+    def _rows(self, xs) -> np.ndarray:
         f_x, grad_x = self._z.field.value_and_gradient_many(xs)
-        return np.einsum(self._z._at_subscripts, grad_x, f_x, self._areas)
+        return np.einsum(_Z_SUBSCRIPTS, grad_x, f_x, self._areas)
 
 
 def _check_pairing(field: VectorField, driver: RoughDriver) -> None:
@@ -392,7 +386,7 @@ def canonical_z(field: VectorField, driver: RoughDriver) -> SecondOrderMap:
     the area, and Z(x)_{t,t} = 0 since XX_{t,t} = 0.
     """
     _check_pairing(field, driver)
-    return _AreaLinearZ(field, driver, "ab", "canonical")
+    return _AreaLinearZ(field, driver, False, "canonical")
 
 
 def transposed_z(field: VectorField, driver: RoughDriver) -> SecondOrderMap:
@@ -403,7 +397,7 @@ def transposed_z(field: VectorField, driver: RoughDriver) -> SecondOrderMap:
     comparison.  Test preset.
     """
     _check_pairing(field, driver)
-    return _AreaLinearZ(field, driver, "ba", "transposed")
+    return _AreaLinearZ(field, driver, True, "transposed")
 
 
 def zero_z(n: int) -> SecondOrderMap:

@@ -183,9 +183,9 @@ class _PiecewiseLinearLift:
     (1/2) Δx ⊗ Δx; cumulative areas from t0 are precomputed so any query
     costs O(1).  Chen's relation then holds up to roundoff because every
     evaluation reduces to the algebraic combination of exact cumulative
-    integrals.  The query path is kept lean (bisect plus a handful of
-    vector operations): drivers sit in the innermost loops of solves and
-    defect sweeps.
+    integrals.  The scalar queries are kept lean (bisect plus a handful of
+    vector operations): the batch queries are tested against them, and a
+    traced run or a map called per interval makes one per interval.
     """
 
     def __init__(self, path: SampledPath):

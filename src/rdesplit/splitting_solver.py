@@ -14,14 +14,15 @@ and XX_{s,t} they need is known before the loop starts.  The loop has a
 leading member axis: one Python step advances M problems (driver, field,
 Z, start) on the same grid, for instance the seeds of one rate level, and
 a single solve is the march of one member.  The increments come from one
-``increment_many`` query per member.  Members that share one preset field
-evaluate it as an (M, n) stack, and area-linear maps on that field take
-the areas of all intervals from one ``area_many`` query on each map's own
-driver and contract them for all members in one einsum; other members
-fall back to one call per member row.  A driver without batch hooks is
-queried once per interval.  The arithmetic of each step is that of the
-per-interval scalar queries, so every member's trajectory is bitwise that
-of a loop calling ``increment`` and ``z(x, s, t)`` step by step.
+``increment_many`` query per member.  Members that share one field
+evaluate it as an (M, n) stack, and when its maps are all canonical or all
+transposed, one stacked evaluation per stage feeds one contraction of the
+areas of every map's own driver (one ``area_many`` query each); other
+members fall back to one call per member row.  A driver without batch
+hooks is queried once per interval.  The arithmetic of each step is that
+of the per-interval scalar queries, so every member's trajectory is bitwise
+that of a loop calling ``increment`` and ``z(x, s, t)`` step by step (but
+for stacked Z with n = 1 and d = 2, see ``model``).
 
 The joined path is evaluated the same way on an array of times: the
 states u_j and v_{j+1} of all requested times form one stack each, for
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .model import (SecondOrderMap, VectorField, _AreaLinearZ, _check_pairing,
-                    _matvec)
+from .model import (SecondOrderMap, VectorField, _AreaLinearZ, _Z_SUBSCRIPTS,
+                    _check_pairing, _matvec)
 from .rough_path import Grid, RoughDriver, SampledPath
 
 __all__ = [
@@ -143,17 +144,17 @@ def _member_stages(members, ss, tt):
     Returns ``drift(y, j)``, the rows f_k(y[k]) X^k_{j}, ``z_at(y, j)``,
     the rows Z_k(y[k]) over interval j, and ``both(y, j)``, the pair of
     them, for an (M, n) stack of states y.  Members that share one field
-    with stacked hooks evaluate it in one array expression, and
-    area-linear maps of one pairing on that field contract every member's
-    areas (N, M, d, d) in one einsum.  Otherwise each member is evaluated
-    on its own row, with its own field, driver and map.  Either way row k
-    is bitwise member k's single-state evaluation.
+    evaluate it as one stack, and when every map is area-linear on that
+    field, all canonical or all transposed, its stacked form feeds one
+    contraction of the members' areas.  Otherwise each member is evaluated
+    on its own row, with its own field and map.  Either way row k is
+    bitwise member k's single-state evaluation (but for n = 1, d = 2).
     """
     drivers, fields, zs, _ = zip(*members)
     field = fields[0]
     incs = [driver.increment_many(ss, tt) for driver in drivers]
-    stacked = (field._value_many_fn is not None
-               and all(f is field for f in fields))
+    # hooks bound once: a wrapper call per step costs more than a small stack
+    stacked = all(f is field for f in fields)
     if stacked:
         value_many = field._value_many_fn
         incs = np.stack(incs, axis=1)[..., None]
@@ -166,29 +167,29 @@ def _member_stages(members, ss, tt):
                              for f, x, inc in zip(fields, y, incs)])
 
     z0 = zs[0]
-    if (stacked and field._value_and_grad_many_fn is not None
-            and all(isinstance(z, _AreaLinearZ) and z.field is field
-                    and z._at_subscripts == z0._at_subscripts for z in zs)):
+    if stacked and all(isinstance(z, _AreaLinearZ) and z.field is field
+                       and z.transpose == z0.transpose for z in zs):
         value_and_grad_many = field._value_and_grad_many_fn
-        areas = np.stack([z.driver.area_many(ss, tt) for z in zs], axis=1)
-        subscripts = z0._at_subscripts
+        # einsum sums in the order of the areas' strides: one kind of map only
+        areas = z0.oriented(np.stack([z.driver.area_many(ss, tt) for z in zs],
+                                     axis=1))
 
         def z_at(y, j):
             f_y, grad_y = value_and_grad_many(y)
-            return np.einsum(subscripts, grad_y, f_y, areas[j])
+            return np.einsum(_Z_SUBSCRIPTS, grad_y, f_y, areas[j])
 
         def both(y, j):
             # the field is the map's own: evaluate it once for both stages
             f_y, grad_y = value_and_grad_many(y)
             return (np.matmul(f_y, incs[j])[..., 0],
-                    np.einsum(subscripts, grad_y, f_y, areas[j]))
+                    np.einsum(_Z_SUBSCRIPTS, grad_y, f_y, areas[j]))
 
         return drift, z_at, both
 
-    grid_zs = [z.on_grid(ss, tt) for z in zs]
+    ss, tt = ss.tolist(), tt.tolist()
 
     def z_at(y, j):
-        return np.array([z_on(x, j) for z_on, x in zip(grid_zs, y)])
+        return np.array([z(x, ss[j], tt[j]) for z, x in zip(zs, y)])
 
     return drift, z_at, lambda y, j: (drift(y, j), z_at(y, j))
 

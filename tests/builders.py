@@ -27,17 +27,18 @@ def with_area(driver, area_fn):
                        driver.value, span=driver.span)
 
 
-def build_field(kind, seed, d):
+def build_field(kind, seed, d, n=2):
     rng = np.random.default_rng(seed)
     if kind == "constant":
-        return constant_field(0.5 + 0.5 * rng.random((2, d)))
+        return constant_field(0.5 + 0.5 * rng.random((n, d)))
     if kind == "linear":
-        return linear_field(0.5 * rng.standard_normal((2, d, 2)),
-                            offset=0.5 * rng.standard_normal((2, d)))
-    sine = sine_field(2, d, seed=seed, amplitude=0.8)
+        return linear_field(0.5 * rng.standard_normal((n, d, n)),
+                            offset=0.5 * rng.standard_normal((n, d)))
+    sine = sine_field(n, d, seed=seed, amplitude=0.8)
     if kind == "callable":
         # plain callables: stacked evaluations fall back to one call per row
-        return VectorField(2, d, sine.__call__, sine.gradient, gamma=sine.gamma)
+        return VectorField(n, d, sine.__call__, sine.gradient,
+                           gamma=sine.gamma)
     return sine
 
 
@@ -56,11 +57,11 @@ def build_z(kind, field, driver):
     if kind == "transposed":
         return transposed_z(field, driver)
     if kind == "zero":
-        return zero_z(2)
+        return zero_z(field.n)
     if kind == "rough-probe":
-        return rough_probe_z(2, driver.alpha)
+        return rough_probe_z(field.n, driver.alpha)
     if kind == "nan-probe":
-        return nan_probe_z(2)
+        return nan_probe_z(field.n)
     # the map's own driver differs from the solve's: its areas must be used,
     # and a driver made by with_area has no batch hooks
     return canonical_z(field, with_area(driver,

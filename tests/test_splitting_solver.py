@@ -13,7 +13,7 @@ from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
                       hoelder_seminorm, lift_piecewise_linear, linear_field,
                       scalar_driver, sine_field, smooth_path, solve_milstein,
                       solve_ode_reference, solve_split, split_step,
-                      write_trajectory_csv, zero_z)
+                      transposed_z, write_trajectory_csv, zero_z)
 from rdesplit import splitting_solver
 from rdesplit.convergence_lab import joined_samples, quarter_times
 from rdesplit.splitting_solver import _march
@@ -331,38 +331,33 @@ def _reference_outcome(reference, member, grid):
     return (values if isinstance(values, tuple) else (values, None)), None
 
 
-@settings(max_examples=80, deadline=None)
-@given(specs=st.lists(st.tuples(st.sampled_from(DRIVER_KINDS),
-                                st.sampled_from(("canonical", "scaled-area",
-                                                 "transposed", "zero",
-                                                 "nan-probe")),
-                                st.integers(0, 2**16)),
-                      min_size=1, max_size=4),
-       field_kind=st.sampled_from(FIELD_KINDS), shared=st.booleans(),
-       N=st.integers(1, 40))
-# one shared preset field and area-linear maps: the stacked path
-@example(specs=[("synthetic", "canonical", 1), ("synthetic", "scaled-area", 2),
-                ("smooth", "canonical", 3)],
-         field_kind="sine", shared=True, N=9)
-@example(specs=[("scalar", "canonical", 1), ("scalar", "scaled-area", 2)],
-         field_kind="linear", shared=True, N=5)
-# mixed dimensions, a plain-callable field and a NaN map: per-row rows
-@example(specs=[("synthetic", "nan-probe", 1), ("scalar", "canonical", 2)],
-         field_kind="callable", shared=False, N=2)
-def test_every_member_of_a_march_is_its_reference_loop(specs, field_kind,
-                                                       shared, N):
+def march_specs(driver_kinds):
+    """1 to 4 members as (driver kind, map kind, seed)."""
+    return st.lists(st.tuples(st.sampled_from(driver_kinds),
+                              st.sampled_from(("canonical", "scaled-area",
+                                               "transposed", "zero",
+                                               "nan-probe")),
+                              st.integers(0, 2**16)),
+                    min_size=1, max_size=4)
+
+
+def assert_march_outcomes(specs, field_kind, shared, N, n=2):
+    """Split and Milstein marches of the members ``specs`` with state
+    dimension n: bitwise their reference loops, or the first failure."""
     fields = {}
     members = []
+    y0 = np.resize(Y0, n)
     for k, (driver_kind, z_kind, seed) in enumerate(specs):
         driver = build_driver(driver_kind, seed)
         if shared:
             # one field object per driver dimension
             field = fields.setdefault(driver.dim,
-                                      build_field(field_kind, 0, driver.dim))
+                                      build_field(field_kind, 0, driver.dim,
+                                                  n=n))
         else:
-            field = build_field(field_kind, seed, driver.dim)
+            field = build_field(field_kind, seed, driver.dim, n=n)
         members.append((driver, field, build_z(z_kind, field, driver),
-                        Y0 + 0.125 * k))
+                        y0 + 0.125 * k))
     grid = Grid(1.0, N)
     for milstein, reference in ((False, reference_split),
                                 (True, reference_milstein)):
@@ -381,13 +376,53 @@ def test_every_member_of_a_march_is_its_reference_loop(specs, field_kind,
                 same_bits(v[k], ref_v)
 
 
-def test_sixty_four_stacked_members_are_their_reference_loops():
-    field = sine_field(2, 2, seed=1, amplitude=0.8)
-    members = []
-    for seed in range(64):
-        driver = build_driver("synthetic", seed)
-        members.append((driver, field, canonical_z(field, driver), Y0))
-    grid = Grid(1.0, 24)
+@settings(max_examples=80, deadline=None)
+@given(specs=march_specs(DRIVER_KINDS),
+       field_kind=st.sampled_from(FIELD_KINDS), shared=st.booleans(),
+       N=st.integers(1, 40))
+# one shared preset field and area-linear maps: the stacked path
+@example(specs=[("synthetic", "canonical", 1), ("synthetic", "scaled-area", 2),
+                ("smooth", "canonical", 3)],
+         field_kind="sine", shared=True, N=9)
+@example(specs=[("scalar", "canonical", 1), ("scalar", "scaled-area", 2)],
+         field_kind="linear", shared=True, N=5)
+# mixed dimensions, a plain-callable field and a NaN map: per-row rows
+@example(specs=[("synthetic", "nan-probe", 1), ("scalar", "canonical", 2)],
+         field_kind="callable", shared=False, N=2)
+def test_every_member_of_a_march_is_its_reference_loop(specs, field_kind,
+                                                       shared, N):
+    assert_march_outcomes(specs, field_kind, shared, N)
+
+
+# n = 1 with the two-dimensional drivers is the known defect of the test
+# below, so the one-dimensional state runs with the scalar driver only
+@pytest.mark.parametrize("n,driver_kinds", [(1, ("scalar",)),
+                                             (3, DRIVER_KINDS)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_march_members_of_another_state_dimension_are_their_reference_loops(
+        n, driver_kinds, data):
+    assert_march_outcomes(data.draw(march_specs(driver_kinds)),
+                          data.draw(st.sampled_from(FIELD_KINDS)),
+                          data.draw(st.booleans()),
+                          data.draw(st.integers(1, 40)), n=n)
+
+
+# Known defect: with n = 1 and d = 2, numpy's einsum sums a stack of two or
+# more Z rows in another order than a single contraction, so a stacked
+# march can differ from its reference loop in the last bit.  Fields built
+# from plain callables stack too.
+@pytest.mark.xfail(strict=True, reason="einsum sums n = 1, d = 2 stacks in "
+                                       "another order")
+@pytest.mark.parametrize("field_kind", ("sine", "callable"))
+def test_stacked_march_with_one_state_and_two_driver_dimensions(field_kind):
+    assert_march_outcomes([("synthetic", "canonical", seed)
+                           for seed in range(4)], field_kind, True, 32, n=1)
+
+
+def assert_reference_loops(members, grid):
+    """Split and Milstein marches of ``members``, bitwise their reference
+    loops."""
     for milstein, reference in ((False, reference_split),
                                 (True, reference_milstein)):
         u, v = _march(members, grid, milstein)
@@ -398,6 +433,83 @@ def test_sixty_four_stacked_members_are_their_reference_loops():
             else:
                 same_bits(u[k], expected[0])
                 same_bits(v[k], expected[1])
+
+
+def test_maps_on_the_first_members_field_do_not_stack_other_fields():
+    # every map is area-linear on member 0's field, but member 1 has its own
+    # field and a one-dimensional driver: its stages must use them, and the
+    # fused Milstein stage of a shared field must not be taken
+    field = sine_field(2, 2, seed=1, amplitude=0.8)
+    driver = build_driver("synthetic", 1)
+    z = canonical_z(field, driver)
+    members = [(driver, field, z, Y0),
+               (build_driver("scalar", 2), build_field("sine", 2, 1), z,
+                Y0 + 0.125),
+               (build_driver("synthetic", 3), field, z, Y0 - 0.125)]
+    assert_reference_loops(members, Grid(1.0, 12))
+
+
+def test_maps_on_another_field_than_the_shared_one_are_not_stacked():
+    # the members share one field, but every map is built on another: the
+    # maps' own field must give Z
+    field = sine_field(2, 2, seed=1, amplitude=0.8)
+    other = sine_field(2, 2, seed=2, amplitude=0.8)
+    members = []
+    for k in range(2):
+        driver = build_driver("synthetic", k)
+        members.append((driver, field, canonical_z(other, driver),
+                        Y0 + 0.125 * k))
+    assert_reference_loops(members, Grid(1.0, 12))
+
+
+@pytest.mark.parametrize("makes,stacks", [
+    ((transposed_z,) * 4, True),
+    ((canonical_z, transposed_z, transposed_z, canonical_z), False),
+])
+def test_maps_of_one_kind_on_a_shared_field_stack(makes, stacks):
+    sine = sine_field(2, 2, seed=1, amplitude=0.8)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(xs):
+            calls[name, len(xs)] += 1
+            return fn(xs)
+        return wrapper
+
+    # the stacked hooks of the preset, counted
+    field = VectorField(
+        2, 2, sine.__call__, sine.gradient, gamma=sine.gamma,
+        value_and_grad_many_fn=counted("fused", sine.value_and_gradient_many),
+        value_many_fn=counted("values", sine.value_many))
+    members = []
+    for seed, make in enumerate(makes):
+        driver = build_driver("synthetic", seed)
+        members.append((driver, field, make(field, driver), Y0 + 0.125 * seed))
+    N = 16
+    grid = Grid(1.0, N)
+    for milstein in (False, True):
+        calls.clear()
+        _march(members, grid, milstein)
+        if stacks:
+            # one stacked evaluation of all four members per stage and step
+            expected = {("fused", 4): N}
+            if not milstein:
+                expected["values", 4] = N
+        else:
+            # einsum sums canonical and transposed areas in different
+            # orders, so a mix is contracted one member row at a time
+            expected = {("values", 4): N, ("fused", 1): 4 * N}
+        assert calls == expected
+    assert_reference_loops(members, grid)
+
+
+def test_sixty_four_stacked_members_are_their_reference_loops():
+    field = sine_field(2, 2, seed=1, amplitude=0.8)
+    members = []
+    for seed in range(64):
+        driver = build_driver("synthetic", seed)
+        members.append((driver, field, canonical_z(field, driver), Y0))
+    assert_reference_loops(members, Grid(1.0, 24))
 
 
 def test_solves_query_a_batch_driver_once_per_solve():
