@@ -14,9 +14,13 @@ take a list of problems sharing T (the seeds of a synthetic driver) and
 solve each level of all of them in one march, with one report per
 problem, bitwise that of the problem run alone.  The Davie sweep takes
 its base increments from one batch query and evaluates Z one row of pairs
-at a time, never once per pair.  The Hölder experiment samples each joined
-path with one array call of ``eval_joined`` and takes the seminorm over
-blocks of sample pairs.
+at a time, never once per pair.  On a lifted driver with its own
+area-linear map it first screens every row with two small matmuls
+against increments and areas queried once about t_0 (Chen's relation),
+then evaluates only the rows that may hold the maximum, with the same
+report.  The Hölder experiment samples each joined path with one array
+call of ``eval_joined`` and takes the seminorm over blocks of sample
+pairs.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import NumericFailure
-from .model import (SecondOrderMap, VectorField, _chunks, _first_max, _matvec,
-                    _powers, _row_norms)
+from .model import (SecondOrderMap, VectorField, _AreaLinearZ, _chunks,
+                    _first_max, _matvec, _powers, _row_norms)
 from .rough_path import Grid, RoughDriver, SampledPath, hoelder_seminorm
 from .splitting_solver import SplitTrajectory, solve_split_many
 # not called here: bench/spans.py patches this module attribute
@@ -335,6 +339,57 @@ def rational_rate(problems, q_num: int, q_den: int, base_N: int,
     return reports
 
 
+def _screened_rows(u, x, areas, f, coeff, times, exponent) -> np.ndarray:
+    r"""The Davie rows that may hold the largest ratio, ascending.
+
+    With x_m = X_{t_0,t_m}, A_m = XX_{t_0,t_m} and Chen's relation
+    XX_{t_k,t_m} = A_m - A_k - x_k ⊗ (x_m - x_k), an area-linear map with
+    coefficient K (``coefficient_many``) gives, over m > k,
+
+        J_{k,m} = Δu - P_k Δx - K(u_k) : ΔA,   P_k = f(u_k) - K(u_k)·x_k,
+
+    so row k is two small matmuls: the weights [I | -P_k | -K(u_k)]
+    applied to the columns [u; x; A] at every m > k, less the same weights
+    applied at k.  A row makes no area query and no Z contraction.
+
+    This sums in another order than the exact row, so each row's maximum
+    carries a rounding bound.  Either form takes at most n + d + d^2
+    rounded steps, and the lift's area about ten more, each off by at most
+    an ulp of ``size``, which bounds the magnitudes they add; 16 times as
+    many ulps (times sqrt(n) for the norm), over the row's smallest scale,
+    that of its one-step pair, bound the gap between the two ratios.  A
+    row is kept unless its maximum plus its bound falls below some row's
+    maximum minus that row's bound; a row that is not finite is kept.
+    """
+    N, n, d = f.shape
+    P = f - np.einsum("kiab,ka->kib", coeff, x[:N])
+    columns = np.concatenate([u, x, areas.reshape(N + 1, d * d)], axis=1).T
+    columns = np.ascontiguousarray(columns)
+    weights = np.concatenate([np.broadcast_to(np.eye(n), (N, n, n)), -P,
+                              -coeff.reshape(N, n, d * d)], axis=2)
+    squares = np.empty(N)
+    for k in range(N):
+        w = weights[k]
+        residual = w @ columns[:, k + 1:]
+        residual -= w @ columns[:, k:k + 1]
+        # np.power: the screen need not be bitwise the scalar pow
+        squares[k] = np.max(np.einsum("ij,ij->j", residual, residual)
+                            / np.power(times[k + 1:] - times[k], 2 * exponent))
+    maxima = np.sqrt(squares)
+
+    def total(a):
+        return np.abs(a).reshape(N, -1).sum(axis=1)
+
+    mag_u, mag_x, mag_a = (np.max(np.abs(a)) for a in (u, x, areas))
+    size = 2.0 * (mag_u + mag_x * (total(f) + total(P))
+                  + (mag_a + mag_x * mag_x) * total(coeff))
+    ulps = 16 * (n + d + d * d + 10) * math.sqrt(n) * np.finfo(float).eps
+    bound = ulps * size / _powers(times[1:] - times[:-1], exponent)
+    low = np.where(np.isfinite(maxima), maxima - bound, -np.inf)
+    # NaN compares false: a row that is not finite is kept
+    return np.flatnonzero(~(maxima + bound < np.max(low)))
+
+
 def davie_defect(traj: SplitTrajectory, field: VectorField, z: SecondOrderMap,
                  driver: RoughDriver, gamma: float, alpha: float) -> DavieReport:
     """Worst normalised consistency residual of a computed trajectory.
@@ -346,16 +401,25 @@ def davie_defect(traj: SplitTrajectory, field: VectorField, z: SecondOrderMap,
     ``z.on_grid(t_k, t_{m>k}).every(u_k)`` call (per ``PAIR_BLOCK`` pairs
     on longer rows).  Ratios are bitwise those of a per-pair loop, and the
     witness is the first strict maximum in (k, m) order.
+
+    When ``z`` is area-linear on this field and driver and the driver is a
+    lift (``lift_piecewise_linear``), every row is first screened in the
+    Chen-formed row form of ``_screened_rows``, from one ``increment_many``
+    and one ``area_many`` query about t_0, and only the rows that may hold
+    the largest ratio within their rounding bounds (normally one) are
+    evaluated as above.  The report is the same.
     """
     grid = traj.grid
     exponent = min(gamma, 3.0) * alpha
     times = grid.points
     u = traj.u
-    base = driver.increment_many(np.full(len(times), times[0]), times)
-    best = -1.0
-    best_k = best_m = 0
-    for k in range(grid.N):
+    starts = np.full(len(times), times[0])
+    base = driver.increment_many(starts, times)
+
+    def row(k):
+        """Row k's first strict maximum and its m."""
         f_k = field(u[k])
+        best, best_m = -np.inf, k + 1
         for cols in _chunks(k + 1, grid.N + 1):
             t_m = times[cols]
             z_row = z.on_grid(np.full(len(t_m), times[k]), t_m).every(u[k])
@@ -364,8 +428,23 @@ def davie_defect(traj: SplitTrajectory, field: VectorField, z: SecondOrderMap,
             ratio, j = _first_max(_row_norms(residual)
                                   / _powers(t_m - times[k], exponent))
             if ratio > best:
-                best = ratio
-                best_k, best_m = k, cols.start + j
+                best, best_m = ratio, cols.start + j
+        return best, best_m
+
+    rows = range(grid.N)
+    # the row form needs the map's own areas to satisfy Chen's relation
+    if (isinstance(z, _AreaLinearZ) and z.field is field
+            and z.driver is driver and driver._chen_exact):
+        states = u[:-1]
+        rows = _screened_rows(u, base, driver.area_many(starts, times),
+                              field.value_many(states),
+                              z.coefficient_many(states), times, exponent)
+    best = -1.0
+    best_k = best_m = 0
+    for k in map(int, rows):
+        ratio, m = row(k)
+        if ratio > best:
+            best, best_k, best_m = ratio, k, m
     return DavieReport(
         h=grid.h,
         n_steps=grid.N,

@@ -19,9 +19,10 @@ order.
 
 Fields and Z also take a leading state axis: a field has one stacked form
 on a (K, n) stack of states, and ``z(x, s, t)``, ``on_grid(ss, tt).every(x)``
-and ``.at(xs)`` of the canonical and transposed maps are one contraction;
-other maps are called per row.  Rows are bitwise the single-state calls but
-for n = 1 and d = 2, where numpy's einsum sums a stack in another order.
+and ``.at(xs)`` of the canonical and transposed maps are one contraction,
+those of the zero and rough-probe maps one array for every state; other
+maps are called per row.  Rows are bitwise the single-state calls but for
+n = 1 and d = 2, where numpy's einsum sums a stack in another order.
 """
 
 from __future__ import annotations
@@ -70,8 +71,7 @@ class VectorField:
     returns (f, ∇f) of every row and ``value_many_fn`` f alone.  The presets
     supply them as broadcasting expressions; a missing hook is derived here
     once, the values from the fused hook, or, for a field built from plain
-    callables, both as one call of ``fn`` and ``grad_fn`` per row.  The
-    single-state ``value_and_gradient`` is row 0 of the fused form.
+    callables, both as one call of ``fn`` and ``grad_fn`` per row.
     """
 
     def __init__(self, n, d, fn, grad_fn, hess_fn=None, gamma=3.0,
@@ -114,12 +114,6 @@ class VectorField:
 
     def gradient(self, x) -> np.ndarray:
         return self._grad_fn(np.asarray(x, dtype=float))
-
-    def value_and_gradient(self, x):
-        """(f(x), ∇f(x)), as row 0 of the fused stacked form."""
-        f_x, grad_x = self._value_and_grad_many_fn(
-            np.asarray(x, dtype=float)[None])
-        return f_x[0], grad_x[0]
 
     def value_many(self, xs) -> np.ndarray:
         """f at every row of a (K, n) stack of states, shape (K, n, d)."""
@@ -341,6 +335,15 @@ class _AreaLinearZ(SecondOrderMap):
         area = self.driver.area(float(s), float(t))[None]
         return np.einsum(_Z_SUBSCRIPTS, grad_x, f_x, self.oriented(area))[0]
 
+    def coefficient_many(self, xs) -> np.ndarray:
+        """K(x) at every row of a (K, n) stack of states, shape (K, n, d, d),
+        with Z(x)^i_{s,t} = Σ_{a,b} K(x)^i_{ab} XX^{ab}_{s,t} on the raw
+        areas of the map's driver: K^i_{ab} = Σ_m ∂_m f^i_b f^m_a, with a
+        and b swapped for the transposed map.  Contracting K sums in another
+        order than ``z(x, s, t)``, so the two agree to roundoff only."""
+        f_x, grad_x = self.field.value_and_gradient_many(xs)
+        return self.oriented(np.einsum("kibm,kma->kiab", grad_x, f_x))
+
     def oriented(self, areas: np.ndarray) -> np.ndarray:
         """A (..., d, d) stack of driver areas as this map contracts them."""
         return areas.swapaxes(-1, -2) if self.transpose else areas
@@ -400,12 +403,47 @@ def transposed_z(field: VectorField, driver: RoughDriver) -> SecondOrderMap:
     return _AreaLinearZ(field, driver, True, "transposed")
 
 
+class _TimeOnlyZ(SecondOrderMap):
+    """A map that does not depend on the state, with an array form
+    ``rows_fn(ss, tt)`` of shape (K, n), row j bitwise ``fn(x, ss[j], tt[j])``:
+    on a grid, its rows are one array shared by every state."""
+
+    def __init__(self, n, fn, rows_fn, time_exponent, name):
+        super().__init__(n, fn, time_exponent=time_exponent,
+                         space_exponent=np.inf, name=name)
+        self._rows_fn = rows_fn
+
+    def on_grid(self, ss, tt) -> "GridZ":
+        rows = self._rows_fn(np.asarray(ss, dtype=float),
+                             np.asarray(tt, dtype=float))
+        rows.flags.writeable = False
+        return _TimeGridZ(rows)
+
+
+class _TimeGridZ(GridZ):
+    """A state-independent map on fixed intervals: the same rows for every
+    state."""
+
+    def __init__(self, rows: np.ndarray):
+        self._values = rows
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def every(self, x) -> np.ndarray:
+        return self._values
+
+    def _rows(self, xs) -> np.ndarray:
+        return self._values
+
+
 def zero_z(n: int) -> SecondOrderMap:
     """Z identically zero (degenerates the split scheme to explicit Euler)."""
     zero = np.zeros(n)
     zero.flags.writeable = False
-    return SecondOrderMap(n, lambda x, s, t: zero, time_exponent=np.inf,
-                          space_exponent=np.inf, name="zero")
+    return _TimeOnlyZ(n, lambda x, s, t: zero,
+                      lambda ss, tt: np.zeros((len(ss), n)),
+                      time_exponent=np.inf, name="zero")
 
 
 def rough_probe_z(n: int, alpha: float, scale: float = 1.0) -> SecondOrderMap:
@@ -420,8 +458,12 @@ def rough_probe_z(n: int, alpha: float, scale: float = 1.0) -> SecondOrderMap:
         out[0] = scale * abs(t - s) ** alpha
         return out
 
-    return SecondOrderMap(n, fn, time_exponent=alpha, space_exponent=np.inf,
-                          name="rough-probe")
+    def rows_fn(ss, tt):
+        out = np.zeros((len(ss), n))
+        out[:, 0] = scale * _powers(np.abs(tt - ss), alpha)
+        return out
+
+    return _TimeOnlyZ(n, fn, rows_fn, time_exponent=alpha, name="rough-probe")
 
 
 @dataclass

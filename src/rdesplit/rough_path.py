@@ -128,6 +128,11 @@ class RoughDriver:
     scalar query per interval.
     """
 
+    # True only on the drivers lift_piecewise_linear builds: their areas
+    # satisfy Chen's relation to roundoff, so the Davie sweep may form the
+    # area of every grid pair from the areas about the start
+    _chen_exact = False
+
     def __init__(self, dim, alpha, increment_fn, area_fn, value_fn=None,
                  span=(0.0, 1.0), increment_many_fn=None, area_many_fn=None):
         if dim < 1 or int(dim) != dim:
@@ -306,7 +311,7 @@ def lift_piecewise_linear(path: SampledPath, alpha: float = 0.5) -> RoughDriver:
     if path.n_samples < 2:
         raise ValueError("need at least 2 samples to interpolate")
     lift = _PiecewiseLinearLift(path)
-    return RoughDriver(
+    driver = RoughDriver(
         path.d,
         alpha,
         lift.increment,
@@ -316,6 +321,8 @@ def lift_piecewise_linear(path: SampledPath, alpha: float = 0.5) -> RoughDriver:
         increment_many_fn=lift.increment_many,
         area_many_fn=lift.area_many,
     )
+    driver._chen_exact = True
+    return driver
 
 
 def synth_midpoint_path(seed: int, alpha: float, levels: int, d: int) -> SampledPath:

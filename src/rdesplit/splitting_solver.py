@@ -337,7 +337,8 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
     out = np.empty((grid.N + 1, field.n))
     out[0] = y0
     y = y0
-    f = field
+    # the hook bound once: every stage state is already a float array
+    f = field._fn
     sixth = dt / 6.0
     for m in range(total):
         w = slopes[m]

@@ -8,10 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rdesplit import (EXACT_AGREEMENT, Grid, NumericFailure, Problem,
-                      RateReport, RoughDriver, canonical_z, check_z_bound,
-                      check_z_cocycle, check_z_lipschitz, common_indices,
-                      constant_field, convention_defect_max, davie_defect,
-                      dyadic_sup_rate, fit_rate, holder_rate,
+                      RateReport, RoughDriver, SecondOrderMap, canonical_z,
+                      check_z_bound, check_z_cocycle, check_z_lipschitz,
+                      common_indices, constant_field, convention_defect_max,
+                      davie_defect, dyadic_sup_rate, fit_rate, holder_rate,
                       lift_piecewise_linear, rates_summary, rational_rate,
                       sine_field, smooth_path, solve_split,
                       synth_midpoint_path, zero_z)
@@ -291,16 +291,16 @@ def test_davie_exponent_caps_gamma_at_three():
     assert report.exponent == pytest.approx(1.5)
 
 
-def test_davie_sweeps_every_pair_above_4096_steps():
-    # one-dimensional so that the 8.4 million pairs take about two seconds;
+@pytest.mark.parametrize("d", [1, 2])
+def test_davie_sweeps_every_pair_above_4096_steps(d):
     # a strided sweep never visits the one-step pairs where the worst
-    # defect sits
-    path = synth_midpoint_path(3, 0.45, 12, 1)
+    # defect sits; d = n = 2 is the acceptance setup
+    path = synth_midpoint_path(3, 0.45, 12, d)
     driver = lift_piecewise_linear(path, alpha=0.45)
-    field = sine_field(1, 1, seed=1, amplitude=0.8)
+    field = sine_field(d, d, seed=1, amplitude=0.8)
     z = canonical_z(field, driver)
     grid = Grid(1.0, 4097)
-    traj = solve_split(driver, field, z, np.array([0.1]), grid)
+    traj = solve_split(driver, field, z, Y0[:d], grid)
     report = davie_defect(traj, field, z, driver, 3.0, 0.45)
     assert report.pairs == 4097 * 4098 // 2
     k, m = report.k, report.m
@@ -366,6 +366,64 @@ def test_davie_matches_per_pair_reference_loop(seed, N, driver_kind,
     assert (report.k, report.m, report.pairs) == (k, m, pairs)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), d=st.integers(1, 3), N=st.integers(1, 64),
+       smooth=st.booleans())
+def test_chen_formed_row_areas_are_the_lifts_own(seed, d, N, smooth):
+    # the Davie row form takes XX_{k,m} = A_m - A_k - x_k ⊗ (x_m - x_k)
+    # from the areas and increments about t_0
+    path = (smooth_path(d=d, segments=256) if smooth
+            else synth_midpoint_path(seed, 0.45, 8, d))
+    driver = lift_piecewise_linear(path, alpha=0.45)
+    pts = Grid(1.0, N).points
+    x = driver.increment_many(np.zeros(N + 1), pts)
+    A = driver.area_many(np.zeros(N + 1), pts)
+    k, m = np.triu_indices(N + 1, 1)
+    step = x[m] - x[k]
+    chen = A[m] - A[k] - x[k][:, :, None] * step[:, None, :]
+    own = driver.area_many(pts[k], pts[m])
+
+    def norm(a):
+        return np.linalg.norm(a.reshape(len(a), -1), axis=1)
+
+    # relative to the largest area and squared increment about t_0 along
+    # the path, the sizes both forms are built from: a pair's own area can
+    # be far smaller, as where the path returns to its value at t_k
+    along = driver.area_many(np.zeros(path.n_samples), path.times)
+    size = max(norm(along).max(),
+               (norm(path.values - path.values[0]) ** 2).max())
+    assert np.all(norm(chen - own) <= 1e-12 * size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), N=st.integers(3, 24),
+       kind=st.sampled_from(["lift", "scaled-area", "scalar"]))
+def test_davie_screens_rows_only_on_a_lift_with_its_own_map(seed, N, kind):
+    driver = build_driver("scalar" if kind == "scalar" else "synthetic", seed)
+    field = build_field("sine", seed, driver.dim)
+    z = build_z("scaled-area" if kind == "scaled-area" else "canonical",
+                field, driver)
+    traj = solve_split(driver, field, z, Y0, Grid(1.0, N))
+    left_ends = []
+    area_many = z.driver.area_many
+
+    def counted(ss, tt):
+        left_ends.append((float(ss[0]), len(ss)))
+        return area_many(ss, tt)
+
+    z.driver.area_many = counted
+    davie_defect(traj, field, z, driver, 3.0, driver.alpha)
+    rows = sum(1 for s, _ in left_ends if s != 0.0)
+    if kind == "lift":
+        # the areas about t_0 at every grid point, then the kept rows only
+        assert left_ends[0] == (0.0, N + 1)
+        assert rows < N - 1
+    else:
+        # one query per row k >= 1, no query about t_0 at every grid point
+        assert rows == N - 1
+        assert (0.0, N + 1) not in left_ends
+
+
 def test_diagnostics_query_a_batch_driver_in_capped_blocks(monkeypatch):
     lifted = lift_piecewise_linear(smooth_path(d=2, segments=256))
     rows = Counter()
@@ -409,6 +467,49 @@ def test_diagnostics_query_a_batch_driver_in_capped_blocks(monkeypatch):
     assert set(rows) == {"increment_many", "area_many"}
     assert rows["area_many"] <= 7
     assert blocked == whole
+
+
+@pytest.mark.parametrize("z_kind", ["canonical", "transposed", "zero",
+                                    "rough-probe"])
+def test_diagnostics_call_no_map_per_pair_for_any_cli_z_kind(monkeypatch,
+                                                              z_kind):
+    calls = Counter()
+
+    def counted(call):
+        def wrapper(self, x, s, t):
+            calls[self.name] += 1
+            return call(self, x, s, t)
+        return wrapper
+
+    for cls in (SecondOrderMap, model._AreaLinearZ):
+        monkeypatch.setattr(cls, "__call__", counted(cls.__call__))
+    driver = build_driver("synthetic", 5)
+    field = build_field("sine", 5, 2)
+    z = build_z(z_kind, field, driver)
+    grid = Grid(1.0, 12)
+    traj = solve_split(driver, field, canonical_z(field, driver), Y0, grid)
+    rng = np.random.default_rng(3)
+    xs = list(rng.uniform(-1.0, 1.0, (3, 2)))
+    pts = grid.points
+    triples = np.sort(pts[rng.integers(0, len(pts), (20, 3))], axis=1)
+
+    def run():
+        reports = [
+            check_z_bound(z, xs, grid, 0.45),
+            check_z_lipschitz(z, list(zip(xs, xs[::-1])), grid, 0.45, 3.0),
+            check_z_cocycle(z, field, driver, xs, triples, 0.45),
+            davie_defect(traj, field, z, driver, 3.0, 0.45),
+        ]
+        defect = convention_defect_max(z, field, driver, xs[0], grid)
+        return [r.to_json_dict() for r in reports], defect
+
+    calls.clear()  # the solve's own calls
+    whole = run()
+    monkeypatch.setattr(model, "PAIR_BLOCK", 7)
+    assert run() == whole
+    assert not calls
+    z(xs[0], 0.0, 0.5)  # the wrapper sees a per-pair call
+    assert calls == {z.name: 1}
 
 
 def test_holder_rate_makes_no_scalar_driver_query_on_a_batch_driver():

@@ -103,10 +103,7 @@ def test_stacked_field_rows_are_the_single_state_calls(seed, K, d, field_kind):
     same_bits(values, f_many)
     assert grad_many.shape == (K, 2, d, 2)
     for k, x in enumerate(xs):
-        f_x, grad_x = field.value_and_gradient(x)
-        same_bits(f_many[k], f_x)
         same_bits(f_many[k], field(x))
-        same_bits(grad_many[k], grad_x)
         same_bits(grad_many[k], field.gradient(x))
 
 
@@ -681,3 +678,20 @@ def test_area_linear_grid_rows_are_the_per_pair_contraction(n, d, seed, K,
     every_rows = np.reshape([per_pair_z(field, driver, transpose, x0, s, t)
                              for s, t in zip(ss, tt)], (K, n))
     same_bits(grid_z.every(x0), every_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), K=st.integers(0, 12),
+       n=st.integers(1, 3), d=st.integers(1, 3),
+       field_kind=st.sampled_from(FIELD_KINDS), transpose=st.booleans())
+def test_area_linear_coefficient_contracts_the_drivers_raw_areas(
+        seed, K, n, d, field_kind, transpose):
+    field, driver, z, ss, tt, xs = area_linear_case(seed, K, n, d,
+                                                    field_kind, transpose)
+    coeff = z.coefficient_many(xs)
+    assert coeff.shape == (K, n, d, d)
+    areas = driver.area_many(ss, tt)
+    # another order of summation: equal to a few ulps of the terms' sizes
+    gap = np.einsum("kiab,kab->ki", coeff, areas) - z.on_grid(ss, tt).at(xs)
+    sizes = np.einsum("kiab,kab->ki", np.abs(coeff), np.abs(areas))
+    assert np.all(np.abs(gap) <= 1e-14 * sizes)
