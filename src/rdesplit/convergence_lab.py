@@ -339,8 +339,9 @@ def rational_rate(problems, q_num: int, q_den: int, base_N: int,
     return reports
 
 
-def _screened_rows(u, x, areas, f, coeff, times, exponent) -> np.ndarray:
-    r"""The Davie rows that may hold the largest ratio, ascending.
+def _row_form_maxima(u, x, areas, f, grad, z, times, exponent):
+    r"""Each Davie row's largest ratio in the Chen-formed row form, and a
+    bound on its distance from the exact row's largest ratio.
 
     With x_m = X_{t_0,t_m}, A_m = XX_{t_0,t_m} and Chen's relation
     XX_{t_k,t_m} = A_m - A_k - x_k ⊗ (x_m - x_k), an area-linear map with
@@ -352,16 +353,20 @@ def _screened_rows(u, x, areas, f, coeff, times, exponent) -> np.ndarray:
     applied to the columns [u; x; A] at every m > k, less the same weights
     applied at k.  A row makes no area query and no Z contraction.
 
-    This sums in another order than the exact row, so each row's maximum
-    carries a rounding bound.  Either form takes at most n + d + d^2
-    rounded steps, and the lift's area about ten more, each off by at most
-    an ulp of ``size``, which bounds the magnitudes they add; 16 times as
-    many ulps (times sqrt(n) for the norm), over the row's smallest scale,
-    that of its one-step pair, bound the gap between the two ratios.  A
-    row is kept unless its maximum plus its bound falls below some row's
-    maximum minus that row's bound; a row that is not finite is kept.
+    This sums in another order than the exact row.  Either form adds at
+    most n d^2 + n + d terms per component (the exact contraction has
+    n d^2), and the lift forms each area in about ten more rounded steps.
+    ``size`` bounds what they add, over all components: |Δu|, |Δx| times
+    |f| and |P|, and the largest area about t_0 and squared increment times
+    Σ |∂_m f^i_b| |f^m_a|, taken term by term because the exact form
+    rounds every term before the sum over m, which may cancel.  So each
+    form is off by at most an ulp of ``size`` per step, in a norm that
+    bounds the Euclidean one; 16 times as many ulps, over the row's
+    smallest scale, that of its one-step pair, bound the gap between the
+    two ratios.  A row that is not finite has a maximum that is not.
     """
     N, n, d = f.shape
+    coeff = z.coefficient_many(f, grad)
     P = f - np.einsum("kiab,ka->kib", coeff, x[:N])
     columns = np.concatenate([u, x, areas.reshape(N + 1, d * d)], axis=1).T
     columns = np.ascontiguousarray(columns)
@@ -375,19 +380,17 @@ def _screened_rows(u, x, areas, f, coeff, times, exponent) -> np.ndarray:
         # np.power: the screen need not be bitwise the scalar pow
         squares[k] = np.max(np.einsum("ij,ij->j", residual, residual)
                             / np.power(times[k + 1:] - times[k], 2 * exponent))
-    maxima = np.sqrt(squares)
 
     def total(a):
         return np.abs(a).reshape(N, -1).sum(axis=1)
 
     mag_u, mag_x, mag_a = (np.max(np.abs(a)) for a in (u, x, areas))
-    size = 2.0 * (mag_u + mag_x * (total(f) + total(P))
-                  + (mag_a + mag_x * mag_x) * total(coeff))
-    ulps = 16 * (n + d + d * d + 10) * math.sqrt(n) * np.finfo(float).eps
-    bound = ulps * size / _powers(times[1:] - times[:-1], exponent)
-    low = np.where(np.isfinite(maxima), maxima - bound, -np.inf)
-    # NaN compares false: a row that is not finite is kept
-    return np.flatnonzero(~(maxima + bound < np.max(low)))
+    terms = np.einsum("kibm,kma->k", np.abs(grad), np.abs(f))
+    size = 2.0 * (n * mag_u + mag_x * (total(f) + total(P))
+                  + (mag_a + mag_x * mag_x) * terms)
+    ulps = 16 * (n * d * d + n + d + 10) * np.finfo(float).eps
+    return (np.sqrt(squares),
+            ulps * size / _powers(times[1:] - times[:-1], exponent))
 
 
 def davie_defect(traj: SplitTrajectory, field: VectorField, z: SecondOrderMap,
@@ -404,9 +407,10 @@ def davie_defect(traj: SplitTrajectory, field: VectorField, z: SecondOrderMap,
 
     When ``z`` is area-linear on this field and driver and the driver is a
     lift (``lift_piecewise_linear``), every row is first screened in the
-    Chen-formed row form of ``_screened_rows``, from one ``increment_many``
-    and one ``area_many`` query about t_0, and only the rows that may hold
-    the largest ratio within their rounding bounds (normally one) are
+    Chen-formed row form of ``_row_form_maxima``, from one
+    ``increment_many`` and one ``area_many`` query about t_0 and one
+    stacked evaluation of f and ∇f, and only the rows that may hold the
+    largest ratio within their rounding bounds (normally one) are
     evaluated as above.  The report is the same.
     """
     grid = traj.grid
@@ -435,10 +439,15 @@ def davie_defect(traj: SplitTrajectory, field: VectorField, z: SecondOrderMap,
     # the row form needs the map's own areas to satisfy Chen's relation
     if (isinstance(z, _AreaLinearZ) and z.field is field
             and z.driver is driver and driver._chen_exact):
-        states = u[:-1]
-        rows = _screened_rows(u, base, driver.area_many(starts, times),
-                              field.value_many(states),
-                              z.coefficient_many(states), times, exponent)
+        f, grad = field.value_and_gradient_many(u[:-1])
+        maxima, bound = _row_form_maxima(u, base,
+                                         driver.area_many(starts, times),
+                                         f, grad, z, times, exponent)
+        # a row whose maximum plus its bound falls below some row's maximum
+        # less that row's bound cannot hold the largest ratio; NaN compares
+        # false, so a row that is not finite is kept
+        low = np.where(np.isfinite(maxima), maxima - bound, -np.inf)
+        rows = np.flatnonzero(~(maxima + bound < np.max(low)))
     best = -1.0
     best_k = best_m = 0
     for k in map(int, rows):

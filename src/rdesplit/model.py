@@ -335,13 +335,13 @@ class _AreaLinearZ(SecondOrderMap):
         area = self.driver.area(float(s), float(t))[None]
         return np.einsum(_Z_SUBSCRIPTS, grad_x, f_x, self.oriented(area))[0]
 
-    def coefficient_many(self, xs) -> np.ndarray:
-        """K(x) at every row of a (K, n) stack of states, shape (K, n, d, d),
+    def coefficient_many(self, f_x, grad_x) -> np.ndarray:
+        """K(x) at every row of a stack of states, shape (K, n, d, d), from
+        (f, ∇f) there as ``field.value_and_gradient_many`` returns them,
         with Z(x)^i_{s,t} = Σ_{a,b} K(x)^i_{ab} XX^{ab}_{s,t} on the raw
         areas of the map's driver: K^i_{ab} = Σ_m ∂_m f^i_b f^m_a, with a
         and b swapped for the transposed map.  Contracting K sums in another
         order than ``z(x, s, t)``, so the two agree to roundoff only."""
-        f_x, grad_x = self.field.value_and_gradient_many(xs)
         return self.oriented(np.einsum("kibm,kma->kiab", grad_x, f_x))
 
     def oriented(self, areas: np.ndarray) -> np.ndarray:
@@ -404,14 +404,18 @@ def transposed_z(field: VectorField, driver: RoughDriver) -> SecondOrderMap:
 
 
 class _TimeOnlyZ(SecondOrderMap):
-    """A map that does not depend on the state, with an array form
-    ``rows_fn(ss, tt)`` of shape (K, n), row j bitwise ``fn(x, ss[j], tt[j])``:
-    on a grid, its rows are one array shared by every state."""
+    """A map that does not depend on the state, given by one formula: its
+    rows ``rows_fn(ss, tt)`` over the intervals [ss[j], tt[j]], shape
+    (K, n).  On a grid they are one array shared by every state, and a
+    single call is the one row of a one-interval grid."""
 
-    def __init__(self, n, fn, rows_fn, time_exponent, name):
-        super().__init__(n, fn, time_exponent=time_exponent,
+    def __init__(self, n, rows_fn, time_exponent, name):
+        super().__init__(n, None, time_exponent=time_exponent,
                          space_exponent=np.inf, name=name)
         self._rows_fn = rows_fn
+
+    def __call__(self, x, s: float, t: float) -> np.ndarray:
+        return self._rows_fn(np.array([float(s)]), np.array([float(t)]))[0]
 
     def on_grid(self, ss, tt) -> "GridZ":
         rows = self._rows_fn(np.asarray(ss, dtype=float),
@@ -439,10 +443,7 @@ class _TimeGridZ(GridZ):
 
 def zero_z(n: int) -> SecondOrderMap:
     """Z identically zero (degenerates the split scheme to explicit Euler)."""
-    zero = np.zeros(n)
-    zero.flags.writeable = False
-    return _TimeOnlyZ(n, lambda x, s, t: zero,
-                      lambda ss, tt: np.zeros((len(ss), n)),
+    return _TimeOnlyZ(n, lambda ss, tt: np.zeros((len(ss), n)),
                       time_exponent=np.inf, name="zero")
 
 
@@ -453,17 +454,12 @@ def rough_probe_z(n: int, alpha: float, scale: float = 1.0) -> SecondOrderMap:
     which is what the checker is meant to flag.  Test preset.
     """
 
-    def fn(x, s, t):
-        out = np.zeros(n)
-        out[0] = scale * abs(t - s) ** alpha
-        return out
-
     def rows_fn(ss, tt):
         out = np.zeros((len(ss), n))
         out[:, 0] = scale * _powers(np.abs(tt - ss), alpha)
         return out
 
-    return _TimeOnlyZ(n, fn, rows_fn, time_exponent=alpha, name="rough-probe")
+    return _TimeOnlyZ(n, rows_fn, time_exponent=alpha, name="rough-probe")
 
 
 @dataclass

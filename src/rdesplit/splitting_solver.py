@@ -17,12 +17,14 @@ a single solve is the march of one member.  The increments come from one
 ``increment_many`` query per member.  Members that share one field
 evaluate it as an (M, n) stack, and when its maps are all canonical or all
 transposed, one stacked evaluation per stage feeds one contraction of the
-areas of every map's own driver (one ``area_many`` query each); other
-members fall back to one call per member row.  A driver without batch
-hooks is queried once per interval.  The arithmetic of each step is that
-of the per-interval scalar queries, so every member's trajectory is bitwise
-that of a loop calling ``increment`` and ``z(x, s, t)`` step by step (but
-for stacked Z with n = 1 and d = 2, see ``model``).
+areas of every map's own driver (one ``area_many`` query each).  Maps
+that do not read the state (zero and rough-probe) give the Z rows of every
+interval as one array before the loop; other members fall back to one
+call per member row.  A driver without batch hooks is queried once per
+interval.  The arithmetic of each step is that of the per-interval scalar
+queries, so every member's trajectory is bitwise that of a loop calling
+``increment`` and ``z(x, s, t)`` step by step (but for stacked Z with
+n = 1 and d = 2, see ``model``).
 
 The joined path is evaluated the same way on an array of times: the
 states u_j and v_{j+1} of all requested times form one stack each, for
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .model import (SecondOrderMap, VectorField, _AreaLinearZ, _Z_SUBSCRIPTS,
-                    _check_pairing, _matvec)
+from .model import (SecondOrderMap, VectorField, _AreaLinearZ, _TimeOnlyZ,
+                    _Z_SUBSCRIPTS, _check_pairing, _matvec)
 from .rough_path import Grid, RoughDriver, SampledPath
 
 __all__ = [
@@ -146,11 +148,12 @@ def _member_stages(members, ss, tt):
     them, for an (M, n) stack of states y.  Members that share one field
     evaluate it as one stack, and when every map is area-linear on that
     field, all canonical or all transposed, its stacked form feeds one
-    contraction of the members' areas.  Otherwise each member is evaluated
-    on its own row, with its own field and map.  Either way row k is
-    bitwise member k's single-state evaluation (but for n = 1, d = 2).
+    contraction of the members' areas.  When no map reads the state, the
+    Z rows of every interval are one array.  Otherwise each member is
+    evaluated on its own row, with its own field and map.  Either way row
+    k is bitwise member k's single-state evaluation (but for n = 1, d = 2).
     """
-    drivers, fields, zs, _ = zip(*members)
+    drivers, fields, zs, y0s = zip(*members)
     field = fields[0]
     incs = [driver.increment_many(ss, tt) for driver in drivers]
     # hooks bound once: a wrapper call per step costs more than a small stack
@@ -185,6 +188,13 @@ def _member_stages(members, ss, tt):
                     np.einsum(_Z_SUBSCRIPTS, grad_y, f_y, areas[j]))
 
         return drift, z_at, both
+
+    if all(isinstance(z, _TimeOnlyZ) for z in zs):
+        # no map reads the state: every interval's rows in one array
+        rows = np.stack([z.on_grid(ss, tt).every(y0)
+                         for z, y0 in zip(zs, y0s)], axis=1)
+        return (drift, lambda y, j: rows[j],
+                lambda y, j: (drift(y, j), rows[j]))
 
     ss, tt = ss.tolist(), tt.tolist()
 

@@ -42,6 +42,32 @@ def build_field(kind, seed, d, n=2):
     return sine
 
 
+def steep_field(kind, seed, n, d, slope):
+    """A field whose gradient grows with ``slope``.
+
+    "cancelling" needs n >= 2: f^i_a = v_i (beta_a + c_a slope <w, y>) with
+    w ⊥ v, plus a generic linear part of size 1/slope.  The terms
+    ∂_m f^i_b f^m_a of Z grow like slope^2 while their sum over m stays
+    O(1), so Z is formed from terms far larger than itself.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "sine":
+        return sine_field(n, d, seed=seed, amplitude=0.8, frequency=slope)
+    if kind == "linear":
+        return linear_field(slope * rng.standard_normal((n, d, n)),
+                            offset=rng.standard_normal((n, d)))
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    w = rng.standard_normal(n)
+    w -= (w @ v) * v
+    w /= np.linalg.norm(w)
+    c = rng.uniform(-1.0, 1.0, d)
+    tensor = (slope * np.einsum("a,i,m->iam", c, v, w)
+              + rng.standard_normal((n, d, n)) / slope)
+    return linear_field(tensor,
+                        offset=np.outer(v, rng.uniform(-1.0, 1.0, d)))
+
+
 def nan_probe_z(n):
     """NaN on the longer intervals: a NaN ratio must never be the maximum."""
 

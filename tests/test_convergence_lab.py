@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rdesplit import (EXACT_AGREEMENT, Grid, NumericFailure, Problem,
@@ -14,12 +14,12 @@ from rdesplit import (EXACT_AGREEMENT, Grid, NumericFailure, Problem,
                       davie_defect, dyadic_sup_rate, fit_rate, holder_rate,
                       lift_piecewise_linear, rates_summary, rational_rate,
                       sine_field, smooth_path, solve_split,
-                      synth_midpoint_path, zero_z)
+                      synth_midpoint_path, transposed_z, zero_z)
 from rdesplit import model
-from rdesplit.convergence_lab import quarter_times
+from rdesplit.convergence_lab import _row_form_maxima, quarter_times
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
-                      build_field, build_z)
+                      build_field, build_z, steep_field)
 
 Y0 = np.array([0.1, -0.2])
 
@@ -366,6 +366,81 @@ def test_davie_matches_per_pair_reference_loop(seed, N, driver_kind,
     assert (report.k, report.m, report.pairs) == (k, m, pairs)
 
 
+def steep_case(seed, N, n, d, kind, slope, transpose):
+    """A lift, a steep field, its own area-linear map and their trajectory."""
+    path = (synth_midpoint_path(seed, 0.45, 8, d) if seed % 2
+            else smooth_path(d=d, segments=256))
+    driver = lift_piecewise_linear(path, alpha=0.45)
+    field = steep_field(kind, seed, n, d, slope)
+    z = (transposed_z if transpose else canonical_z)(field, driver)
+    y0 = np.random.default_rng(seed).uniform(-0.1, 0.1, n)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = solve_split(driver, field, z, y0, Grid(1.0, N))
+    except NumericFailure:
+        assume(False)
+    return driver, field, z, traj
+
+
+STEEP = dict(seed=st.integers(0, 2**16), N=st.integers(1, 30),
+             n=st.integers(2, 3), d=st.integers(1, 2),
+             kind=st.sampled_from(["linear", "sine", "cancelling"]),
+             decades=st.integers(1, 6), transpose=st.booleans())
+
+
+def steep_slope(kind, decades):
+    # a steep linear field grows like exp(slope X): its slope stays small
+    return 10.0 ** (min(decades, 2) if kind == "linear" else decades)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**STEEP)
+def test_davie_matches_per_pair_reference_loop_on_steep_fields(
+        seed, N, n, d, kind, decades, transpose):
+    driver, field, z, traj = steep_case(seed, N, n, d, kind,
+                                        steep_slope(kind, decades), transpose)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = davie_defect(traj, field, z, driver, 3.0, driver.alpha)
+        best, k, m, pairs = reference_davie(traj, field, z, driver,
+                                            3.0 * driver.alpha)
+    assert report.max_ratio == pytest.approx(best, rel=1e-12, abs=0.0)
+    assert (report.k, report.m, report.pairs) == (k, m, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**STEEP)
+# a bound built from |K| after the sum over m falls 17 times short here
+@example(seed=26333, N=17, n=2, d=1, kind="cancelling", decades=6,
+         transpose=True)
+def test_davie_row_form_bound_covers_every_rows_gap(seed, N, n, d, kind,
+                                                    decades, transpose):
+    # a row is screened out by its bound, so the bound must hold on every
+    # row, not only on the witness
+    driver, field, z, traj = steep_case(seed, N, n, d, kind,
+                                        steep_slope(kind, decades), transpose)
+    pts = traj.grid.points
+    u = traj.u
+    exponent = 3.0 * driver.alpha
+    starts = np.zeros(N + 1)
+    f, grad = field.value_and_gradient_many(u[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        maxima, bound = _row_form_maxima(
+            u, driver.increment_many(starts, pts),
+            driver.area_many(starts, pts), f, grad, z, pts, exponent)
+    # the exact rows as reference_davie forms them
+    base = [driver.increment(pts[0], t) for t in pts]
+    for k in range(N):
+        f_k = field(u[k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = max(float(np.linalg.norm(u[m] - u[k]
+                                             - f_k @ (base[m] - base[k])
+                                             - z(u[k], pts[k], pts[m])))
+                        / (pts[m] - pts[k]) ** exponent
+                        for m in range(k + 1, N + 1))
+        if np.isfinite(exact):
+            assert abs(maxima[k] - exact) <= bound[k]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**16), d=st.integers(1, 3), N=st.integers(1, 64),
        smooth=st.booleans())
@@ -481,7 +556,7 @@ def test_diagnostics_call_no_map_per_pair_for_any_cli_z_kind(monkeypatch,
             return call(self, x, s, t)
         return wrapper
 
-    for cls in (SecondOrderMap, model._AreaLinearZ):
+    for cls in (SecondOrderMap, model._AreaLinearZ, model._TimeOnlyZ):
         monkeypatch.setattr(cls, "__call__", counted(cls.__call__))
     driver = build_driver("synthetic", 5)
     field = build_field("sine", 5, 2)

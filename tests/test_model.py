@@ -14,7 +14,7 @@ from rdesplit import (Grid, SampledPath, VectorField, canonical_z,
                       lift_piecewise_linear, linear_field, rough_probe_z,
                       scalar_driver, sine_field, synth_midpoint_path,
                       transposed_z, validate_gradient, zero_z)
-from rdesplit.model import SecondOrderMap
+from rdesplit.model import _Z_SUBSCRIPTS, SecondOrderMap
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
                       build_field, build_z, with_area)
@@ -335,6 +335,16 @@ def test_rough_probe_flagged_with_exact_growth():
     # max ratio is h^(-alpha), attained at the smallest pair distance
     assert r1.max_ratio == pytest.approx(16.0**0.5)
     assert r2.max_ratio / r1.max_ratio == pytest.approx(2.0**0.5, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0),
+       alpha=st.floats(0.05, 1.0), scale=st.floats(0.1, 10.0))
+def test_rough_probe_is_the_scalar_power(s, t, alpha, scale):
+    # one formula serves grids and single calls: it must keep the bits of
+    # the scalar pow
+    value = rough_probe_z(2, alpha, scale)(np.zeros(2), s, t)
+    assert value.tolist() == [scale * abs(t - s) ** alpha, 0.0]
 
 
 def test_check_z_lipschitz_zero_map():
@@ -688,10 +698,13 @@ def test_area_linear_coefficient_contracts_the_drivers_raw_areas(
         seed, K, n, d, field_kind, transpose):
     field, driver, z, ss, tt, xs = area_linear_case(seed, K, n, d,
                                                     field_kind, transpose)
-    coeff = z.coefficient_many(xs)
+    f_x, grad_x = field.value_and_gradient_many(xs)
+    coeff = z.coefficient_many(f_x, grad_x)
     assert coeff.shape == (K, n, d, d)
     areas = driver.area_many(ss, tt)
-    # another order of summation: equal to a few ulps of the terms' sizes
+    # another order of summation: equal to a few ulps of the terms' sizes,
+    # taken before the sum over m that forms K
     gap = np.einsum("kiab,kab->ki", coeff, areas) - z.on_grid(ss, tt).at(xs)
-    sizes = np.einsum("kiab,kab->ki", np.abs(coeff), np.abs(areas))
+    sizes = np.einsum(_Z_SUBSCRIPTS, np.abs(grad_x), np.abs(f_x),
+                      z.oriented(np.abs(areas)))
     assert np.all(np.abs(gap) <= 1e-14 * sizes)

@@ -14,7 +14,7 @@ from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
                       scalar_driver, sine_field, smooth_path, solve_milstein,
                       solve_ode_reference, solve_split, split_step,
                       transposed_z, write_trajectory_csv, zero_z)
-from rdesplit import splitting_solver
+from rdesplit import model, splitting_solver
 from rdesplit.convergence_lab import joined_samples, quarter_times
 from rdesplit.splitting_solver import _march
 
@@ -336,7 +336,7 @@ def march_specs(driver_kinds):
     return st.lists(st.tuples(st.sampled_from(driver_kinds),
                               st.sampled_from(("canonical", "scaled-area",
                                                "transposed", "zero",
-                                               "nan-probe")),
+                                               "rough-probe", "nan-probe")),
                               st.integers(0, 2**16)),
                     min_size=1, max_size=4)
 
@@ -501,6 +501,28 @@ def test_maps_of_one_kind_on_a_shared_field_stack(makes, stacks):
             expected = {("values", 4): N, ("fused", 1): 4 * N}
         assert calls == expected
     assert_reference_loops(members, grid)
+
+
+def test_maps_that_do_not_read_the_state_are_not_called_per_step(
+        monkeypatch):
+    calls = Counter()
+    call = model._TimeOnlyZ.__call__
+
+    def counted(self, x, s, t):
+        calls[self.name] += 1
+        return call(self, x, s, t)
+
+    monkeypatch.setattr(model._TimeOnlyZ, "__call__", counted)
+    field = sine_field(2, 2, seed=1, amplitude=0.8)
+    members = []
+    for seed, kind in enumerate(["zero", "rough-probe"] * 2):
+        driver = build_driver("synthetic", seed)
+        members.append((driver, field, build_z(kind, field, driver),
+                        Y0 + 0.125 * seed))
+    for milstein in (False, True):
+        _march(members, Grid(1.0, 16), milstein)
+    assert not calls
+    assert_reference_loops(members, Grid(1.0, 16))
 
 
 def test_sixty_four_stacked_members_are_their_reference_loops():
