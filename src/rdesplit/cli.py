@@ -22,8 +22,11 @@ from .convergence_lab import (davie_defect, dyadic_sup_rate, fit_rate,
 from .errors import NumericFailure
 from .model import check_z_bound, check_z_cocycle, check_z_lipschitz
 from .rough_path import Grid
-from .splitting_solver import (solve_milstein, solve_ode_reference,
-                               solve_split, write_trajectory_csv)
+from .splitting_solver import (_failure_message, solve_milstein_many,
+                               solve_ode_reference, solve_split,
+                               solve_split_many, write_trajectory_csv)
+# not called here: bench/spans.py patches this module attribute
+from .splitting_solver import solve_milstein  # noqa: F401
 
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
@@ -199,20 +202,22 @@ def compare_schemes(config_path, out, seed):
     cfg, out_dir = _prepare(config_path, out, seed)
     problem, grid = build_problem(cfg)
     levels = [grid.N, 2 * grid.N, 4 * grid.N]
-    diffs = []
-    for N in levels:
-        level_grid = Grid(grid.T, N)
-        split_traj = solve_split(problem.driver, problem.field, problem.z,
-                                 problem.y0, level_grid)
-        milstein_traj = solve_milstein(problem.driver, problem.field,
-                                       problem.z, problem.y0, level_grid)
-        diffs.append(float(np.max(np.linalg.norm(
-            split_traj.u - milstein_traj.values, axis=1))))
-        if N == grid.N:
-            with open(out_dir / "split.csv", "w", encoding="utf-8") as fh:
-                write_trajectory_csv(split_traj, fh)
-            with open(out_dir / "milstein.csv", "w", encoding="utf-8") as fh:
-                write_trajectory_csv(milstein_traj, fh)
+    grids = [Grid(grid.T, N) for N in levels]
+    # one split march and one Milstein march over all three levels
+    members = [(problem.driver, problem.field, problem.z, problem.y0)] * 3
+    try:
+        splits = solve_split_many(members, grids)
+        milsteins = solve_milstein_many(members, grids)
+    except NumericFailure as exc:
+        raise NumericFailure(
+            f"solve at N={levels[exc.member]} failed: "
+            f"{_failure_message(exc.step)}", step=exc.step) from exc
+    diffs = [float(np.max(np.linalg.norm(split.u - milstein.values, axis=1)))
+             for split, milstein in zip(splits, milsteins)]
+    with open(out_dir / "split.csv", "w", encoding="utf-8") as fh:
+        write_trajectory_csv(splits[0], fh)
+    with open(out_dir / "milstein.csv", "w", encoding="utf-8") as fh:
+        write_trajectory_csv(milsteins[0], fh)
     order = fit_rate(levels, diffs)
     _write_json(out_dir, "compare.json", {
         "levels": levels,

@@ -11,8 +11,9 @@ stays relative to |t_m - t_k|^(gamma*alpha).  Rates are fitted by least
 squares on log2 differences against the level index; exact agreement is
 reported through a sentinel slope instead of a fit.  The rate experiments
 take a list of problems sharing T (the seeds of a synthetic driver) and
-solve each level of all of them in one march, with one report per
-problem, bitwise that of the problem run alone.  The Davie sweep takes
+solve every level of all of them, the coarse and fine levels of the
+rational experiment included, in one march, with one report per problem,
+bitwise that of the problem run alone.  The Davie sweep takes
 its base increments from one batch query and evaluates Z one row of pairs
 at a time, never once per pair.  On a lifted driver with its own
 area-linear map it first screens every row with two small matmuls
@@ -35,7 +36,8 @@ from .errors import NumericFailure
 from .model import (SecondOrderMap, VectorField, _AreaLinearZ, _chunks,
                     _first_max, _matvec, _powers, _row_norms)
 from .rough_path import Grid, RoughDriver, SampledPath, hoelder_seminorm
-from .splitting_solver import SplitTrajectory, solve_split_many
+from .splitting_solver import (SplitTrajectory, _failure_message,
+                               solve_split_many)
 # not called here: bench/spans.py patches this module attribute
 from .splitting_solver import solve_split  # noqa: F401
 
@@ -146,22 +148,30 @@ def fit_rate(levels, diffs) -> float:
 
 
 def _solve_levels(problems, Ns):
-    """Split trajectories [level][problem]: one march of every problem per
-    level, each trajectory bitwise its own ``solve_split``."""
+    """Split trajectories [level][problem] from one march of every problem
+    at every level, each bitwise its own ``solve_split``.
+
+    A blow-up names the N and the problem (as ``member``) of the earliest
+    failing step, the lowest level and then the lowest problem at equal
+    steps.
+    """
     if not problems:
         raise ValueError("need at least one problem")
     T = problems[0].T
     if any(p.T != T for p in problems):
         raise ValueError("problems of one rate experiment must share T")
     members = [(p.driver, p.field, p.z, p.y0) for p in problems]
-    levels = []
-    for N in Ns:
-        try:
-            levels.append(solve_split_many(members, Grid(T, N)))
-        except NumericFailure as exc:
-            raise NumericFailure(f"solve at N={N} failed: {exc}",
-                                 step=exc.step, member=exc.member) from exc
-    return levels
+    P = len(problems)
+    try:
+        trajs = solve_split_many(members * len(Ns),
+                                 [grid for grid in map(Grid, [T] * len(Ns), Ns)
+                                  for _ in problems])
+    except NumericFailure as exc:
+        level, k = divmod(exc.member, P)
+        message = _failure_message(exc.step, k if P > 1 else None)
+        raise NumericFailure(f"solve at N={Ns[level]} failed: {message}",
+                             step=exc.step, member=k) from exc
+    return [trajs[i:i + P] for i in range(0, len(trajs), P)]
 
 
 def rates_summary(reports, seeds) -> dict:
@@ -319,8 +329,8 @@ def rational_rate(problems, q_num: int, q_den: int, base_N: int,
     if levels < 2:
         raise ValueError(f"need at least 2 levels, got {levels}")
     Ns = [base_N * 2**n for n in range(levels)]
-    coarse_trajs = _solve_levels(problems, Ns)
-    fine_trajs = _solve_levels(problems, [N * q_num // q_den for N in Ns])
+    trajs = _solve_levels(problems, Ns + [N * q_num // q_den for N in Ns])
+    coarse_trajs, fine_trajs = trajs[:levels], trajs[levels:]
     shared = [common_indices(N, q_num, q_den) for N in Ns]
     reports = []
     for k, problem in enumerate(problems):

@@ -9,13 +9,16 @@ with the continuous-time trajectory obtained by running each stage at twice
 the rate over half of the interval.  The reference one-step map is the
 second-order Euler (Milstein) update y -> y + f(y) X + Z(y).
 
-Both schemes run on one stepping loop over a fixed grid, so every X_{s,t}
+Both schemes run on one stepping loop over fixed grids, so every X_{s,t}
 and XX_{s,t} they need is known before the loop starts.  The loop has a
 leading member axis: one Python step advances M problems (driver, field,
-Z, start) on the same grid, for instance the seeds of one rate level, and
-a single solve is the march of one member.  The increments come from one
-``increment_many`` query per member.  Members that share one field
-evaluate it as an (M, n) stack, and when its maps are all canonical or all
+Z, start), each on its own grid, for instance every seed and level of one
+rate experiment, and a single solve is the march of one member.  Members
+are ordered longest grid first, so those still stepping are always a
+prefix of the stack, which is cut only where a member finishes.  The
+increments come from one ``increment_many`` query per member and are held
+step by step, one row per member and step.  Members that share one field
+evaluate it as one stack of states, and when its maps are all canonical or all
 transposed, one stacked evaluation per stage feeds one contraction of the
 areas of every map's own driver (one ``area_many`` query each).  Maps
 that do not read the state (zero and rough-probe) give the Z rows of every
@@ -49,6 +52,7 @@ __all__ = [
     "solve_split",
     "solve_split_many",
     "solve_milstein",
+    "solve_milstein_many",
     "write_trajectory_csv",
     "solve_ode_reference",
 ]
@@ -140,95 +144,155 @@ def split_step(u, s: float, t: float, field: VectorField, z: SecondOrderMap,
 FINITE_BLOCK = 64
 
 
-def _member_stages(members, ss, tt):
-    """Stage evaluators of M members on the intervals [ss[j], tt[j]].
+def _run_view(rows, run):
+    """A step-major array's rows on the steps of one run, shape
+    (steps, members, ...)."""
+    m, j0, j1, span = run
+    return rows[span].reshape((j1 - j0, m) + rows.shape[1:])
 
-    Returns ``drift(y, j)``, the rows f_k(y[k]) X^k_{j}, ``z_at(y, j)``,
-    the rows Z_k(y[k]) over interval j, and ``both(y, j)``, the pair of
-    them, for an (M, n) stack of states y.  Members that share one field
-    evaluate it as one stack, and when every map is area-linear on that
-    field, all canonical or all transposed, its stacked form feeds one
-    contraction of the members' areas.  When no map reads the state, the
-    Z rows of every interval are one array.  Otherwise each member is
-    evaluated on its own row, with its own field and map.  Either way row
-    k is bitwise member k's single-state evaluation (but for n = 1, d = 2).
+
+def _member_stages(members, intervals, step_major):
+    """Stage evaluators of M members, member k on the intervals
+    ``intervals[k]`` = (ss, tt), longest first.
+
+    Returns ``stages(run)``.  A run (m, j0, j1, span) is steps j0 to j1 - 1,
+    on which the first m members step; ``step_major`` lays per-member
+    arrays out step by step, so that a run's rows are the one block
+    ``span``.  For a run, ``stages`` gives ``drift(y, i)``, the rows
+    f_k(y[k]) X^k over step j0 + i, ``z_at(y, i)``, the rows Z_k(y[k])
+    over it, and ``both(y, i)``, the pair of them, for an (m, n) stack of
+    states y.  Members that share one field evaluate it as one stack, and
+    when every map is area-linear on that field, all canonical or all
+    transposed, its stacked form feeds one contraction of the members'
+    areas.  When no map reads the state, the Z rows of every interval are
+    one array.  Otherwise each member is evaluated on its own row, with its
+    own field and map.  Either way row k is bitwise member k's single-state
+    evaluation (but for n = 1, d = 2).
     """
     drivers, fields, zs, y0s = zip(*members)
     field = fields[0]
-    incs = [driver.increment_many(ss, tt) for driver in drivers]
+    incs = (driver.increment_many(ss, tt)
+            for driver, (ss, tt) in zip(drivers, intervals))
     # hooks bound once: a wrapper call per step costs more than a small stack
     stacked = all(f is field for f in fields)
     if stacked:
         value_many = field._value_many_fn
-        incs = np.stack(incs, axis=1)[..., None]
+        incs = step_major(incs)[..., None]
 
-        def drift(y, j):
-            return np.matmul(value_many(y), incs[j])[..., 0]
+        def drift_on(run):
+            inc = _run_view(incs, run)
+
+            def drift(y, i):
+                return np.matmul(value_many(y), inc[i])[..., 0]
+
+            return drift
     else:
-        def drift(y, j):
-            return np.array([f(x) @ inc[j]
-                             for f, x, inc in zip(fields, y, incs)])
+        incs = list(incs)
+
+        def drift_on(run):
+            m, j0, j1, _ = run
+            inc = [a[j0:j1] for a in incs[:m]]
+
+            def drift(y, i):
+                return np.array([f(x) @ a[i]
+                                 for f, x, a in zip(fields, y, inc)])
+
+            return drift
 
     z0 = zs[0]
     if stacked and all(isinstance(z, _AreaLinearZ) and z.field is field
                        and z.transpose == z0.transpose for z in zs):
         value_and_grad_many = field._value_and_grad_many_fn
-        # einsum sums in the order of the areas' strides: one kind of map only
-        areas = z0.oriented(np.stack([z.driver.area_many(ss, tt) for z in zs],
-                                     axis=1))
+        areas = step_major(z.driver.area_many(ss, tt)
+                           for z, (ss, tt) in zip(zs, intervals))
 
-        def z_at(y, j):
-            f_y, grad_y = value_and_grad_many(y)
-            return np.einsum(_Z_SUBSCRIPTS, grad_y, f_y, areas[j])
+        def stages(run):
+            inc = _run_view(incs, run)
+            # einsum sums in the order of the areas' strides: one kind of
+            # map only
+            area = z0.oriented(_run_view(areas, run))
 
-        def both(y, j):
-            # the field is the map's own: evaluate it once for both stages
-            f_y, grad_y = value_and_grad_many(y)
-            return (np.matmul(f_y, incs[j])[..., 0],
-                    np.einsum(_Z_SUBSCRIPTS, grad_y, f_y, areas[j]))
+            def z_at(y, i):
+                f_y, grad_y = value_and_grad_many(y)
+                return np.einsum(_Z_SUBSCRIPTS, grad_y, f_y, area[i])
 
-        return drift, z_at, both
+            def both(y, i):
+                # the field is the map's own: evaluate it once for both stages
+                f_y, grad_y = value_and_grad_many(y)
+                return (np.matmul(f_y, inc[i])[..., 0],
+                        np.einsum(_Z_SUBSCRIPTS, grad_y, f_y, area[i]))
+
+            return drift_on(run), z_at, both
+
+        return stages
 
     if all(isinstance(z, _TimeOnlyZ) for z in zs):
         # no map reads the state: every interval's rows in one array
-        rows = np.stack([z.on_grid(ss, tt).every(y0)
-                         for z, y0 in zip(zs, y0s)], axis=1)
-        return (drift, lambda y, j: rows[j],
-                lambda y, j: (drift(y, j), rows[j]))
+        rows = step_major(z.on_grid(ss, tt).every(y0)
+                          for z, y0, (ss, tt) in zip(zs, y0s, intervals))
 
-    ss, tt = ss.tolist(), tt.tolist()
+        def z_on(run):
+            block = _run_view(rows, run)
+            return lambda y, i: block[i]
+    else:
+        intervals = [(ss.tolist(), tt.tolist()) for ss, tt in intervals]
 
-    def z_at(y, j):
-        return np.array([z(x, ss[j], tt[j]) for z, x in zip(zs, y)])
+        def z_on(run):
+            m, j0, j1, _ = run
+            spans = [(ss[j0:j1], tt[j0:j1]) for ss, tt in intervals[:m]]
 
-    return drift, z_at, lambda y, j: (drift(y, j), z_at(y, j))
+            def z_at(y, i):
+                return np.array([z(x, ss[i], tt[i])
+                                 for z, x, (ss, tt) in zip(zs, y, spans)])
+
+            return z_at
+
+    def stages(run):
+        drift, z_at = drift_on(run), z_on(run)
+        return drift, z_at, lambda y, i: (drift(y, i), z_at(y, i))
+
+    return stages
 
 
-def _check_finite(values: np.ndarray, lo: int, hi: int) -> None:
-    """Raise NumericFailure at the first non-finite state among rows lo..hi-1
-    of ``values`` (steps, M, n); the lowest member wins a tie."""
-    block = values[lo:hi]
-    if np.isfinite(block).all():
-        return
-    row, member = np.argwhere(~np.isfinite(block).all(axis=2))[0]
-    step = lo + int(row)
+def _failure_message(step: int, member=None) -> str:
     message = (f"state left finite range at step {step}" if step
                else "non-finite initial state")
-    if values.shape[1] > 1:
-        message += f" in member {member}"
-    raise NumericFailure(message, step=step, member=int(member))
+    return message if member is None else f"{message} in member {member}"
 
 
-def _march(members, grid: Grid, milstein: bool):
-    """Advance M members (driver, field, z, y0) over one grid together.
+def _check_finite(values, starts, order, lo: int, hi: int) -> None:
+    """Raise NumericFailure at the first non-finite state at steps lo..hi-1.
 
-    One Python step advances every member, as an (M, n) stack of states;
-    the increments and Z on the grid intervals are set up once, with batch
-    queries where the drivers have them.  Each step is the split update
-    (transport, then Z at the stage-1 endpoint) or, with ``milstein``, the
-    one-step second-order Euler update.  Every member is bitwise its own
-    single-member march.  Returns the grid values, shape (M, N+1, n), and
-    the split stage-1 endpoints, shape (M, N, n), or None for Milstein.
+    Step i's states are rows starts[i] to starts[i+1] of ``values``, row
+    starts[i] + p that of member order[p]; the lowest member wins a tie.
+    """
+    block = values[starts[lo]:starts[hi]]
+    if np.isfinite(block).all():
+        return
+    bad = starts[lo] + np.flatnonzero(~np.isfinite(block).all(axis=1))
+    step = int(np.searchsorted(starts, bad[0], side="right")) - 1
+    member = min(order[p] for p in bad[bad < starts[step + 1]] - starts[step])
+    raise NumericFailure(
+        _failure_message(step, member if len(order) > 1 else None),
+        step=step, member=member)
+
+
+def _march(members, grids, milstein: bool):
+    """Advance M members (driver, field, z, y0), member k over ``grids[k]``,
+    together.
+
+    One Python step advances every member whose grid has steps left, as a
+    stack of states.  The members are ordered longest grid first, so those
+    still stepping are always the first m, and the stack is sliced only
+    at the steps where m falls; on one shared grid it never is.  The
+    increments and Z on every member's intervals are set up once, with
+    batch queries where the drivers have them, and held step by step: one
+    row per member and step, Σ N_k rows in all.  Each step is the split
+    update (transport, then Z at the stage-1 endpoint) or, with
+    ``milstein``, the one-step second-order Euler update.  Every member is
+    bitwise its own single-member march.  Returns, per member in the given
+    order, the grid values, shape (N_k+1, n), and the split stage-1
+    endpoints, shape (N_k, n), or None for Milstein.
 
     The states are checked every ``FINITE_BLOCK`` steps; a member that left
     the finite range raises NumericFailure with the first failing step and
@@ -236,66 +300,122 @@ def _march(members, grid: Grid, milstein: bool):
     """
     if not members:
         raise ValueError("need at least one member")
+    if len(grids) != len(members):
+        raise ValueError(f"{len(members)} members need as many grids, "
+                         f"got {len(grids)}")
+    M = len(members)
     n = members[0][1].n
-    values = np.empty((grid.N + 1, len(members), n))
-    for k, (driver, field, _, y0) in enumerate(members):
+    y0s = []
+    for driver, field, _, y0 in members:
         _check_pairing(field, driver)
         if field.n != n:
             raise ValueError(f"member fields have state dimensions {n} and {field.n}")
         y0 = np.asarray(y0, dtype=float)
         if y0.shape != (n,):
             raise ValueError(f"initial state must have shape ({n},), got {y0.shape}")
-        values[0, k] = y0
-    _check_finite(values, 0, 1)
-    drift, z_at, both = _member_stages(members, grid.points[:-1],
-                                       grid.points[1:])
-    mid = None if milstein else np.empty((grid.N, len(members), n))
-    state = values[0]
-    for lo in range(0, grid.N, FINITE_BLOCK):
-        hi = min(lo + FINITE_BLOCK, grid.N)
-        try:
-            for j in range(lo, hi):
-                if milstein:
-                    f_x, z_x = both(state, j)
-                    state = state + f_x + z_x
-                else:
-                    v = mid[j] = state + drift(state, j)
-                    state = v + z_at(v, j)
-                values[j + 1] = state
-        except Exception:
-            # a field or map may reject the non-finite state that a failed
-            # member carries on to the end of its block
-            _check_finite(values, lo + 1, j + 1)
-            raise
-        _check_finite(values, lo + 1, hi + 1)
-    u = np.ascontiguousarray(values.transpose(1, 0, 2))
-    return u, None if milstein else np.ascontiguousarray(mid.transpose(1, 0, 2))
+        y0s.append(y0)
+    # longest grid first; the sort is stable, so equal grids keep their order
+    order = sorted(range(M), key=lambda k: -grids[k].N)
+    Ns = [grids[k].N for k in order]
+    # rows of a step-major array: step j holds the members with N_k > j,
+    # at rows starts[j] to starts[j+1]
+    stepping = M - np.searchsorted(Ns[::-1], np.arange(Ns[0]), side="right")
+    starts = np.concatenate(([0], np.cumsum(stepping)))
+    runs, j0 = [], 0
+    for m in range(M, 0, -1):
+        j1 = Ns[m - 1]
+        if j1 > j0:
+            runs.append((m, j0, j1, slice(starts[j0], starts[j1])))
+            j0 = j1
+
+    def step_major(arrays):
+        """The per-member arrays (N_k, ...), longest first, as one array
+        whose rows starts[j] + p are row j of member p."""
+        out = None
+        for p, a in enumerate(arrays):
+            if out is None:
+                out = np.empty((starts[-1],) + a.shape[1:], a.dtype)
+            out[starts[:len(a)] + p] = a
+        return out
+
+    stages = _member_stages([members[k] for k in order],
+                            [(grids[k].points[:-1], grids[k].points[1:])
+                             for k in order], step_major)
+    # the states after step j follow the M initial states step by step
+    values = np.empty((M + starts[-1], n))
+    values[:M] = [y0s[k] for k in order]
+    after = np.concatenate(([0], M + starts))
+    _check_finite(values, after, order, 0, 1)
+    mid = None if milstein else np.empty((starts[-1], n))
+    state = values[:M]
+    for run in runs:
+        m, j0, j1, _ = run
+        if m < len(state):
+            state = state[:m]
+        drift, z_at, both = stages(run)
+        out = _run_view(values[M:], run)
+        mids = None if milstein else _run_view(mid, run)
+        for lo in range(0, j1 - j0, FINITE_BLOCK):
+            hi = min(lo + FINITE_BLOCK, j1 - j0)
+            try:
+                for i in range(lo, hi):
+                    if milstein:
+                        f_x, z_x = both(state, i)
+                        state = state + f_x + z_x
+                    else:
+                        v = mids[i] = state + drift(state, i)
+                        state = v + z_at(v, i)
+                    out[i] = state
+            except Exception:
+                # a field or map may reject the non-finite state that a
+                # failed member carries on to the end of its block
+                _check_finite(values, after, order, j0 + lo + 1, j0 + i + 1)
+                raise
+            _check_finite(values, after, order, j0 + lo + 1, j0 + hi + 1)
+    # the stages hold every increment and area: free them before the copies
+    del stages, drift, z_at, both
+    us, vs = [None] * M, [None] * M
+    for p, (k, N) in enumerate(zip(order, Ns)):
+        us[k] = values[after[:N + 1] + p]
+        if not milstein:
+            vs[k] = mid[starts[:N] + p]
+    return us, None if milstein else vs
 
 
-def solve_split_many(members, grid: Grid) -> list:
-    """``solve_split`` of every (driver, field, z, y0) member on one grid.
+def solve_split_many(members, grids) -> list:
+    """``solve_split`` of every (driver, field, z, y0) member, member k on
+    ``grids[k]``.
 
-    The members are marched together, one Python step for all of them,
-    and each trajectory is bitwise its own ``solve_split``.  Members that
-    share one preset field and area-linear maps on it (the seeds of one
-    rate level) are evaluated as stacks.
+    The members are marched together, one Python step for all of them
+    that still have steps left, and each trajectory is bitwise its own
+    ``solve_split``.  Members that share one preset field and area-linear
+    maps on it (the seeds and levels of one rate experiment) are evaluated
+    as stacks.
     """
-    u, v = _march(members, grid, milstein=False)
+    u, v = _march(members, grids, milstein=False)
     return [SplitTrajectory(grid, u[k], v[k], driver, field, z)
-            for k, (driver, field, z, _) in enumerate(members)]
+            for k, ((driver, field, z, _), grid)
+            in enumerate(zip(members, grids))]
+
+
+def solve_milstein_many(members, grids) -> list:
+    """``solve_milstein`` of every member, marched as in ``solve_split_many``."""
+    values, _ = _march(members, grids, milstein=True)
+    return [MilsteinTrajectory(grid, values[k], driver, field, z)
+            for k, ((driver, field, z, _), grid)
+            in enumerate(zip(members, grids))]
 
 
 def solve_split(driver: RoughDriver, field: VectorField, z: SecondOrderMap,
                 y0, grid: Grid) -> SplitTrajectory:
     """Iterate the split update over the grid; deterministic in its inputs."""
-    return solve_split_many([(driver, field, z, y0)], grid)[0]
+    return solve_split_many([(driver, field, z, y0)], [grid])[0]
 
 
 def solve_milstein(driver: RoughDriver, field: VectorField, z: SecondOrderMap,
                    y0, grid: Grid) -> MilsteinTrajectory:
     """Second-order Euler reference: y_{j+1} = y_j + f(y_j) X + Z(y_j)."""
-    values, _ = _march([(driver, field, z, y0)], grid, milstein=True)
-    return MilsteinTrajectory(grid, values[0], driver, field, z)
+    return solve_milstein_many([(driver, field, z, y0)], [grid])[0]
 
 
 def write_trajectory_csv(traj, fileobj) -> None:

@@ -77,6 +77,16 @@ def nan_probe_z(n):
     return SecondOrderMap(n, fn, name="nan-probe")
 
 
+def late_nan_z(n):
+    """NaN on the intervals that end after t = 0.75: a march blows up at a
+    step that grows with its N."""
+
+    def fn(x, s, t):
+        return np.full(n, np.nan) if t > 0.75 else (t - s) * np.cos(x)
+
+    return SecondOrderMap(n, fn, name="late-nan")
+
+
 def build_z(kind, field, driver):
     if kind == "canonical":
         return canonical_z(field, driver)
@@ -88,6 +98,8 @@ def build_z(kind, field, driver):
         return rough_probe_z(field.n, driver.alpha)
     if kind == "nan-probe":
         return nan_probe_z(field.n)
+    if kind == "late-nan":
+        return late_nan_z(field.n)
     # the map's own driver differs from the solve's: its areas must be used,
     # and a driver made by with_area has no batch hooks
     return canonical_z(field, with_area(driver,

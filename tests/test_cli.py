@@ -112,6 +112,17 @@ def test_numeric_blowup_exits_3(tmp_path):
     assert not (out / "rates_summary.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_compare_schemes_blowup_names_the_level(tmp_path):
+    result, out = run_cli(tmp_path, BLOWUP, ["compare-schemes"])
+    assert result.exit_code == 3
+    assert re.search(r"numeric failure: solve at N=(64|128|256) failed: "
+                     r"state left finite range at step \d+$",
+                     result.output.strip()), result.output
+    assert not (out / "compare.json").exists()
+
+
 @pytest.mark.parametrize("key", [
     "driver.alpha", "field.gamma", "field.scale", "problem.t_final",
     "problem.y0", "experiment.beta", "experiment.box",
@@ -278,3 +289,123 @@ def test_compare_schemes_zero_z_exact(tmp_path):
     payload = json.loads((out / "compare.json").read_text())
     assert payload["exact_agreement"]
     assert payload["max_diffs"] == [0.0, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------- one march
+
+def _reference_json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def _reference_rate_files(cfg, kind):
+    """The files of ``rates --kind kind`` assembled from one ``solve_split``
+    per seed and level."""
+    from rdesplit import (Grid, RateReport, SampledPath, common_indices,
+                          fit_rate, hoelder_seminorm, rates_summary,
+                          solve_split)
+    from rdesplit.config import build_problem
+    from rdesplit.convergence_lab import quarter_times
+
+    exp = cfg.experiment
+    seeds = [cfg.driver.seed + i for i in range(exp.seeds)]
+    files, reports = {}, []
+    for seed in seeds:
+        p = build_problem(cfg, seed)[0]
+
+        def solve(N):
+            return solve_split(p.driver, p.field, p.z, p.y0, Grid(p.T, N))
+
+        gamma_alpha = min(p.field.gamma, 3.0) * p.alpha - 1.0
+        if kind == "rational":
+            Ns = [exp.base_n * 2**n for n in range(exp.levels)]
+            diffs = []
+            for N in Ns:
+                ci, fi = common_indices(N, exp.q_num, exp.q_den)
+                delta = (solve(N).u[ci]
+                         - solve(N * exp.q_num // exp.q_den).u[fi])
+                diffs.append(float(np.max(np.linalg.norm(delta, axis=1))))
+            target, norm_kind = gamma_alpha, "sup"
+        else:
+            Ns = [exp.base_n * 2**n for n in range(exp.levels + 1)]
+            trajs = [solve(N) for N in Ns]
+            diffs = []
+            for coarse, fine in zip(trajs, trajs[1:]):
+                if kind == "sup":
+                    delta = coarse.u - fine.u[::2]
+                    diffs.append(float(np.max(np.linalg.norm(delta, axis=1))))
+                    continue
+                times = quarter_times(coarse.grid)
+                delta = coarse.eval_joined(times) - fine.eval_joined(times)
+                diffs.append(hoelder_seminorm(SampledPath(times, delta),
+                                              exp.beta))
+            Ns = Ns[:-1]
+            if kind == "sup":
+                target, norm_kind = gamma_alpha, "sup"
+            else:
+                target = min(p.alpha - exp.beta, gamma_alpha)
+                norm_kind = f"holder({exp.beta})"
+        report = RateReport(levels=Ns, hs=[p.T / N for N in Ns], diffs=diffs,
+                            slope=fit_rate(Ns, diffs), target=target,
+                            norm_kind=norm_kind)
+        buf = io.StringIO()
+        report.write_csv(buf)
+        files[f"rates_seed{seed}.csv"] = buf.getvalue()
+        reports.append(report)
+    files["rates_summary.json"] = _reference_json(rates_summary(reports,
+                                                                seeds))
+    return files
+
+
+def _reference_compare_files(cfg):
+    """The files of ``compare-schemes`` assembled from one ``solve_split``
+    and one ``solve_milstein`` per level."""
+    from rdesplit import (Grid, fit_rate, solve_milstein, solve_split,
+                          write_trajectory_csv)
+    from rdesplit.config import build_problem
+
+    p, grid = build_problem(cfg)
+    args = (p.driver, p.field, p.z, p.y0)
+    files, diffs = {}, []
+    levels = [grid.N, 2 * grid.N, 4 * grid.N]
+    for N in levels:
+        split = solve_split(*args, Grid(grid.T, N))
+        milstein = solve_milstein(*args, Grid(grid.T, N))
+        diffs.append(float(np.max(np.linalg.norm(split.u - milstein.values,
+                                                 axis=1))))
+        if N == grid.N:
+            for name, traj in (("split.csv", split),
+                               ("milstein.csv", milstein)):
+                buf = io.StringIO()
+                write_trajectory_csv(traj, buf)
+                files[name] = buf.getvalue()
+    order = fit_rate(levels, diffs)
+    files["compare.json"] = _reference_json({
+        "levels": levels, "max_diffs": diffs,
+        "order": None if order == float("inf") else order,
+        "exact_agreement": order == float("inf")})
+    return files
+
+
+@pytest.mark.parametrize("args", [
+    ["rates", "--kind", "sup"], ["rates", "--kind", "rational"],
+    ["rates", "--kind", "holder"], ["compare-schemes"]])
+def test_marched_commands_write_the_per_level_solves_files(tmp_path, args):
+    # rates marches every level of every seed at once, and compare-schemes
+    # all three levels of each scheme; the files must be those of one solve
+    # per seed, level and scheme
+    from rdesplit.config import ProblemConfig
+
+    text = SYNTHETIC.replace("levels = 3", "levels = 3\nseeds = 3")
+    result, out = run_cli(tmp_path, text, args)
+    assert result.exit_code == 0, result.output
+    cfg = ProblemConfig.parse(text)
+    if args[0] == "rates":
+        expected = _reference_rate_files(cfg, args[-1])
+    else:
+        expected = _reference_compare_files(cfg)
+    expected["config.ini"] = cfg.emit()
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(written) == sorted(expected)
+    for name, content in expected.items():
+        assert written[name] == content.encode("utf-8"), name

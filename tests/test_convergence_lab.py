@@ -125,6 +125,51 @@ def test_dyadic_propagates_numeric_failure_with_level():
     assert "N=" in str(err.value)
 
 
+def _cubic_problem(driver):
+    from rdesplit import VectorField
+
+    field = VectorField(
+        1, 1,
+        lambda x: np.array([[x[0] ** 3]]),
+        lambda x: np.array([[[3.0 * x[0] ** 2]]]),
+        gamma=3.0, name="cubic",
+    )
+    return Problem(driver=driver, field=field, z=zero_z(1),
+                   y0=np.array([1.0]), T=1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("experiment,K,Ns", [
+    pytest.param(lambda ps: dyadic_sup_rate(ps, 8, 3), 8, [8, 16, 32, 64],
+                 id="dyadic"),
+    # coarse levels 8 and 16, fine levels 12 and 24
+    pytest.param(lambda ps: rational_rate(ps, 3, 2, 8, 2), 6,
+                 [8, 16, 12, 24], id="rational"),
+])
+def test_rate_failure_names_the_earliest_failing_level(experiment, K, Ns):
+    # an oscillation of frequency K that the N = 8 grid does not see: a
+    # finer level blows up at an earlier step than the first level does
+    from rdesplit import scalar_driver
+
+    rough = _cubic_problem(scalar_driver(
+        lambda t: 8.0 * t + 5.0 * (1.0 - np.cos(2.0 * K * np.pi * t))))
+    steps = []
+    for N in Ns:
+        with pytest.raises(NumericFailure) as err:
+            solve_split(rough.driver, rough.field, rough.z, rough.y0,
+                        Grid(1.0, N))
+        steps.append(err.value.step)
+    step, N = min(zip(steps, Ns))
+    assert steps.count(step) == 1 and N != Ns[0]
+    mild = _cubic_problem(scalar_driver(lambda t: 0.01 * t))
+    with pytest.raises(NumericFailure) as err:
+        experiment([mild, rough])
+    assert str(err.value) == (f"solve at N={N} failed: state left finite "
+                              f"range at step {step} in member 1")
+    assert (err.value.step, err.value.member) == (step, 1)
+
+
 def test_dyadic_telescoping_triangle_inequality():
     # sup|Y^h - Y^{h/4}| <= sup|Y^h - Y^{h/2}| + sup|Y^{h/2} - Y^{h/4}|
     # at the shared evaluation times (coarse grid points)

@@ -265,7 +265,7 @@ def test_numeric_failure_names_the_failing_member():
     for milstein, reference in ((False, reference_split),
                                 (True, reference_milstein)):
         with pytest.raises(NumericFailure, match="in member 1") as err:
-            _march(members, grid, milstein)
+            _march(members, [grid] * len(members), milstein)
         assert err.value.member == 1
         assert err.value.step == failure_step(reference, *members[1], grid)
     # a single solve names member 0 without mentioning members
@@ -332,22 +332,24 @@ def _reference_outcome(reference, member, grid):
 
 
 def march_specs(driver_kinds):
-    """1 to 4 members as (driver kind, map kind, seed)."""
+    """1 to 4 members as (driver kind, map kind, seed, N)."""
     return st.lists(st.tuples(st.sampled_from(driver_kinds),
                               st.sampled_from(("canonical", "scaled-area",
                                                "transposed", "zero",
-                                               "rough-probe", "nan-probe")),
-                              st.integers(0, 2**16)),
+                                               "rough-probe", "nan-probe",
+                                               "late-nan")),
+                              st.integers(0, 2**16), st.integers(1, 40)),
                     min_size=1, max_size=4)
 
 
-def assert_march_outcomes(specs, field_kind, shared, N, n=2):
-    """Split and Milstein marches of the members ``specs`` with state
-    dimension n: bitwise their reference loops, or the first failure."""
+def assert_march_outcomes(specs, field_kind, shared, n=2):
+    """Split and Milstein marches of the members ``specs``, each on its own
+    grid, with state dimension n: bitwise their reference loops, or the
+    first failure."""
     fields = {}
     members = []
     y0 = np.resize(Y0, n)
-    for k, (driver_kind, z_kind, seed) in enumerate(specs):
+    for k, (driver_kind, z_kind, seed, _) in enumerate(specs):
         driver = build_driver(driver_kind, seed)
         if shared:
             # one field object per driver dimension
@@ -358,14 +360,15 @@ def assert_march_outcomes(specs, field_kind, shared, N, n=2):
             field = build_field(field_kind, seed, driver.dim, n=n)
         members.append((driver, field, build_z(z_kind, field, driver),
                         y0 + 0.125 * k))
-    grid = Grid(1.0, N)
+    grids = [Grid(1.0, N) for *_, N in specs]
     for milstein, reference in ((False, reference_split),
                                 (True, reference_milstein)):
-        expected = [_reference_outcome(reference, m, grid) for m in members]
+        expected = [_reference_outcome(reference, m, grid)
+                    for m, grid in zip(members, grids)]
         failures = [(step, k) for k, (_, step) in enumerate(expected)
                     if step is not None]
         try:
-            u, v = _march(members, grid, milstein)
+            u, v = _march(members, grids, milstein)
         except NumericFailure as exc:
             assert (exc.step, exc.member) == min(failures)
             continue
@@ -378,20 +381,44 @@ def assert_march_outcomes(specs, field_kind, shared, N, n=2):
 
 @settings(max_examples=80, deadline=None)
 @given(specs=march_specs(DRIVER_KINDS),
-       field_kind=st.sampled_from(FIELD_KINDS), shared=st.booleans(),
-       N=st.integers(1, 40))
-# one shared preset field and area-linear maps: the stacked path
-@example(specs=[("synthetic", "canonical", 1), ("synthetic", "scaled-area", 2),
-                ("smooth", "canonical", 3)],
-         field_kind="sine", shared=True, N=9)
-@example(specs=[("scalar", "canonical", 1), ("scalar", "scaled-area", 2)],
-         field_kind="linear", shared=True, N=5)
+       field_kind=st.sampled_from(FIELD_KINDS), shared=st.booleans())
+# one shared preset field and area-linear maps: the stacked path, on one
+# grid and on three
+@example(specs=[("synthetic", "canonical", 1, 9),
+                ("synthetic", "scaled-area", 2, 9),
+                ("smooth", "canonical", 3, 9)],
+         field_kind="sine", shared=True)
+@example(specs=[("synthetic", "canonical", 1, 9),
+                ("synthetic", "canonical", 2, 36),
+                ("smooth", "canonical", 3, 18)],
+         field_kind="sine", shared=True)
+@example(specs=[("synthetic", "transposed", 1, 5),
+                ("smooth", "transposed", 2, 40),
+                ("synthetic", "transposed", 3, 5),
+                ("smooth", "transposed", 4, 17)],
+         field_kind="linear", shared=True)
+@example(specs=[("scalar", "canonical", 1, 5), ("scalar", "scaled-area", 2, 5)],
+         field_kind="linear", shared=True)
+# maps that do not read the state: one array of rows
+@example(specs=[("synthetic", "zero", 1, 3), ("smooth", "rough-probe", 2, 31),
+                ("synthetic", "rough-probe", 3, 12)],
+         field_kind="sine", shared=True)
 # mixed dimensions, a plain-callable field and a NaN map: per-row rows
-@example(specs=[("synthetic", "nan-probe", 1), ("scalar", "canonical", 2)],
-         field_kind="callable", shared=False, N=2)
+@example(specs=[("synthetic", "nan-probe", 1, 2), ("scalar", "canonical", 2, 2)],
+         field_kind="callable", shared=False)
+@example(specs=[("synthetic", "nan-probe", 1, 7), ("scalar", "canonical", 2, 1),
+                ("smooth", "nan-probe", 3, 2)],
+         field_kind="callable", shared=False)
+# a short member finishes before a longer one fails at step 7
+@example(specs=[("synthetic", "canonical", 1, 2), ("scalar", "late-nan", 2, 8)],
+         field_kind="sine", shared=True)
+# members on different grids fail at the same step (4): the lower one is
+# named, though the longer grid marches first
+@example(specs=[("scalar", "late-nan", 1, 4), ("scalar", "late-nan", 2, 5)],
+         field_kind="linear", shared=False)
 def test_every_member_of_a_march_is_its_reference_loop(specs, field_kind,
-                                                       shared, N):
-    assert_march_outcomes(specs, field_kind, shared, N)
+                                                       shared):
+    assert_march_outcomes(specs, field_kind, shared)
 
 
 # n = 1 with the two-dimensional drivers is the known defect of the test
@@ -404,20 +431,26 @@ def test_march_members_of_another_state_dimension_are_their_reference_loops(
         n, driver_kinds, data):
     assert_march_outcomes(data.draw(march_specs(driver_kinds)),
                           data.draw(st.sampled_from(FIELD_KINDS)),
-                          data.draw(st.booleans()),
-                          data.draw(st.integers(1, 40)), n=n)
+                          data.draw(st.booleans()), n=n)
 
 
 # Known defect: with n = 1 and d = 2, numpy's einsum sums a stack of two or
 # more Z rows in another order than a single contraction, so a stacked
 # march can differ from its reference loop in the last bit.  Fields built
-# from plain callables stack too.
+# from plain callables stack too, and so do members on different grids
+# while two or more of them step.
 @pytest.mark.xfail(strict=True, reason="einsum sums n = 1, d = 2 stacks in "
                                        "another order")
-@pytest.mark.parametrize("field_kind", ("sine", "callable"))
-def test_stacked_march_with_one_state_and_two_driver_dimensions(field_kind):
-    assert_march_outcomes([("synthetic", "canonical", seed)
-                           for seed in range(4)], field_kind, True, 32, n=1)
+@pytest.mark.parametrize("field_kind,Ns", [
+    pytest.param("sine", (32,) * 4, id="sine"),
+    pytest.param("callable", (32,) * 4, id="callable"),
+    pytest.param("sine", (8, 16, 32), id="sine-mixed-grids"),
+])
+def test_stacked_march_with_one_state_and_two_driver_dimensions(field_kind,
+                                                                Ns):
+    assert_march_outcomes([("synthetic", "canonical", seed, N)
+                           for seed, N in enumerate(Ns)], field_kind, True,
+                          n=1)
 
 
 def assert_reference_loops(members, grid):
@@ -425,7 +458,7 @@ def assert_reference_loops(members, grid):
     loops."""
     for milstein, reference in ((False, reference_split),
                                 (True, reference_milstein)):
-        u, v = _march(members, grid, milstein)
+        u, v = _march(members, [grid] * len(members), milstein)
         for k, member in enumerate(members):
             expected = reference(*member, grid)
             if milstein:
@@ -489,7 +522,7 @@ def test_maps_of_one_kind_on_a_shared_field_stack(makes, stacks):
     grid = Grid(1.0, N)
     for milstein in (False, True):
         calls.clear()
-        _march(members, grid, milstein)
+        _march(members, [grid] * len(members), milstein)
         if stacks:
             # one stacked evaluation of all four members per stage and step
             expected = {("fused", 4): N}
@@ -520,7 +553,7 @@ def test_maps_that_do_not_read_the_state_are_not_called_per_step(
         members.append((driver, field, build_z(kind, field, driver),
                         Y0 + 0.125 * seed))
     for milstein in (False, True):
-        _march(members, Grid(1.0, 16), milstein)
+        _march(members, [Grid(1.0, 16)] * len(members), milstein)
     assert not calls
     assert_reference_loops(members, Grid(1.0, 16))
 
