@@ -2,8 +2,8 @@
 
 Every command reads one config file, writes into one output directory
 (including a copy of the config, so re-running the copy reproduces the
-run), and exits 0 on success, 2 on validation failure, 3 on numeric
-failure.
+run), and exits 0 on success, 2 on validation failure (an allocation
+that runs out of memory included), 3 on numeric failure.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .convergence_lab import (davie_defect, dyadic_sup_rate, fit_rate,
 from .errors import NumericFailure
 from .model import check_z_bound, check_z_cocycle, check_z_lipschitz
 from .rough_path import Grid
-from .splitting_solver import (_failure_message, solve_milstein_many,
+from .splitting_solver import (_failure_message, solve_many,
                                solve_ode_reference, solve_split,
-                               solve_split_many, write_trajectory_csv)
+                               write_trajectory_csv)
 # not called here: bench/spans.py patches this module attribute
 from .splitting_solver import solve_milstein  # noqa: F401
 
@@ -61,6 +61,11 @@ def _exit_codes(fn):
             sys.exit(EXIT_NUMERIC)
         except (ConfigError, ValueError, OSError) as exc:
             click.echo(f"invalid run: {exc}", err=True)
+            sys.exit(EXIT_VALIDATION)
+        except MemoryError as exc:
+            # numpy's failed allocations included: a run too large for the
+            # available memory is an invalid run, not a crash
+            click.echo(f"invalid run: out of memory: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
 
     return wrapper
@@ -203,15 +208,18 @@ def compare_schemes(config_path, out, seed):
     problem, grid = build_problem(cfg)
     levels = [grid.N, 2 * grid.N, 4 * grid.N]
     grids = [Grid(grid.T, N) for N in levels]
-    # one split march and one Milstein march over all three levels
-    members = [(problem.driver, problem.field, problem.z, problem.y0)] * 3
+    # one march of both schemes over all three levels: the split members
+    # first, so that at equal steps a split failure is named
+    members = [(problem.driver, problem.field, problem.z, problem.y0)] * 6
+    schemes = ["split"] * 3 + ["milstein"] * 3
     try:
-        splits = solve_split_many(members, grids)
-        milsteins = solve_milstein_many(members, grids)
+        trajs = solve_many(members, grids * 2, schemes)
     except NumericFailure as exc:
+        scheme = "split" if exc.member < 3 else "Milstein"
         raise NumericFailure(
-            f"solve at N={levels[exc.member]} failed: "
+            f"{scheme} solve at N={levels[exc.member % 3]} failed: "
             f"{_failure_message(exc.step)}", step=exc.step) from exc
+    splits, milsteins = trajs[:3], trajs[3:]
     diffs = [float(np.max(np.linalg.norm(split.u - milstein.values, axis=1)))
              for split, milstein in zip(splits, milsteins)]
     with open(out_dir / "split.csv", "w", encoding="utf-8") as fh:

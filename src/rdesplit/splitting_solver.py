@@ -10,18 +10,22 @@ the rate over half of the interval.  The reference one-step map is the
 second-order Euler (Milstein) update y -> y + f(y) X + Z(y).
 
 Both schemes run on one stepping loop over fixed grids, so every X_{s,t}
-and XX_{s,t} they need is known before the loop starts.  The loop has a
-leading member axis: one Python step advances M problems (driver, field,
-Z, start), each on its own grid, for instance every seed and level of one
-rate experiment, and a single solve is the march of one member.  Members
-are ordered longest grid first, so those still stepping are always a
-prefix of the stack, which is cut only where a member finishes.  The
-increments come from one ``increment_many`` query per member and are held
-step by step, one row per member and step.  Members that share one field
-evaluate it as one stack of states, and when its maps are all canonical or all
-transposed, one stacked evaluation per stage feeds one contraction of the
-areas of every map's own driver (one ``area_many`` query each).  Maps
-that do not read the state (zero and rough-probe) give the Z rows of every
+and XX_{s,t} they need is known before the loop starts.  A Milstein step
+(u + f(u) X) + Z(u) is the split step with Z taken at the state the step
+starts from instead of at the stage-1 endpoint, so one step formula serves
+both.  The loop has a leading member axis: one Python step advances M
+problems (driver, field, Z, start), each on its own grid and with its own
+scheme, for instance every seed and level of one rate experiment, or both
+schemes at the three levels of ``compare-schemes``, and a single solve is
+the march of one member.  Members are ordered longest grid first, so those
+still stepping are always a prefix of the stack, which is cut only where a
+member finishes.  The increments come from one ``increment_many`` query
+per distinct driver and grid and are held step by step, one row per
+member and step.  Members that share one field evaluate it as one stack of
+states, and when its maps are all canonical or all transposed, one stacked
+evaluation per stage feeds one contraction of the areas of every map's own
+driver (one ``area_many`` query per distinct driver and grid).  Maps that
+do not read the state (zero and rough-probe) give the Z rows of every
 interval as one array before the loop; other members fall back to one
 call per member row.  A driver without batch hooks is queried once per
 interval.  The arithmetic of each step is that of the per-interval scalar
@@ -49,6 +53,7 @@ __all__ = [
     "SplitTrajectory",
     "MilsteinTrajectory",
     "split_step",
+    "solve_many",
     "solve_split",
     "solve_split_many",
     "solve_milstein",
@@ -143,6 +148,10 @@ def split_step(u, s: float, t: float, field: VectorField, z: SecondOrderMap,
 # non-finite.
 FINITE_BLOCK = 64
 
+# The per-member schemes of a march: the split update and the one-step
+# second-order Euler (Milstein) update.
+SCHEMES = ("split", "milstein")
+
 
 def _run_view(rows, run):
     """A step-major array's rows on the steps of one run, shape
@@ -151,28 +160,40 @@ def _run_view(rows, run):
     return rows[span].reshape((j1 - j0, m) + rows.shape[1:])
 
 
-def _member_stages(members, intervals, step_major):
-    """Stage evaluators of M members, member k on the intervals
-    ``intervals[k]`` = (ss, tt), longest first.
+def _member_stages(members, grids, step_major):
+    """Stage evaluators of M members, member k on ``grids[k]``, longest
+    first.
 
     Returns ``stages(run)``.  A run (m, j0, j1, span) is steps j0 to j1 - 1,
     on which the first m members step; ``step_major`` lays per-member
     arrays out step by step, so that a run's rows are the one block
     ``span``.  For a run, ``stages`` gives ``drift(y, i)``, the rows
-    f_k(y[k]) X^k over step j0 + i, ``z_at(y, i)``, the rows Z_k(y[k])
-    over it, and ``both(y, i)``, the pair of them, for an (m, n) stack of
-    states y.  Members that share one field evaluate it as one stack, and
-    when every map is area-linear on that field, all canonical or all
-    transposed, its stacked form feeds one contraction of the members'
-    areas.  When no map reads the state, the Z rows of every interval are
-    one array.  Otherwise each member is evaluated on its own row, with its
-    own field and map.  Either way row k is bitwise member k's single-state
-    evaluation (but for n = 1, d = 2).
+    f_k(y[k]) X^k over step j0 + i, and ``z_at(y, i)``, the rows Z_k(y[k])
+    over it, for an (m, n) stack of states y.  Members with the same driver
+    object and grid share one ``increment_many`` query, and maps with the
+    same driver and grid one ``area_many`` query.  Members that share one
+    field evaluate it as one stack, and when every map is area-linear on
+    that field, all canonical or all transposed, its stacked form feeds one
+    contraction of the members' areas.  When no map reads the state, the Z
+    rows of every interval are one array.  Otherwise each member is
+    evaluated on its own row, with its own field and map.  Either way row k
+    is bitwise member k's single-state evaluation (but for n = 1, d = 2).
     """
     drivers, fields, zs, y0s = zip(*members)
     field = fields[0]
-    incs = (driver.increment_many(ss, tt)
-            for driver, (ss, tt) in zip(drivers, intervals))
+    intervals = [(grid.points[:-1], grid.points[1:]) for grid in grids]
+
+    def queries(name, owners):
+        """``owner.name(ss, tt)`` on every member's intervals, one call per
+        distinct (owner, grid)."""
+        memo = {}
+        for owner, grid, (ss, tt) in zip(owners, grids, intervals):
+            key = id(owner), grid
+            if key not in memo:
+                memo[key] = getattr(owner, name)(ss, tt)
+            yield memo[key]
+
+    incs = queries("increment_many", drivers)
     # hooks bound once: a wrapper call per step costs more than a small stack
     stacked = all(f is field for f in fields)
     if stacked:
@@ -203,11 +224,9 @@ def _member_stages(members, intervals, step_major):
     if stacked and all(isinstance(z, _AreaLinearZ) and z.field is field
                        and z.transpose == z0.transpose for z in zs):
         value_and_grad_many = field._value_and_grad_many_fn
-        areas = step_major(z.driver.area_many(ss, tt)
-                           for z, (ss, tt) in zip(zs, intervals))
+        areas = step_major(queries("area_many", [z.driver for z in zs]))
 
-        def stages(run):
-            inc = _run_view(incs, run)
+        def z_on(run):
             # einsum sums in the order of the areas' strides: one kind of
             # map only
             area = z0.oriented(_run_view(areas, run))
@@ -216,17 +235,8 @@ def _member_stages(members, intervals, step_major):
                 f_y, grad_y = value_and_grad_many(y)
                 return np.einsum(_Z_SUBSCRIPTS, grad_y, f_y, area[i])
 
-            def both(y, i):
-                # the field is the map's own: evaluate it once for both stages
-                f_y, grad_y = value_and_grad_many(y)
-                return (np.matmul(f_y, inc[i])[..., 0],
-                        np.einsum(_Z_SUBSCRIPTS, grad_y, f_y, area[i]))
-
-            return drift_on(run), z_at, both
-
-        return stages
-
-    if all(isinstance(z, _TimeOnlyZ) for z in zs):
+            return z_at
+    elif all(isinstance(z, _TimeOnlyZ) for z in zs):
         # no map reads the state: every interval's rows in one array
         rows = step_major(z.on_grid(ss, tt).every(y0)
                           for z, y0, (ss, tt) in zip(zs, y0s, intervals))
@@ -247,11 +257,19 @@ def _member_stages(members, intervals, step_major):
 
             return z_at
 
-    def stages(run):
-        drift, z_at = drift_on(run), z_on(run)
-        return drift, z_at, lambda y, i: (drift(y, i), z_at(y, i))
+    return lambda run: (drift_on(run), z_on(run))
 
-    return stages
+
+def _z_point(at_start):
+    """``point(state, v)``: the rows at which Z is evaluated, the state a
+    step starts from where ``at_start`` holds (Milstein) and the stage-1
+    endpoint v elsewhere (split)."""
+    if not at_start.any():
+        return lambda state, v: v
+    if at_start.all():
+        return lambda state, v: state
+    at_start = at_start[:, None]
+    return lambda state, v: np.where(at_start, state, v)
 
 
 def _failure_message(step: int, member=None) -> str:
@@ -277,9 +295,9 @@ def _check_finite(values, starts, order, lo: int, hi: int) -> None:
         step=step, member=member)
 
 
-def _march(members, grids, milstein: bool):
-    """Advance M members (driver, field, z, y0), member k over ``grids[k]``,
-    together.
+def _march(members, grids, schemes):
+    """Advance M members (driver, field, z, y0), member k over ``grids[k]``
+    with the scheme ``schemes[k]``, "split" or "milstein", together.
 
     One Python step advances every member whose grid has steps left, as a
     stack of states.  The members are ordered longest grid first, so those
@@ -287,12 +305,13 @@ def _march(members, grids, milstein: bool):
     at the steps where m falls; on one shared grid it never is.  The
     increments and Z on every member's intervals are set up once, with
     batch queries where the drivers have them, and held step by step: one
-    row per member and step, Σ N_k rows in all.  Each step is the split
-    update (transport, then Z at the stage-1 endpoint) or, with
-    ``milstein``, the one-step second-order Euler update.  Every member is
-    bitwise its own single-member march.  Returns, per member in the given
-    order, the grid values, shape (N_k+1, n), and the split stage-1
-    endpoints, shape (N_k, n), or None for Milstein.
+    row per member and step, Σ N_k rows in all.  Every row takes the
+    transport stage v = u + f(u) X and adds Z at a point w: the split
+    update takes w = v, the one-step second-order Euler (Milstein) update
+    w = u, since (u + f(u) X) + Z(u) is its u + f(u) X + Z(u).  Every
+    member is bitwise its own single-member march.  Returns, per member in
+    the given order, the grid values, shape (N_k+1, n), and the split
+    stage-1 endpoints, shape (N_k, n), or None for a Milstein member.
 
     The states are checked every ``FINITE_BLOCK`` steps; a member that left
     the finite range raises NumericFailure with the first failing step and
@@ -300,10 +319,14 @@ def _march(members, grids, milstein: bool):
     """
     if not members:
         raise ValueError("need at least one member")
-    if len(grids) != len(members):
-        raise ValueError(f"{len(members)} members need as many grids, "
-                         f"got {len(grids)}")
     M = len(members)
+    for name, given in (("grids", grids), ("schemes", schemes)):
+        if len(given) != M:
+            raise ValueError(f"{M} members need as many {name}, "
+                             f"got {len(given)}")
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     n = members[0][1].n
     y0s = []
     for driver, field, _, y0 in members:
@@ -339,32 +362,28 @@ def _march(members, grids, milstein: bool):
         return out
 
     stages = _member_stages([members[k] for k in order],
-                            [(grids[k].points[:-1], grids[k].points[1:])
-                             for k in order], step_major)
+                            [grids[k] for k in order], step_major)
+    at_start = np.array([schemes[k] == "milstein" for k in order])
     # the states after step j follow the M initial states step by step
     values = np.empty((M + starts[-1], n))
     values[:M] = [y0s[k] for k in order]
     after = np.concatenate(([0], M + starts))
     _check_finite(values, after, order, 0, 1)
-    mid = None if milstein else np.empty((starts[-1], n))
+    mid = np.empty((starts[-1], n))
     state = values[:M]
     for run in runs:
         m, j0, j1, _ = run
         if m < len(state):
             state = state[:m]
-        drift, z_at, both = stages(run)
-        out = _run_view(values[M:], run)
-        mids = None if milstein else _run_view(mid, run)
+        drift, z_at = stages(run)
+        point = _z_point(at_start[:m])
+        out, mids = _run_view(values[M:], run), _run_view(mid, run)
         for lo in range(0, j1 - j0, FINITE_BLOCK):
             hi = min(lo + FINITE_BLOCK, j1 - j0)
             try:
                 for i in range(lo, hi):
-                    if milstein:
-                        f_x, z_x = both(state, i)
-                        state = state + f_x + z_x
-                    else:
-                        v = mids[i] = state + drift(state, i)
-                        state = v + z_at(v, i)
+                    v = mids[i] = state + drift(state, i)
+                    state = v + z_at(point(state, v), i)
                     out[i] = state
             except Exception:
                 # a field or map may reject the non-finite state that a
@@ -373,37 +392,42 @@ def _march(members, grids, milstein: bool):
                 raise
             _check_finite(values, after, order, j0 + lo + 1, j0 + hi + 1)
     # the stages hold every increment and area: free them before the copies
-    del stages, drift, z_at, both
+    del stages, drift, z_at
     us, vs = [None] * M, [None] * M
     for p, (k, N) in enumerate(zip(order, Ns)):
         us[k] = values[after[:N + 1] + p]
-        if not milstein:
+        if schemes[k] == "split":
             vs[k] = mid[starts[:N] + p]
-    return us, None if milstein else vs
+    return us, vs
 
 
-def solve_split_many(members, grids) -> list:
-    """``solve_split`` of every (driver, field, z, y0) member, member k on
-    ``grids[k]``.
+def solve_many(members, grids, schemes) -> list:
+    """Solve every (driver, field, z, y0) member, member k on ``grids[k]``
+    with the scheme ``schemes[k]``: a ``SplitTrajectory`` for "split", a
+    ``MilsteinTrajectory`` for "milstein".
 
     The members are marched together, one Python step for all of them
     that still have steps left, and each trajectory is bitwise its own
-    ``solve_split``.  Members that share one preset field and area-linear
-    maps on it (the seeds and levels of one rate experiment) are evaluated
-    as stacks.
+    ``solve_split`` or ``solve_milstein``.  Members that share one preset
+    field and area-linear maps on it (the seeds and levels of one rate
+    experiment, or both schemes of ``compare-schemes``) are evaluated as
+    stacks.
     """
-    u, v = _march(members, grids, milstein=False)
-    return [SplitTrajectory(grid, u[k], v[k], driver, field, z)
-            for k, ((driver, field, z, _), grid)
-            in enumerate(zip(members, grids))]
+    us, vs = _march(members, grids, schemes)
+    return [SplitTrajectory(grid, u, v, driver, field, z) if v is not None
+            else MilsteinTrajectory(grid, u, driver, field, z)
+            for (driver, field, z, _), grid, u, v
+            in zip(members, grids, us, vs)]
+
+
+def solve_split_many(members, grids) -> list:
+    """``solve_split`` of every member, marched as in ``solve_many``."""
+    return solve_many(members, grids, ["split"] * len(members))
 
 
 def solve_milstein_many(members, grids) -> list:
-    """``solve_milstein`` of every member, marched as in ``solve_split_many``."""
-    values, _ = _march(members, grids, milstein=True)
-    return [MilsteinTrajectory(grid, values[k], driver, field, z)
-            for k, ((driver, field, z, _), grid)
-            in enumerate(zip(members, grids))]
+    """``solve_milstein`` of every member, marched as in ``solve_many``."""
+    return solve_many(members, grids, ["milstein"] * len(members))
 
 
 def solve_split(driver: RoughDriver, field: VectorField, z: SecondOrderMap,
@@ -418,6 +442,11 @@ def solve_milstein(driver: RoughDriver, field: VectorField, z: SecondOrderMap,
     return solve_milstein_many([(driver, field, z, y0)], [grid])[0]
 
 
+# Rows of a trajectory CSV formatted per write: the text of a whole long
+# trajectory, held at once, would raise a solve's peak memory.
+CSV_BLOCK = 512
+
+
 def write_trajectory_csv(traj, fileobj) -> None:
     """Write grid rows "j,t,u1..un,v1..vn"; v columns are empty at j = 0.
 
@@ -428,18 +457,23 @@ def write_trajectory_csv(traj, fileobj) -> None:
     else:
         u, v = traj.u, traj.v
     n = u.shape[1]
-    header = ("j,t," + ",".join(f"u{i + 1}" for i in range(n)) + ","
-              + ",".join(f"v{i + 1}" for i in range(n)))
-    fileobj.write(header + "\n")
+    fileobj.write("j,t," + ",".join(f"u{i + 1}" for i in range(n)) + ","
+                  + ",".join(f"v{i + 1}" for i in range(n)) + "\n")
+    # the cells are Python floats from tolist(), whose str is repr(float(x)),
+    # and empty strings for the empty v columns
+    blank = [""] * n
     pts = traj.grid.points
-    for j in range(len(pts)):
-        cells = [str(j), repr(float(pts[j]))]
-        cells += [repr(float(x)) for x in u[j]]
-        if j == 0 or v is None:
-            cells += [""] * n
+    for lo in range(0, len(pts), CSV_BLOCK):
+        hi = lo + CSV_BLOCK
+        us = u[lo:hi].tolist()
+        if v is None:
+            vs = [blank] * len(us)
         else:
-            cells += [repr(float(x)) for x in v[j - 1]]
-        fileobj.write(",".join(cells) + "\n")
+            vs = [blank] * (lo == 0) + v[max(lo - 1, 0):hi - 1].tolist()
+        fileobj.write("".join(
+            ",".join(map(str, [j, t, *u_j, *v_j])) + "\n"
+            for j, t, u_j, v_j in zip(range(lo, hi), pts[lo:hi].tolist(),
+                                      us, vs)))
 
 
 def solve_ode_reference(path: SampledPath, field: VectorField, y0,

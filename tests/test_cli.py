@@ -1,12 +1,16 @@
 import configparser
+import dataclasses
 import io
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rdesplit.cli as cli
+from rdesplit import RoughDriver, SecondOrderMap
 from rdesplit.cli import main
 
 SMOOTH = """
@@ -117,10 +121,72 @@ def test_numeric_blowup_exits_3(tmp_path):
 def test_compare_schemes_blowup_names_the_level(tmp_path):
     result, out = run_cli(tmp_path, BLOWUP, ["compare-schemes"])
     assert result.exit_code == 3
-    assert re.search(r"numeric failure: solve at N=(64|128|256) failed: "
+    assert re.search(r"numeric failure: (split|Milstein) solve at "
+                     r"N=(64|128|256) failed: "
                      r"state left finite range at step \d+$",
                      result.output.strip()), result.output
     assert not (out / "compare.json").exists()
+
+
+def nan_where(z, bad):
+    """``z`` with NaN rows wherever ``bad(x, s, t)``."""
+
+    def fn(x, s, t):
+        return np.full(z.n, np.nan) if bad(x, s, t) else z(x, s, t)
+
+    return SecondOrderMap(z.n, fn, name="nan-where")
+
+
+@pytest.mark.parametrize("bad,named", [
+    # NaN on the intervals that end after t = 0.75: both schemes fail at
+    # step 13 of N = 16 first, and at equal steps split is named
+    pytest.param(lambda x, s, t: t > 0.75,
+                 "split solve at N=16 failed: "
+                 "state left finite range at step 13", id="equal-steps"),
+    # NaN at the initial state too, where a Milstein step evaluates Z and a
+    # split step does not: Milstein fails at step 1, before split does
+    pytest.param(lambda x, s, t: t > 0.75 or (x == [0.1, -0.2]).all(),
+                 "Milstein solve at N=16 failed: "
+                 "state left finite range at step 1", id="milstein-first"),
+])
+def test_compare_schemes_names_the_earliest_failure_over_both_schemes(
+        tmp_path, monkeypatch, bad, named):
+    build = cli.build_problem
+
+    def build_problem(cfg, seed_override=None):
+        problem, grid = build(cfg, seed_override)
+        return dataclasses.replace(problem, z=nan_where(problem.z, bad)), grid
+
+    monkeypatch.setattr(cli, "build_problem", build_problem)
+    result, out = run_cli(tmp_path, SMOOTH, ["compare-schemes"])
+    assert result.exit_code == 3
+    assert result.output.strip() == f"numeric failure: {named}"
+    assert not (out / "split.csv").exists()
+
+
+def test_compare_schemes_queries_each_grid_once(tmp_path, monkeypatch):
+    # split and Milstein members on one grid share its driver queries
+    calls = Counter()
+    for name in ("increment_many", "area_many"):
+        def counted(self, ss, tt, name=name, query=getattr(RoughDriver, name)):
+            calls[name] += 1
+            return query(self, ss, tt)
+
+        monkeypatch.setattr(RoughDriver, name, counted)
+    result, _ = run_cli(tmp_path, SYNTHETIC, ["compare-schemes"])
+    assert result.exit_code == 0, result.output
+    assert calls == {"increment_many": 3, "area_many": 3}
+
+
+def test_out_of_memory_exits_2(tmp_path, monkeypatch):
+    def solve_split(*args):
+        raise MemoryError("Unable to allocate 64.0 TiB for an array")
+
+    monkeypatch.setattr(cli, "solve_split", solve_split)
+    result, _ = run_cli(tmp_path, SMOOTH, ["solve"])
+    assert result.exit_code == 2
+    assert result.output.strip() == ("invalid run: out of memory: "
+                                     "Unable to allocate 64.0 TiB for an array")
 
 
 @pytest.mark.parametrize("key", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rdesplit import (Grid, SampledPath, VectorField, canonical_z,
                       check_z_bound, check_z_cocycle, check_z_lipschitz,
@@ -105,6 +106,19 @@ def test_stacked_field_rows_are_the_single_state_calls(seed, K, d, field_kind):
     for k, x in enumerate(xs):
         same_bits(f_many[k], field(x))
         same_bits(grad_many[k], field.gradient(x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16), n=st.integers(1, 3),
+       d=st.integers(1, 3), field_kind=st.sampled_from(FIELD_KINDS))
+def test_values_hook_is_the_fused_hooks_values(data, seed, n, d, field_kind):
+    # a march takes the transport stage's f from value_many and Z's f from
+    # value_and_gradient_many: a Milstein step is bitwise u + f(u)X + Z(u)
+    # only while the two agree on every state
+    field = build_field(field_kind, seed, d, n=n)
+    xs = data.draw(arrays(float, st.tuples(st.integers(1, 8), st.just(n)),
+                          elements=st.floats(-1e3, 1e3)))
+    same_bits(field.value_many(xs), field.value_and_gradient_many(xs)[0])
 
 
 # ---------------------------------------------------------------- canonical Z

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
                       VectorField, canonical_z, constant_field,
                       hoelder_seminorm, lift_piecewise_linear, linear_field,
-                      scalar_driver, sine_field, smooth_path, solve_milstein,
-                      solve_ode_reference, solve_split, split_step,
+                      scalar_driver, sine_field, smooth_path, solve_many,
+                      solve_milstein, solve_ode_reference, solve_split,
+                      split_step,
                       transposed_z, write_trajectory_csv, zero_z)
 from rdesplit import model, splitting_solver
 from rdesplit.convergence_lab import joined_samples, quarter_times
-from rdesplit.splitting_solver import _march
+from rdesplit.splitting_solver import SCHEMES, _march
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
                       build_field, build_z, with_area)
@@ -52,6 +53,15 @@ def reference_milstein(driver, field, z, y0, grid):
                                  step=j + 1)
         values.append(y_next)
     return np.array(values)
+
+
+REFERENCES = {"split": reference_split, "milstein": reference_milstein}
+
+
+def scheme_sets(M):
+    """Every member split, every member Milstein, and the schemes in turn."""
+    return (["split"] * M, ["milstein"] * M,
+            [SCHEMES[k % 2] for k in range(M)])
 
 
 def smooth_setup(segments=2**12, field_seed=1):
@@ -262,12 +272,12 @@ def test_numeric_failure_names_the_failing_member():
     members = [(mild, field, canonical_z(field, mild), y0),
                (steep, field, canonical_z(field, steep), y0)]
     solve_split(*members[0], grid)  # the mild member alone stays finite
-    for milstein, reference in ((False, reference_split),
-                                (True, reference_milstein)):
+    for schemes in scheme_sets(2):
         with pytest.raises(NumericFailure, match="in member 1") as err:
-            _march(members, [grid] * len(members), milstein)
+            _march(members, [grid] * len(members), schemes)
         assert err.value.member == 1
-        assert err.value.step == failure_step(reference, *members[1], grid)
+        assert err.value.step == failure_step(REFERENCES[schemes[1]],
+                                              *members[1], grid)
     # a single solve names member 0 without mentioning members
     with pytest.raises(NumericFailure) as err:
         solve_split(*members[1], grid)
@@ -332,24 +342,25 @@ def _reference_outcome(reference, member, grid):
 
 
 def march_specs(driver_kinds):
-    """1 to 4 members as (driver kind, map kind, seed, N)."""
+    """1 to 4 members as (driver kind, map kind, seed, N, scheme)."""
     return st.lists(st.tuples(st.sampled_from(driver_kinds),
                               st.sampled_from(("canonical", "scaled-area",
                                                "transposed", "zero",
                                                "rough-probe", "nan-probe",
                                                "late-nan")),
-                              st.integers(0, 2**16), st.integers(1, 40)),
+                              st.integers(0, 2**16), st.integers(1, 40),
+                              st.sampled_from(SCHEMES)),
                     min_size=1, max_size=4)
 
 
 def assert_march_outcomes(specs, field_kind, shared, n=2):
-    """Split and Milstein marches of the members ``specs``, each on its own
-    grid, with state dimension n: bitwise their reference loops, or the
-    first failure."""
+    """A march of the members ``specs``, each on its own grid and with its
+    own scheme, with state dimension n: bitwise their reference loops, or
+    the first failure over both schemes."""
     fields = {}
     members = []
     y0 = np.resize(Y0, n)
-    for k, (driver_kind, z_kind, seed, _) in enumerate(specs):
+    for k, (driver_kind, z_kind, seed, *_) in enumerate(specs):
         driver = build_driver(driver_kind, seed)
         if shared:
             # one field object per driver dimension
@@ -360,61 +371,85 @@ def assert_march_outcomes(specs, field_kind, shared, n=2):
             field = build_field(field_kind, seed, driver.dim, n=n)
         members.append((driver, field, build_z(z_kind, field, driver),
                         y0 + 0.125 * k))
-    grids = [Grid(1.0, N) for *_, N in specs]
-    for milstein, reference in ((False, reference_split),
-                                (True, reference_milstein)):
-        expected = [_reference_outcome(reference, m, grid)
-                    for m, grid in zip(members, grids)]
-        failures = [(step, k) for k, (_, step) in enumerate(expected)
-                    if step is not None]
-        try:
-            u, v = _march(members, grids, milstein)
-        except NumericFailure as exc:
-            assert (exc.step, exc.member) == min(failures)
-            continue
-        assert not failures
-        for k, ((ref_u, ref_v), _) in enumerate(expected):
-            same_bits(u[k], ref_u)
-            if not milstein:
-                same_bits(v[k], ref_v)
+    grids = [Grid(1.0, N) for *_, N, _ in specs]
+    schemes = [scheme for *_, scheme in specs]
+    expected = [_reference_outcome(REFERENCES[scheme], m, grid)
+                for m, grid, scheme in zip(members, grids, schemes)]
+    failures = [(step, k) for k, (_, step) in enumerate(expected)
+                if step is not None]
+    try:
+        u, v = _march(members, grids, schemes)
+    except NumericFailure as exc:
+        assert (exc.step, exc.member) == min(failures)
+        return
+    assert not failures
+    for k, ((ref_u, ref_v), _) in enumerate(expected):
+        same_bits(u[k], ref_u)
+        if ref_v is None:
+            assert v[k] is None
+        else:
+            same_bits(v[k], ref_v)
 
 
 @settings(max_examples=80, deadline=None)
 @given(specs=march_specs(DRIVER_KINDS),
        field_kind=st.sampled_from(FIELD_KINDS), shared=st.booleans())
 # one shared preset field and area-linear maps: the stacked path, on one
-# grid and on three
-@example(specs=[("synthetic", "canonical", 1, 9),
-                ("synthetic", "scaled-area", 2, 9),
-                ("smooth", "canonical", 3, 9)],
+# grid and on three, with one scheme and with both
+@example(specs=[("synthetic", "canonical", 1, 9, "split"),
+                ("synthetic", "scaled-area", 2, 9, "split"),
+                ("smooth", "canonical", 3, 9, "split")],
          field_kind="sine", shared=True)
-@example(specs=[("synthetic", "canonical", 1, 9),
-                ("synthetic", "canonical", 2, 36),
-                ("smooth", "canonical", 3, 18)],
+@example(specs=[("synthetic", "canonical", 1, 9, "milstein"),
+                ("synthetic", "scaled-area", 2, 9, "milstein"),
+                ("smooth", "canonical", 3, 9, "milstein")],
          field_kind="sine", shared=True)
-@example(specs=[("synthetic", "transposed", 1, 5),
-                ("smooth", "transposed", 2, 40),
-                ("synthetic", "transposed", 3, 5),
-                ("smooth", "transposed", 4, 17)],
+@example(specs=[("synthetic", "canonical", 1, 9, "split"),
+                ("synthetic", "canonical", 2, 36, "milstein"),
+                ("smooth", "canonical", 3, 18, "split")],
+         field_kind="sine", shared=True)
+@example(specs=[("synthetic", "transposed", 1, 5, "milstein"),
+                ("smooth", "transposed", 2, 40, "split"),
+                ("synthetic", "transposed", 3, 5, "split"),
+                ("smooth", "transposed", 4, 17, "milstein")],
          field_kind="linear", shared=True)
-@example(specs=[("scalar", "canonical", 1, 5), ("scalar", "scaled-area", 2, 5)],
+@example(specs=[("scalar", "canonical", 1, 5, "split"),
+                ("scalar", "scaled-area", 2, 5, "milstein")],
          field_kind="linear", shared=True)
+# the layout of compare-schemes: both schemes on one driver at N, 2N and 4N,
+# sharing each grid's increment and area queries
+@example(specs=[("smooth", "canonical", 1, N, scheme)
+                for scheme in SCHEMES for N in (5, 10, 20)],
+         field_kind="sine", shared=True)
 # maps that do not read the state: one array of rows
-@example(specs=[("synthetic", "zero", 1, 3), ("smooth", "rough-probe", 2, 31),
-                ("synthetic", "rough-probe", 3, 12)],
+@example(specs=[("synthetic", "zero", 1, 3, "split"),
+                ("smooth", "rough-probe", 2, 31, "milstein"),
+                ("synthetic", "rough-probe", 3, 12, "split")],
          field_kind="sine", shared=True)
 # mixed dimensions, a plain-callable field and a NaN map: per-row rows
-@example(specs=[("synthetic", "nan-probe", 1, 2), ("scalar", "canonical", 2, 2)],
+@example(specs=[("synthetic", "nan-probe", 1, 2, "split"),
+                ("scalar", "canonical", 2, 2, "milstein")],
          field_kind="callable", shared=False)
-@example(specs=[("synthetic", "nan-probe", 1, 7), ("scalar", "canonical", 2, 1),
-                ("smooth", "nan-probe", 3, 2)],
+@example(specs=[("synthetic", "nan-probe", 1, 7, "milstein"),
+                ("scalar", "canonical", 2, 1, "split"),
+                ("smooth", "nan-probe", 3, 2, "split")],
          field_kind="callable", shared=False)
 # a short member finishes before a longer one fails at step 7
-@example(specs=[("synthetic", "canonical", 1, 2), ("scalar", "late-nan", 2, 8)],
+@example(specs=[("synthetic", "canonical", 1, 2, "milstein"),
+                ("scalar", "late-nan", 2, 8, "split")],
          field_kind="sine", shared=True)
 # members on different grids fail at the same step (4): the lower one is
-# named, though the longer grid marches first
-@example(specs=[("scalar", "late-nan", 1, 4), ("scalar", "late-nan", 2, 5)],
+# named, though the longer grid marches first, whatever their schemes
+@example(specs=[("scalar", "late-nan", 1, 4, "split"),
+                ("scalar", "late-nan", 2, 5, "split")],
+         field_kind="linear", shared=False)
+@example(specs=[("scalar", "late-nan", 1, 4, "milstein"),
+                ("scalar", "late-nan", 2, 5, "split")],
+         field_kind="linear", shared=False)
+# a Milstein member fails at step 4, before a split member listed first
+# fails at step 7: the earliest step is named, not the first scheme
+@example(specs=[("scalar", "late-nan", 1, 8, "split"),
+                ("scalar", "late-nan", 2, 4, "milstein")],
          field_kind="linear", shared=False)
 def test_every_member_of_a_march_is_its_reference_loop(specs, field_kind,
                                                        shared):
@@ -448,21 +483,22 @@ def test_march_members_of_another_state_dimension_are_their_reference_loops(
 ])
 def test_stacked_march_with_one_state_and_two_driver_dimensions(field_kind,
                                                                 Ns):
-    assert_march_outcomes([("synthetic", "canonical", seed, N)
-                           for seed, N in enumerate(Ns)], field_kind, True,
-                          n=1)
+    for scheme in SCHEMES:
+        assert_march_outcomes([("synthetic", "canonical", seed, N, scheme)
+                               for seed, N in enumerate(Ns)], field_kind,
+                              True, n=1)
 
 
 def assert_reference_loops(members, grid):
-    """Split and Milstein marches of ``members``, bitwise their reference
-    loops."""
-    for milstein, reference in ((False, reference_split),
-                                (True, reference_milstein)):
-        u, v = _march(members, [grid] * len(members), milstein)
-        for k, member in enumerate(members):
-            expected = reference(*member, grid)
-            if milstein:
+    """Split, Milstein and mixed marches of ``members``, bitwise their
+    reference loops."""
+    for schemes in scheme_sets(len(members)):
+        u, v = _march(members, [grid] * len(members), schemes)
+        for k, (member, scheme) in enumerate(zip(members, schemes)):
+            expected = REFERENCES[scheme](*member, grid)
+            if scheme == "milstein":
                 same_bits(u[k], expected)
+                assert v[k] is None
             else:
                 same_bits(u[k], expected[0])
                 same_bits(v[k], expected[1])
@@ -520,14 +556,14 @@ def test_maps_of_one_kind_on_a_shared_field_stack(makes, stacks):
         members.append((driver, field, make(field, driver), Y0 + 0.125 * seed))
     N = 16
     grid = Grid(1.0, N)
-    for milstein in (False, True):
+    for schemes in scheme_sets(len(members)):
         calls.clear()
-        _march(members, [grid] * len(members), milstein)
+        _march(members, [grid] * len(members), schemes)
+        # either scheme takes f from the values hook and Z from the fused
+        # one, so a Milstein step evaluates f twice
         if stacks:
             # one stacked evaluation of all four members per stage and step
-            expected = {("fused", 4): N}
-            if not milstein:
-                expected["values", 4] = N
+            expected = {("values", 4): N, ("fused", 4): N}
         else:
             # einsum sums canonical and transposed areas in different
             # orders, so a mix is contracted one member row at a time
@@ -552,8 +588,8 @@ def test_maps_that_do_not_read_the_state_are_not_called_per_step(
         driver = build_driver("synthetic", seed)
         members.append((driver, field, build_z(kind, field, driver),
                         Y0 + 0.125 * seed))
-    for milstein in (False, True):
-        _march(members, [Grid(1.0, 16)] * len(members), milstein)
+    for schemes in scheme_sets(len(members)):
+        _march(members, [Grid(1.0, 16)] * len(members), schemes)
     assert not calls
     assert_reference_loops(members, Grid(1.0, 16))
 
@@ -587,6 +623,16 @@ def test_solves_query_a_batch_driver_once_per_solve():
     solve_split(driver, field, z, Y0, Grid(1.0, 32))
     solve_milstein(driver, field, z, Y0, Grid(1.0, 32))
     assert calls == {"increment_many": 2, "area_many": 2}
+    # members on one driver and one grid share a query, whatever their
+    # schemes; equal grids count as one grid
+    calls.clear()
+    grids = [Grid(1.0, 32), Grid(1.0, 64), Grid(1.0, 32)]
+    trajs = solve_many([(driver, field, z, Y0)] * 3, grids,
+                       ["split", "split", "milstein"])
+    assert calls == {"increment_many": 2, "area_many": 2}
+    same_bits(trajs[0].u, solve_split(driver, field, z, Y0, grids[0]).u)
+    same_bits(trajs[2].values,
+              solve_milstein(driver, field, z, Y0, grids[2]).values)
 
 
 # ---------------------------------------------------------------- joined path
@@ -764,6 +810,37 @@ def test_trajectory_csv_layout():
     second = lines[2].split(",")
     assert float(second[-2]) == traj.v[0][0]
     assert float(second[-1]) == traj.v[0][1]
+
+
+def reference_csv(u, v, grid):
+    """The trajectory CSV formatted one cell at a time."""
+    n = u.shape[1]
+    lines = ["j,t," + ",".join(f"u{i + 1}" for i in range(n)) + ","
+             + ",".join(f"v{i + 1}" for i in range(n))]
+    for j, t in enumerate(grid.points):
+        cells = [str(j), repr(float(t))] + [repr(float(x)) for x in u[j]]
+        if j == 0 or v is None:
+            cells += [""] * n
+        else:
+            cells += [repr(float(x)) for x in v[j - 1]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 7])
+def test_trajectory_csv_blocks_are_the_per_cell_rows(monkeypatch, N):
+    # rows are written in blocks of CSV_BLOCK: N = 2 to 7 end on, just
+    # before and just after a block edge
+    monkeypatch.setattr(splitting_solver, "CSV_BLOCK", 3)
+    _, driver, field, z = smooth_setup(segments=64)
+    grid = Grid(1.0, N)
+    split = solve_split(driver, field, z, Y0, grid)
+    milstein = solve_milstein(driver, field, z, Y0, grid)
+    for traj, u, v in ((split, split.u, split.v),
+                       (milstein, milstein.values, None)):
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        assert buf.getvalue() == reference_csv(u, v, grid)
 
 
 def test_milstein_csv_has_empty_v_columns():
