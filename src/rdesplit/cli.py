@@ -3,7 +3,8 @@
 Every command reads one config file, writes into one output directory
 (including a copy of the config, so re-running the copy reproduces the
 run), and exits 0 on success, 2 on validation failure (an allocation
-that runs out of memory included), 3 on numeric failure.
+that runs out of memory and a float overflow included), 3 on numeric
+failure.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .convergence_lab import (davie_defect, dyadic_sup_rate, fit_rate,
 from .errors import NumericFailure
 from .model import check_z_bound, check_z_cocycle, check_z_lipschitz
 from .rough_path import Grid
-from .splitting_solver import (_failure_message, solve_many,
-                               solve_ode_reference, solve_split,
+from .splitting_solver import (solve_many, solve_ode_reference, solve_split,
                                write_trajectory_csv)
 # not called here: bench/spans.py patches this module attribute
 from .splitting_solver import solve_milstein  # noqa: F401
@@ -62,10 +62,12 @@ def _exit_codes(fn):
         except (ConfigError, ValueError, OSError) as exc:
             click.echo(f"invalid run: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
-        except MemoryError as exc:
+        except (MemoryError, OverflowError) as exc:
             # numpy's failed allocations included: a run too large for the
-            # available memory is an invalid run, not a crash
-            click.echo(f"invalid run: out of memory: {exc}", err=True)
+            # memory or the float range is an invalid run, not a crash
+            kind = ("out of memory" if isinstance(exc, MemoryError)
+                    else "overflow")
+            click.echo(f"invalid run: {kind}: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
 
     return wrapper
@@ -192,8 +194,7 @@ def davie(config_path, out, seed):
     cfg, out_dir = _prepare(config_path, out, seed)
     problem, grid = build_problem(cfg)
     traj = solve_split(problem.driver, problem.field, problem.z, problem.y0, grid)
-    report = davie_defect(traj, problem.field, problem.z, problem.driver,
-                          problem.field.gamma, problem.alpha)
+    report = davie_defect(traj, problem.z)
     _write_json(out_dir, "davie.json", report.to_json_dict())
 
 
@@ -217,8 +218,8 @@ def compare_schemes(config_path, out, seed):
     except NumericFailure as exc:
         scheme = "split" if exc.member < 3 else "Milstein"
         raise NumericFailure(
-            f"{scheme} solve at N={levels[exc.member % 3]} failed: "
-            f"{_failure_message(exc.step)}", step=exc.step) from exc
+            f"{scheme} solve at N={levels[exc.member % 3]} failed: {exc}",
+            step=exc.step) from exc
     splits, milsteins = trajs[:3], trajs[3:]
     diffs = [float(np.max(np.linalg.norm(split.u - milstein.values, axis=1)))
              for split, milstein in zip(splits, milsteins)]

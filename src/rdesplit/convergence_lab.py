@@ -13,9 +13,10 @@ reported through a sentinel slope instead of a fit.  The rate experiments
 take a list of problems sharing T (the seeds of a synthetic driver) and
 solve every level of all of them, the coarse and fine levels of the
 rational experiment included, in one march, with one report per problem,
-bitwise that of the problem run alone.  The Davie sweep takes
-its base increments from one batch query and evaluates Z one row of pairs
-at a time, never once per pair.  On a lifted driver with its own
+bitwise that of the problem run alone.  The Davie sweep measures a
+trajectory against a given map, with the trajectory's own field and
+driver; it takes its base increments from one batch query and evaluates
+Z one row of pairs at a time, never once per pair.  On a lifted driver with its own
 area-linear map it first screens every row with two small matmuls
 against increments and areas queried once about t_0 (Chen's relation),
 then evaluates only the rows that may hold the maximum, with the same
@@ -36,8 +37,7 @@ from .errors import NumericFailure
 from .model import (SecondOrderMap, VectorField, _AreaLinearZ, _chunks,
                     _first_max, _matvec, _powers, _row_norms)
 from .rough_path import Grid, RoughDriver, SampledPath, hoelder_seminorm
-from .splitting_solver import (SplitTrajectory, _failure_message,
-                               solve_split_many)
+from .splitting_solver import SplitTrajectory, solve_many
 # not called here: bench/spans.py patches this module attribute
 from .splitting_solver import solve_split  # noqa: F401
 
@@ -163,13 +163,12 @@ def _solve_levels(problems, Ns):
     members = [(p.driver, p.field, p.z, p.y0) for p in problems]
     P = len(problems)
     try:
-        trajs = solve_split_many(members * len(Ns),
-                                 [grid for grid in map(Grid, [T] * len(Ns), Ns)
-                                  for _ in problems])
+        trajs = solve_many(members * len(Ns),
+                           [grid for grid in map(Grid, [T] * len(Ns), Ns)
+                            for _ in problems], ["split"] * (P * len(Ns)))
     except NumericFailure as exc:
         level, k = divmod(exc.member, P)
-        message = _failure_message(exc.step, k if P > 1 else None)
-        raise NumericFailure(f"solve at N={Ns[level]} failed: {message}",
+        raise NumericFailure(f"solve at N={Ns[level]} failed: {exc}",
                              step=exc.step, member=k) from exc
     return [trajs[i:i + P] for i in range(0, len(trajs), P)]
 
@@ -403,19 +402,21 @@ def _row_form_maxima(u, x, areas, f, grad, z, times, exponent):
             ulps * size / _powers(times[1:] - times[:-1], exponent))
 
 
-def davie_defect(traj: SplitTrajectory, field: VectorField, z: SecondOrderMap,
-                 driver: RoughDriver, gamma: float, alpha: float) -> DavieReport:
-    """Worst normalised consistency residual of a computed trajectory.
+def davie_defect(traj: SplitTrajectory, z: SecondOrderMap) -> DavieReport:
+    """Worst normalised consistency residual of a computed trajectory
+    against the map ``z``.
 
-    Evaluates J_{km} for all N(N+1)/2 grid pairs k < m at every N; the
-    diagonal (J_{kk} = 0) is excluded.  The exponent is min(gamma, 3) * alpha.
+    Evaluates J_{km} for all N(N+1)/2 grid pairs k < m at every N, with the
+    trajectory's own field and driver; the diagonal (J_{kk} = 0) is
+    excluded.  The exponent is min(gamma, 3) * alpha, with the field's
+    gamma and the driver's alpha.
 
     Row k is evaluated as arrays: Z over its pairs is one
     ``z.on_grid(t_k, t_{m>k}).every(u_k)`` call (per ``PAIR_BLOCK`` pairs
     on longer rows).  Ratios are bitwise those of a per-pair loop, and the
     witness is the first strict maximum in (k, m) order.
 
-    When ``z`` is area-linear on this field and driver and the driver is a
+    When ``z`` is area-linear on that field and driver and the driver is a
     lift (``lift_piecewise_linear``), every row is first screened in the
     Chen-formed row form of ``_row_form_maxima``, from one
     ``increment_many`` and one ``area_many`` query about t_0 and one
@@ -423,8 +424,8 @@ def davie_defect(traj: SplitTrajectory, field: VectorField, z: SecondOrderMap,
     largest ratio within their rounding bounds (normally one) are
     evaluated as above.  The report is the same.
     """
-    grid = traj.grid
-    exponent = min(gamma, 3.0) * alpha
+    grid, field, driver = traj.grid, traj.field, traj.driver
+    exponent = min(field.gamma, 3.0) * driver.alpha
     times = grid.points
     u = traj.u
     starts = np.full(len(times), times[0])

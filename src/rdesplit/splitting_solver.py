@@ -14,24 +14,25 @@ and XX_{s,t} they need is known before the loop starts.  A Milstein step
 (u + f(u) X) + Z(u) is the split step with Z taken at the state the step
 starts from instead of at the stage-1 endpoint, so one step formula serves
 both.  The loop has a leading member axis: one Python step advances M
-problems (driver, field, Z, start), each on its own grid and with its own
-scheme, for instance every seed and level of one rate experiment, or both
-schemes at the three levels of ``compare-schemes``, and a single solve is
-the march of one member.  Members are ordered longest grid first, so those
-still stepping are always a prefix of the stack, which is cut only where a
-member finishes.  The increments come from one ``increment_many`` query
+problems (driver, field, Z, start) whose fields share one shape (n, d),
+each on its own grid and with its own scheme, for instance every seed and
+level of one rate experiment, or both schemes at the three levels of
+``compare-schemes``, and a single solve is the march of one member.
+Members are ordered longest grid first, so those still stepping are always
+a prefix of the stack, which is cut only where a member finishes.  The increments come from one ``increment_many`` query
 per distinct driver and grid and are held step by step, one row per
-member and step.  Members that share one field evaluate it as one stack of
-states, and when its maps are all canonical or all transposed, one stacked
+member and step; each step's drift is one matmul of them with the field
+rows.  Members that share one field evaluate it as one stack of states,
+and when its maps are all canonical or all transposed, one stacked
 evaluation per stage feeds one contraction of the areas of every map's own
 driver (one ``area_many`` query per distinct driver and grid).  Maps that
 do not read the state (zero and rough-probe) give the Z rows of every
-interval as one array before the loop; other members fall back to one
-call per member row.  A driver without batch hooks is queried once per
-interval.  The arithmetic of each step is that of the per-interval scalar
-queries, so every member's trajectory is bitwise that of a loop calling
-``increment`` and ``z(x, s, t)`` step by step (but for stacked Z with
-n = 1 and d = 2, see ``model``).
+interval as one array before the loop; distinct field objects and other
+maps fall back to one call per member row.  A driver without batch hooks
+is queried once per interval.  The arithmetic of each step is that of the
+per-interval scalar queries, so every member's trajectory is bitwise that
+of a loop calling ``increment`` and ``z(x, s, t)`` step by step (but for
+stacked Z with n = 1 and d = 2, see ``model``).
 
 The joined path is evaluated the same way on an array of times: the
 states u_j and v_{j+1} of all requested times form one stack each, for
@@ -52,12 +53,9 @@ from .rough_path import Grid, RoughDriver, SampledPath
 __all__ = [
     "SplitTrajectory",
     "MilsteinTrajectory",
-    "split_step",
     "solve_many",
     "solve_split",
-    "solve_split_many",
     "solve_milstein",
-    "solve_milstein_many",
     "write_trajectory_csv",
     "solve_ode_reference",
 ]
@@ -125,21 +123,6 @@ class MilsteinTrajectory:
 
     grid: Grid
     values: np.ndarray
-    driver: RoughDriver
-    field: VectorField
-    z: SecondOrderMap
-
-
-def split_step(u, s: float, t: float, field: VectorField, z: SecondOrderMap,
-               driver: RoughDriver):
-    """One split interval: returns (stage-1 endpoint v, interval value u_next)."""
-    if not s < t:
-        raise ValueError(f"need s < t, got s={s}, t={t}")
-    u = np.asarray(u, dtype=float)
-    if not np.isfinite(u).all():
-        raise NumericFailure("non-finite state entering split step")
-    v = u + field(u) @ driver.increment(s, t)
-    return v, v + z(v, s, t)
 
 
 # Steps run between two finite-state checks.  The first non-finite row of a
@@ -171,13 +154,15 @@ def _member_stages(members, grids, step_major):
     f_k(y[k]) X^k over step j0 + i, and ``z_at(y, i)``, the rows Z_k(y[k])
     over it, for an (m, n) stack of states y.  Members with the same driver
     object and grid share one ``increment_many`` query, and maps with the
-    same driver and grid one ``area_many`` query.  Members that share one
-    field evaluate it as one stack, and when every map is area-linear on
-    that field, all canonical or all transposed, its stacked form feeds one
-    contraction of the members' areas.  When no map reads the state, the Z
-    rows of every interval are one array.  Otherwise each member is
-    evaluated on its own row, with its own field and map.  Either way row k
-    is bitwise member k's single-state evaluation (but for n = 1, d = 2).
+    same driver and grid one ``area_many`` query.  A step's drift is one
+    matmul of its increments with the field rows, one stacked evaluation
+    of a field that every member shares, or one call per row of members
+    that hold distinct field objects.  When every map is area-linear on a
+    shared field, all canonical or all transposed, its stacked form feeds
+    one contraction of the members' areas.  When no map reads the state,
+    the Z rows of every interval are one array.  Otherwise each map is
+    called on its own row.  Either way row k is bitwise member k's
+    single-state evaluation (but for n = 1, d = 2).
     """
     drivers, fields, zs, y0s = zip(*members)
     field = fields[0]
@@ -193,32 +178,18 @@ def _member_stages(members, grids, step_major):
                 memo[key] = getattr(owner, name)(ss, tt)
             yield memo[key]
 
-    incs = queries("increment_many", drivers)
+    incs = step_major(queries("increment_many", drivers))[..., None]
     # hooks bound once: a wrapper call per step costs more than a small stack
     stacked = all(f is field for f in fields)
     if stacked:
-        value_many = field._value_many_fn
-        incs = step_major(incs)[..., None]
-
-        def drift_on(run):
-            inc = _run_view(incs, run)
-
-            def drift(y, i):
-                return np.matmul(value_many(y), inc[i])[..., 0]
-
-            return drift
+        values = field._value_many_fn
     else:
-        incs = list(incs)
+        def values(y):
+            return np.array([f(x) for f, x in zip(fields, y)])
 
-        def drift_on(run):
-            m, j0, j1, _ = run
-            inc = [a[j0:j1] for a in incs[:m]]
-
-            def drift(y, i):
-                return np.array([f(x) @ a[i]
-                                 for f, x, a in zip(fields, y, inc)])
-
-            return drift
+    def drift_on(run):
+        inc = _run_view(incs, run)
+        return lambda y, i: np.matmul(values(y), inc[i])[..., 0]
 
     z0 = zs[0]
     if stacked and all(isinstance(z, _AreaLinearZ) and z.field is field
@@ -272,12 +243,6 @@ def _z_point(at_start):
     return lambda state, v: np.where(at_start, state, v)
 
 
-def _failure_message(step: int, member=None) -> str:
-    message = (f"state left finite range at step {step}" if step
-               else "non-finite initial state")
-    return message if member is None else f"{message} in member {member}"
-
-
 def _check_finite(values, starts, order, lo: int, hi: int) -> None:
     """Raise NumericFailure at the first non-finite state at steps lo..hi-1.
 
@@ -290,9 +255,9 @@ def _check_finite(values, starts, order, lo: int, hi: int) -> None:
     bad = starts[lo] + np.flatnonzero(~np.isfinite(block).all(axis=1))
     step = int(np.searchsorted(starts, bad[0], side="right")) - 1
     member = min(order[p] for p in bad[bad < starts[step + 1]] - starts[step])
-    raise NumericFailure(
-        _failure_message(step, member if len(order) > 1 else None),
-        step=step, member=member)
+    raise NumericFailure(f"state left finite range at step {step}" if step
+                         else "non-finite initial state",
+                         step=step, member=member)
 
 
 def _march(members, grids, schemes):
@@ -328,11 +293,13 @@ def _march(members, grids, schemes):
         if scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     n = members[0][1].n
+    shape = n, members[0][1].d
     y0s = []
     for driver, field, _, y0 in members:
         _check_pairing(field, driver)
-        if field.n != n:
-            raise ValueError(f"member fields have state dimensions {n} and {field.n}")
+        if (field.n, field.d) != shape:
+            raise ValueError(f"member fields have shapes (n, d) = {shape} "
+                             f"and {(field.n, field.d)}")
         y0 = np.asarray(y0, dtype=float)
         if y0.shape != (n,):
             raise ValueError(f"initial state must have shape ({n},), got {y0.shape}")
@@ -404,7 +371,8 @@ def _march(members, grids, schemes):
 def solve_many(members, grids, schemes) -> list:
     """Solve every (driver, field, z, y0) member, member k on ``grids[k]``
     with the scheme ``schemes[k]``: a ``SplitTrajectory`` for "split", a
-    ``MilsteinTrajectory`` for "milstein".
+    ``MilsteinTrajectory`` for "milstein".  Every member's field has one
+    shape (n, d).
 
     The members are marched together, one Python step for all of them
     that still have steps left, and each trajectory is bitwise its own
@@ -415,31 +383,21 @@ def solve_many(members, grids, schemes) -> list:
     """
     us, vs = _march(members, grids, schemes)
     return [SplitTrajectory(grid, u, v, driver, field, z) if v is not None
-            else MilsteinTrajectory(grid, u, driver, field, z)
+            else MilsteinTrajectory(grid, u)
             for (driver, field, z, _), grid, u, v
             in zip(members, grids, us, vs)]
-
-
-def solve_split_many(members, grids) -> list:
-    """``solve_split`` of every member, marched as in ``solve_many``."""
-    return solve_many(members, grids, ["split"] * len(members))
-
-
-def solve_milstein_many(members, grids) -> list:
-    """``solve_milstein`` of every member, marched as in ``solve_many``."""
-    return solve_many(members, grids, ["milstein"] * len(members))
 
 
 def solve_split(driver: RoughDriver, field: VectorField, z: SecondOrderMap,
                 y0, grid: Grid) -> SplitTrajectory:
     """Iterate the split update over the grid; deterministic in its inputs."""
-    return solve_split_many([(driver, field, z, y0)], [grid])[0]
+    return solve_many([(driver, field, z, y0)], [grid], ["split"])[0]
 
 
 def solve_milstein(driver: RoughDriver, field: VectorField, z: SecondOrderMap,
                    y0, grid: Grid) -> MilsteinTrajectory:
     """Second-order Euler reference: y_{j+1} = y_j + f(y_j) X + Z(y_j)."""
-    return solve_milstein_many([(driver, field, z, y0)], [grid])[0]
+    return solve_many([(driver, field, z, y0)], [grid], ["milstein"])[0]
 
 
 # Rows of a trajectory CSV formatted per write: the text of a whole long

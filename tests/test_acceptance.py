@@ -185,8 +185,7 @@ def test_criterion_7_davie_defect_stability():
         for k in (6, 7, 8):
             traj = solve_split(prob.driver, prob.field, prob.z, prob.y0,
                                Grid(1.0, 2**k))
-            rep = davie_defect(traj, prob.field, prob.z, prob.driver,
-                               prob.field.gamma, prob.alpha)
+            rep = davie_defect(traj, prob.z)
             ratios.append(rep.max_ratio)
         factor = max(ratios) / min(ratios)
         ok = ok and factor <= 2.0

@@ -189,6 +189,24 @@ def test_out_of_memory_exits_2(tmp_path, monkeypatch):
                                      "Unable to allocate 64.0 TiB for an array")
 
 
+@pytest.mark.parametrize("key,message", [
+    # rng.uniform cannot sample [y0 - box, y0 + box]
+    pytest.param("experiment.box", "high - low range exceeds valid bounds",
+                 id="experiment.box"),
+    # the Lipschitz checker's distance ** (gamma - 2)
+    pytest.param("field.gamma", "(34, 'Numerical result out of range')",
+                 id="field.gamma"),
+])
+def test_check_z_overflow_exits_2(tmp_path, key, message):
+    section, name = key.split(".")
+    text = with_value(SMOOTH.replace("n_steps = 16", "n_steps = 8")
+                      + "samples = 2\n", section, name, "1e308")
+    result, out = run_cli(tmp_path, text, ["check-z"])
+    assert result.exit_code == 2
+    assert result.output == f"invalid run: overflow: {message}\n"
+    assert not (out / "z_bound.json").exists()
+
+
 @pytest.mark.parametrize("key", [
     "driver.alpha", "field.gamma", "field.scale", "problem.t_final",
     "problem.y0", "experiment.beta", "experiment.box",

@@ -166,7 +166,7 @@ def test_rate_failure_names_the_earliest_failing_level(experiment, K, Ns):
     with pytest.raises(NumericFailure) as err:
         experiment([mild, rough])
     assert str(err.value) == (f"solve at N={N} failed: state left finite "
-                              f"range at step {step} in member 1")
+                              f"range at step {step}")
     assert (err.value.step, err.value.member) == (step, 1)
 
 
@@ -294,7 +294,7 @@ def test_rational_slope_close_to_dyadic_on_smooth():
 def test_davie_zero_problem():
     prob = zero_problem()
     traj = solve_split(prob.driver, prob.field, prob.z, prob.y0, Grid(1.0, 16))
-    report = davie_defect(traj, prob.field, prob.z, prob.driver, 3.0, 0.5)
+    report = davie_defect(traj, prob.z)
     assert report.max_ratio == 0.0
     assert report.pairs == 16 * 17 // 2
     assert report.k < report.m  # diagonal excluded
@@ -319,7 +319,7 @@ def test_davie_max_reproducible_from_trajectory():
     prob = synthetic_problem()
     grid = Grid(1.0, 64)
     traj = solve_split(prob.driver, prob.field, prob.z, prob.y0, grid)
-    report = davie_defect(traj, prob.field, prob.z, prob.driver, 3.0, 0.45)
+    report = davie_defect(traj, prob.z)
     pts = grid.points
     k, m = report.k, report.m
     residual = (traj.u[m] - traj.u[k]
@@ -331,8 +331,10 @@ def test_davie_max_reproducible_from_trajectory():
 
 def test_davie_exponent_caps_gamma_at_three():
     prob = smooth_problem(segments=256)
-    traj = solve_split(prob.driver, prob.field, prob.z, prob.y0, Grid(1.0, 8))
-    report = davie_defect(traj, prob.field, prob.z, prob.driver, 5.0, 0.5)
+    field = sine_field(2, 2, seed=1, amplitude=0.8, gamma=5.0)
+    z = canonical_z(field, prob.driver)
+    traj = solve_split(prob.driver, field, z, prob.y0, Grid(1.0, 8))
+    report = davie_defect(traj, z)
     assert report.exponent == pytest.approx(1.5)
 
 
@@ -346,7 +348,7 @@ def test_davie_sweeps_every_pair_above_4096_steps(d):
     z = canonical_z(field, driver)
     grid = Grid(1.0, 4097)
     traj = solve_split(driver, field, z, Y0[:d], grid)
-    report = davie_defect(traj, field, z, driver, 3.0, 0.45)
+    report = davie_defect(traj, z)
     assert report.pairs == 4097 * 4098 // 2
     k, m = report.k, report.m
     assert m == k + 1
@@ -364,8 +366,7 @@ def test_davie_uniform_in_h_on_smooth():
     for N in (32, 64, 128):
         traj = solve_split(prob.driver, prob.field, prob.z, prob.y0,
                            Grid(1.0, N))
-        ratios.append(davie_defect(traj, prob.field, prob.z, prob.driver,
-                                   3.0, 0.5).max_ratio)
+        ratios.append(davie_defect(traj, prob.z).max_ratio)
     assert max(ratios) / min(ratios) <= 2.0
 
 
@@ -405,7 +406,7 @@ def test_davie_matches_per_pair_reference_loop(seed, N, driver_kind,
     except NumericFailure:
         assume(False)
     exponent = 3.0 * driver.alpha
-    report = davie_defect(traj, field, z, driver, 3.0, driver.alpha)
+    report = davie_defect(traj, z)
     best, k, m, pairs = reference_davie(traj, field, z, driver, exponent)
     assert report.max_ratio == pytest.approx(best, rel=1e-12, abs=0.0)
     assert (report.k, report.m, report.pairs) == (k, m, pairs)
@@ -445,7 +446,7 @@ def test_davie_matches_per_pair_reference_loop_on_steep_fields(
     driver, field, z, traj = steep_case(seed, N, n, d, kind,
                                         steep_slope(kind, decades), transpose)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = davie_defect(traj, field, z, driver, 3.0, driver.alpha)
+        report = davie_defect(traj, z)
         best, k, m, pairs = reference_davie(traj, field, z, driver,
                                             3.0 * driver.alpha)
     assert report.max_ratio == pytest.approx(best, rel=1e-12, abs=0.0)
@@ -532,7 +533,7 @@ def test_davie_screens_rows_only_on_a_lift_with_its_own_map(seed, N, kind):
         return area_many(ss, tt)
 
     z.driver.area_many = counted
-    davie_defect(traj, field, z, driver, 3.0, driver.alpha)
+    davie_defect(traj, z)
     rows = sum(1 for s, _ in left_ends if s != 0.0)
     if kind == "lift":
         # the areas about t_0 at every grid point, then the kept rows only
@@ -562,7 +563,7 @@ def test_diagnostics_query_a_batch_driver_in_capped_blocks(monkeypatch):
     field = sine_field(2, 2, seed=1, amplitude=0.8)
     z = canonical_z(field, driver)
     grid = Grid(1.0, 12)
-    traj = solve_split(lifted, field, canonical_z(field, lifted), Y0, grid)
+    traj = solve_split(driver, field, z, Y0, grid)
     rng = np.random.default_rng(3)
     xs = list(rng.uniform(-1.0, 1.0, (3, 2)))
     pts = grid.points
@@ -574,7 +575,7 @@ def test_diagnostics_query_a_batch_driver_in_capped_blocks(monkeypatch):
             check_z_bound(z, xs, grid, 0.5),
             check_z_lipschitz(z, list(zip(xs, xs[::-1])), grid, 0.5, 3.0),
             check_z_cocycle(z, field, driver, xs, triples, 0.5),
-            davie_defect(traj, field, z, driver, 3.0, 0.5),
+            davie_defect(traj, z),
         ]
         defect = convention_defect_max(z, field, driver, xs[0], grid)
         return [r.to_json_dict() for r in reports], defect
@@ -618,7 +619,7 @@ def test_diagnostics_call_no_map_per_pair_for_any_cli_z_kind(monkeypatch,
             check_z_bound(z, xs, grid, 0.45),
             check_z_lipschitz(z, list(zip(xs, xs[::-1])), grid, 0.45, 3.0),
             check_z_cocycle(z, field, driver, xs, triples, 0.45),
-            davie_defect(traj, field, z, driver, 3.0, 0.45),
+            davie_defect(traj, z),
         ]
         defect = convention_defect_max(z, field, driver, xs[0], grid)
         return [r.to_json_dict() for r in reports], defect

@@ -13,7 +13,6 @@ from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
                       hoelder_seminorm, lift_piecewise_linear, linear_field,
                       scalar_driver, sine_field, smooth_path, solve_many,
                       solve_milstein, solve_ode_reference, solve_split,
-                      split_step,
                       transposed_z, write_trajectory_csv, zero_z)
 from rdesplit import model, splitting_solver
 from rdesplit.convergence_lab import joined_samples, quarter_times
@@ -71,23 +70,24 @@ def smooth_setup(segments=2**12, field_seed=1):
     return path, driver, field, canonical_z(field, driver)
 
 
-# ---------------------------------------------------------------- split_step
+# ---------------------------------------------------------------- one split step
+# One-interval solves: (v, u_next) are traj.v[0] and traj.u[1].
 
 def test_split_step_zero_field_first_stage_identity():
     _, driver, _, z = smooth_setup(segments=64)
     field = constant_field(np.zeros((2, 2)))
     u = np.array([0.4, 0.6])
-    v, u_next = split_step(u, 0.0, 0.25, field, z, driver)
-    assert np.array_equal(v, u)
-    assert np.allclose(u_next, u + z(u, 0.0, 0.25))
+    traj = solve_split(driver, field, z, u, Grid(0.25, 1))
+    assert np.array_equal(traj.v[0], u)
+    assert np.allclose(traj.u[1], u + z(u, 0.0, 0.25))
 
 
 def test_split_step_zero_z_is_euler():
     drv = scalar_driver(lambda t: 0.3 * t)
     field = constant_field([[1.0]])
-    v, u_next = split_step(np.array([0.0]), 0.0, 1.0, field, zero_z(1), drv)
-    assert v[0] == pytest.approx(0.3)
-    assert u_next[0] == pytest.approx(0.3)
+    traj = solve_split(drv, field, zero_z(1), np.array([0.0]), Grid(1.0, 1))
+    assert traj.v[0, 0] == pytest.approx(0.3)
+    assert traj.u[1, 0] == pytest.approx(0.3)
 
 
 def test_split_step_scalar_linear_against_exponential_flow():
@@ -96,18 +96,18 @@ def test_split_step_scalar_linear_against_exponential_flow():
     drv = scalar_driver(lambda t: 0.1 * t)
     field = linear_field(np.ones((1, 1, 1)))
     z = canonical_z(field, drv)
-    v, u_next = split_step(np.array([1.0]), 0.0, 1.0, field, z, drv)
-    assert v[0] == pytest.approx(1.1, abs=1e-14)
-    assert u_next[0] == pytest.approx(1.1055, abs=1e-14)
-    assert abs(u_next[0] - np.exp(0.1)) < 5e-4
+    traj = solve_split(drv, field, z, np.array([1.0]), Grid(1.0, 1))
+    assert traj.v[0, 0] == pytest.approx(1.1, abs=1e-14)
+    assert traj.u[1, 0] == pytest.approx(1.1055, abs=1e-14)
+    assert abs(traj.u[1, 0] - np.exp(0.1)) < 5e-4
 
 
 def test_split_step_validation():
+    # a non-finite start fails before the first step
     _, driver, field, z = smooth_setup(segments=64)
-    with pytest.raises(ValueError):
-        split_step(Y0, 0.5, 0.5, field, z, driver)
-    with pytest.raises(NumericFailure):
-        split_step(np.array([np.inf, 0.0]), 0.0, 0.5, field, z, driver)
+    with pytest.raises(NumericFailure, match="non-finite initial state") as err:
+        solve_split(driver, field, z, np.array([np.inf, 0.0]), Grid(0.5, 1))
+    assert err.value.step == 0
 
 
 def test_milstein_one_step_differs_by_z_argument_shift():
@@ -123,13 +123,13 @@ def test_milstein_one_step_differs_by_z_argument_shift():
 
 # ---------------------------------------------------------------- solve_split
 
-def test_solve_split_single_step_equals_split_step():
+def test_solve_split_single_step_is_the_reference_loop():
     _, driver, field, z = smooth_setup(segments=64)
     grid = Grid(1.0, 1)
     traj = solve_split(driver, field, z, Y0, grid)
-    v, u_next = split_step(Y0, 0.0, 1.0, field, z, driver)
-    assert np.array_equal(traj.v[0], v)
-    assert np.array_equal(traj.u[1], u_next)
+    u, v = reference_split(driver, field, z, Y0, grid)
+    same_bits(traj.u, u)
+    same_bits(traj.v, v)
 
 
 def test_solve_split_zero_problem_constant():
@@ -273,9 +273,10 @@ def test_numeric_failure_names_the_failing_member():
                (steep, field, canonical_z(field, steep), y0)]
     solve_split(*members[0], grid)  # the mild member alone stays finite
     for schemes in scheme_sets(2):
-        with pytest.raises(NumericFailure, match="in member 1") as err:
+        with pytest.raises(NumericFailure) as err:
             _march(members, [grid] * len(members), schemes)
-        assert err.value.member == 1
+        # the member is carried on the exception, not in the message
+        assert err.value.member == 1 and "member" not in str(err.value)
         assert err.value.step == failure_step(REFERENCES[schemes[1]],
                                               *members[1], grid)
     # a single solve names member 0 without mentioning members
@@ -341,34 +342,41 @@ def _reference_outcome(reference, member, grid):
     return (values if isinstance(values, tuple) else (values, None)), None
 
 
+# The driver kinds of each driver dimension: the members of one march share
+# one field shape (n, d).
+DRIVERS_BY_DIMENSION = (("synthetic", "smooth"), ("scalar",))
+
+
 def march_specs(driver_kinds):
-    """1 to 4 members as (driver kind, map kind, seed, N, scheme)."""
-    return st.lists(st.tuples(st.sampled_from(driver_kinds),
-                              st.sampled_from(("canonical", "scaled-area",
-                                               "transposed", "zero",
-                                               "rough-probe", "nan-probe",
-                                               "late-nan")),
-                              st.integers(0, 2**16), st.integers(1, 40),
-                              st.sampled_from(SCHEMES)),
-                    min_size=1, max_size=4)
+    """1 to 4 members as (driver kind, map kind, seed, N, scheme), on
+    drivers of one dimension drawn from ``driver_kinds``."""
+    dimensions = [tuple(k for k in kinds if k in driver_kinds)
+                  for kinds in DRIVERS_BY_DIMENSION]
+    return st.sampled_from([kinds for kinds in dimensions if kinds]).flatmap(
+        lambda kinds: st.lists(
+            st.tuples(st.sampled_from(kinds),
+                      st.sampled_from(("canonical", "scaled-area",
+                                       "transposed", "zero", "rough-probe",
+                                       "nan-probe", "late-nan")),
+                      st.integers(0, 2**16), st.integers(1, 40),
+                      st.sampled_from(SCHEMES)),
+            min_size=1, max_size=4))
 
 
 def assert_march_outcomes(specs, field_kind, shared, n=2):
     """A march of the members ``specs``, each on its own grid and with its
     own scheme, with state dimension n: bitwise their reference loops, or
-    the first failure over both schemes."""
-    fields = {}
+    the first failure over both schemes.  With ``shared``, every member
+    holds one field object."""
     members = []
     y0 = np.resize(Y0, n)
     for k, (driver_kind, z_kind, seed, *_) in enumerate(specs):
         driver = build_driver(driver_kind, seed)
-        if shared:
-            # one field object per driver dimension
-            field = fields.setdefault(driver.dim,
-                                      build_field(field_kind, 0, driver.dim,
-                                                  n=n))
+        if shared and members:
+            field = members[0][1]
         else:
-            field = build_field(field_kind, seed, driver.dim, n=n)
+            field = build_field(field_kind, 0 if shared else seed,
+                                driver.dim, n=n)
         members.append((driver, field, build_z(z_kind, field, driver),
                         y0 + 0.125 * k))
     grids = [Grid(1.0, N) for *_, N, _ in specs]
@@ -426,16 +434,16 @@ def assert_march_outcomes(specs, field_kind, shared, n=2):
                 ("smooth", "rough-probe", 2, 31, "milstein"),
                 ("synthetic", "rough-probe", 3, 12, "split")],
          field_kind="sine", shared=True)
-# mixed dimensions, a plain-callable field and a NaN map: per-row rows
+# a plain-callable field per member and a NaN map: per-row rows
 @example(specs=[("synthetic", "nan-probe", 1, 2, "split"),
-                ("scalar", "canonical", 2, 2, "milstein")],
+                ("smooth", "canonical", 2, 2, "milstein")],
          field_kind="callable", shared=False)
 @example(specs=[("synthetic", "nan-probe", 1, 7, "milstein"),
-                ("scalar", "canonical", 2, 1, "split"),
+                ("synthetic", "canonical", 2, 1, "split"),
                 ("smooth", "nan-probe", 3, 2, "split")],
          field_kind="callable", shared=False)
 # a short member finishes before a longer one fails at step 7
-@example(specs=[("synthetic", "canonical", 1, 2, "milstein"),
+@example(specs=[("scalar", "canonical", 1, 2, "milstein"),
                 ("scalar", "late-nan", 2, 8, "split")],
          field_kind="sine", shared=True)
 # members on different grids fail at the same step (4): the lower one is
@@ -506,16 +514,33 @@ def assert_reference_loops(members, grid):
 
 def test_maps_on_the_first_members_field_do_not_stack_other_fields():
     # every map is area-linear on member 0's field, but member 1 has its own
-    # field and a one-dimensional driver: its stages must use them, and the
-    # fused Milstein stage of a shared field must not be taken
+    # field and driver: its stages must use them, and the stacked stages of
+    # a shared field must not be taken
     field = sine_field(2, 2, seed=1, amplitude=0.8)
     driver = build_driver("synthetic", 1)
     z = canonical_z(field, driver)
     members = [(driver, field, z, Y0),
-               (build_driver("scalar", 2), build_field("sine", 2, 1), z,
+               (build_driver("synthetic", 2), build_field("sine", 2, 2), z,
                 Y0 + 0.125),
                (build_driver("synthetic", 3), field, z, Y0 - 0.125)]
     assert_reference_loops(members, Grid(1.0, 12))
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (2, 1)])
+def test_members_of_another_field_shape_are_rejected(n, d):
+    # a member whose field has another (n, d) than member 0's is rejected
+    # before the driver is queried
+    def unqueried(*args):
+        raise AssertionError("driver queried")
+
+    drivers = [RoughDriver(dim, 0.5, unqueried, unqueried,
+                           increment_many_fn=unqueried,
+                           area_many_fn=unqueried) for dim in (2, d)]
+    fields = [sine_field(2, 2, seed=1), sine_field(n, d, seed=2)]
+    members = [(driver, field, zero_z(field.n), np.zeros(field.n))
+               for driver, field in zip(drivers, fields)]
+    with pytest.raises(ValueError, match=rf"\(2, 2\) and \({n}, {d}\)"):
+        solve_many(members, [Grid(1.0, 4)] * 2, list(SCHEMES))
 
 
 def test_maps_on_another_field_than_the_shared_one_are_not_stacked():
