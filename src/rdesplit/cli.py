@@ -18,8 +18,9 @@ import click
 import numpy as np
 
 from .config import ConfigError, ProblemConfig, build_problem
-from .convergence_lab import (davie_defect, dyadic_sup_rate, fit_rate,
-                              holder_rate, rational_rate, rates_summary)
+from .convergence_lab import (EXACT_AGREEMENT, davie_defect, dyadic_sup_rate,
+                              fit_rate, holder_rate, rational_rate,
+                              rates_summary)
 from .errors import NumericFailure
 from .model import check_z_bound, check_z_cocycle, check_z_lipschitz
 from .rough_path import Grid
@@ -231,8 +232,8 @@ def compare_schemes(config_path, out, seed):
     _write_json(out_dir, "compare.json", {
         "levels": levels,
         "max_diffs": diffs,
-        "order": None if order == float("inf") else order,
-        "exact_agreement": order == float("inf"),
+        "order": None if order == EXACT_AGREEMENT else order,
+        "exact_agreement": order == EXACT_AGREEMENT,
     })
 
 

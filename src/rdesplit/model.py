@@ -21,8 +21,11 @@ Fields and Z also take a leading state axis: a field has one stacked form
 on a (K, n) stack of states, and ``z(x, s, t)``, ``on_grid(ss, tt).every(x)``
 and ``.at(xs)`` of the canonical and transposed maps are one contraction,
 those of the zero and rough-probe maps one array for every state; other
-maps are called per row.  Rows are bitwise the single-state calls but for
-n = 1 and d = 2, where numpy's einsum sums a stack in another order.
+maps are called per row.  ``.rows(xs, lo)`` gives the rows of the window
+of intervals lo, lo + 1, ..., and ``stack_grids`` joins the grid forms of
+several maps into one, which a march reads window by window.  Rows are
+bitwise the single-state calls but for n = 1 and d = 2, where numpy's
+einsum sums a stack in another order.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "VectorField",
     "SecondOrderMap",
     "GridZ",
+    "stack_grids",
     "CheckReport",
     "constant_field",
     "linear_field",
@@ -281,8 +285,9 @@ class SecondOrderMap:
 class GridZ:
     """A second-order map restricted to fixed intervals, evaluated by index.
 
-    The general form calls the map once per evaluation with the interval's
-    endpoints; area-linear maps replace it with areas fetched up front.
+    The general form calls the map once per row with the interval's
+    endpoints; area-linear maps replace it with areas fetched up front, and
+    maps that do not read the state with rows computed up front.
     """
 
     def __init__(self, z: SecondOrderMap, ss, tt):
@@ -301,11 +306,15 @@ class GridZ:
         """Z(xs[k]) over interval k for every k, shape (K, n)."""
         if len(xs) != len(self):
             raise ValueError(f"{len(xs)} states for {len(self)} intervals")
-        return self._rows(xs)
+        return self.rows(np.asarray(xs, dtype=float), 0)
 
-    def _rows(self, xs) -> np.ndarray:
-        values = [self._z(x, s, t) for x, s, t in zip(xs, self._ss, self._tt)]
-        return np.array(values, dtype=float).reshape(len(self), self._z.n)
+    def rows(self, xs, lo: int) -> np.ndarray:
+        """Z(xs[k]) over interval lo + k for every row k of a (K, n) stack
+        of states, shape (K, n): the rows of a window of intervals."""
+        hi = lo + len(xs)
+        values = [self._z(x, s, t)
+                  for x, s, t in zip(xs, self._ss[lo:hi], self._tt[lo:hi])]
+        return np.array(values, dtype=float).reshape(len(xs), self._z.n)
 
 
 # Σ_{m,a,b} ∂_m f^i_b f^m_a XX^{ab} over a leading axis k of states and areas
@@ -349,25 +358,34 @@ class _AreaLinearZ(SecondOrderMap):
         return areas.swapaxes(-1, -2) if self.transpose else areas
 
     def on_grid(self, ss, tt) -> "GridZ":
-        return _AreaGridZ(self, self.oriented(self.driver.area_many(ss, tt)))
+        return _AreaGridZ(self, self.driver.area_many(ss, tt))
 
 
 class _AreaGridZ(GridZ):
-    """An area-linear map with the areas of all intervals from one batch query."""
+    """Area-linear maps on one field and of one orientation, with the raw
+    areas of all intervals fetched up front: row k contracts the areas of
+    interval k, whichever driver they came from, as ``z`` orients them."""
 
     def __init__(self, z: _AreaLinearZ, areas: np.ndarray):
         self._z = z
-        self._areas = areas
+        self._raw = areas
+        # einsum sums in the order of the areas' strides, so the transposed
+        # areas stay a view: rows are then bitwise ``z(x, s, t)``
+        self._areas = z.oriented(areas)
+        # the hook bound once: a march takes rows on every step
+        self._value_and_grad = z.field._value_and_grad_many_fn
 
     def __len__(self) -> int:
         return len(self._areas)
 
     def every(self, x) -> np.ndarray:
-        return self._rows(np.asarray(x, dtype=float)[None])
-
-    def _rows(self, xs) -> np.ndarray:
-        f_x, grad_x = self._z.field.value_and_gradient_many(xs)
+        f_x, grad_x = self._value_and_grad(np.asarray(x, dtype=float)[None])
         return np.einsum(_Z_SUBSCRIPTS, grad_x, f_x, self._areas)
+
+    def rows(self, xs, lo: int) -> np.ndarray:
+        f_x, grad_x = self._value_and_grad(xs)
+        return np.einsum(_Z_SUBSCRIPTS, grad_x, f_x,
+                         self._areas[lo:lo + len(xs)])
 
 
 def _check_pairing(field: VectorField, driver: RoughDriver) -> None:
@@ -437,8 +455,45 @@ class _TimeGridZ(GridZ):
     def every(self, x) -> np.ndarray:
         return self._values
 
-    def _rows(self, xs) -> np.ndarray:
-        return self._values
+    def rows(self, xs, lo: int) -> np.ndarray:
+        return self._values[lo:lo + len(xs)]
+
+
+class _StackedGridZ(GridZ):
+    """Grid forms of several maps as one: row r is row ``steps[r]`` of
+    ``grids[members[r]]``, evaluated through that grid alone."""
+
+    def __init__(self, grids, members, steps):
+        self._grids = grids
+        self._members = members.tolist()
+        self._steps = steps.tolist()
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def rows(self, xs, lo: int) -> np.ndarray:
+        hi = lo + len(xs)
+        return np.array([self._grids[p].rows(x[None], j)[0] for x, p, j
+                         in zip(xs, self._members[lo:hi], self._steps[lo:hi])])
+
+
+def stack_grids(grids, layout) -> GridZ:
+    """The grid forms of several maps as one ``GridZ``, laid out by
+    ``layout``, which maps one array per grid to one array of all rows.
+
+    Area-linear maps on one field object and of one orientation become one
+    contraction over their raw areas, maps that do not read the state one
+    array of rows; any other mix evaluates each row through its own grid.
+    """
+    first = grids[0]
+    if all(isinstance(g, _AreaGridZ) and g._z.field is first._z.field
+           and g._z.transpose == first._z.transpose for g in grids):
+        return _AreaGridZ(first._z, layout(g._raw for g in grids))
+    if all(isinstance(g, _TimeGridZ) for g in grids):
+        return _TimeGridZ(layout(g._values for g in grids))
+    return _StackedGridZ(
+        grids, layout(np.full(len(g), p) for p, g in enumerate(grids)),
+        layout(np.arange(len(g)) for g in grids))
 
 
 def zero_z(n: int) -> SecondOrderMap:
@@ -588,15 +643,14 @@ def check_z_bound(z: SecondOrderMap, xs, grid: Grid, alpha: float,
 
 
 def check_z_lipschitz(z: SecondOrderMap, x_pairs, grid: Grid, alpha: float,
-                      gamma: float, exponent: float | None = None,
-                      space_exponent: float | None = None) -> CheckReport:
+                      gamma: float) -> CheckReport:
     """Empirical constant of |Z(x)-Z(y)| <= C |x-y|^(gamma-2) |t-s|^(2 alpha).
 
     Pairs with x == y are skipped; if every pair is degenerate the check is
     ill-posed.
     """
-    expo_t = 2.0 * alpha if exponent is None else float(exponent)
-    expo_x = gamma - 2.0 if space_exponent is None else float(space_exponent)
+    expo_t = 2.0 * alpha
+    expo_x = gamma - 2.0
     report = CheckReport("z_lipschitz", 0.0, 0,
                          exponents={"time": expo_t, "space": expo_x})
     states = []
@@ -627,13 +681,11 @@ def check_z_lipschitz(z: SecondOrderMap, x_pairs, grid: Grid, alpha: float,
 
 
 def check_z_cocycle(z: SecondOrderMap, field: VectorField, driver: RoughDriver,
-                    xs, triples, alpha: float,
-                    exponent: float | None = None) -> CheckReport:
+                    xs, triples, alpha: float) -> CheckReport:
     """Empirical constant of the cocycle comparison over sampled triples.
 
     Measures |δZ(x)_{s,u,t} - ∇f(x)f(x) X_{s,u} ⊗ X_{u,t}
-    - ∇f(x) Z(x)_{s,u} X_{u,t}| / |t-s|^exponent with exponent defaulting
-    to 3*alpha (gamma*alpha for the relaxed budget).  For the canonical map
+    - ∇f(x) Z(x)_{s,u} X_{u,t}| / |t-s|^(3 alpha).  For the canonical map
     over an exact lift the first discrepancy vanishes by Chen's relation.
     Every triple is validated before any evaluation; triples with s == t
     are skipped.
@@ -641,7 +693,7 @@ def check_z_cocycle(z: SecondOrderMap, field: VectorField, driver: RoughDriver,
     xs = [np.asarray(x, dtype=float) for x in xs]
     if not xs:
         raise ValueError("empty sample set")
-    expo = 3.0 * alpha if exponent is None else float(exponent)
+    expo = 3.0 * alpha
     report = CheckReport("z_cocycle", 0.0, 0, exponents={"time": expo})
     triples = np.asarray(triples, dtype=float).reshape(-1, 3)
     ordered = (triples[:, 0] <= triples[:, 1]) & (triples[:, 1] <= triples[:, 2])

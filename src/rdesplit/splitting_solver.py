@@ -19,20 +19,19 @@ each on its own grid and with its own scheme, for instance every seed and
 level of one rate experiment, or both schemes at the three levels of
 ``compare-schemes``, and a single solve is the march of one member.
 Members are ordered longest grid first, so those still stepping are always
-a prefix of the stack, which is cut only where a member finishes.  The increments come from one ``increment_many`` query
-per distinct driver and grid and are held step by step, one row per
-member and step; each step's drift is one matmul of them with the field
-rows.  Members that share one field evaluate it as one stack of states,
-and when its maps are all canonical or all transposed, one stacked
-evaluation per stage feeds one contraction of the areas of every map's own
-driver (one ``area_many`` query per distinct driver and grid).  Maps that
-do not read the state (zero and rough-probe) give the Z rows of every
-interval as one array before the loop; distinct field objects and other
-maps fall back to one call per member row.  A driver without batch hooks
-is queried once per interval.  The arithmetic of each step is that of the
-per-interval scalar queries, so every member's trajectory is bitwise that
-of a loop calling ``increment`` and ``z(x, s, t)`` step by step (but for
-stacked Z with n = 1 and d = 2, see ``model``).
+a prefix of the stack, and every per-member array is held step-major: step
+j's rows are one window, starts[j] to starts[j+1], of one member each.
+The increments come from one ``increment_many`` query per distinct driver
+and grid, and each step's drift is one matmul of its window with the field
+rows.  Members that share one field evaluate it as one stack of states.
+Z is evaluated by ``model`` alone: every map's ``on_grid`` form (one per
+distinct map object and grid) is stacked into one ``GridZ`` by
+``model.stack_grids``, and each step takes the rows of its window.  A
+driver without batch hooks is queried once per interval.  The arithmetic
+of each step is that of the per-interval scalar queries, so every member's
+trajectory is bitwise that of a loop calling ``increment`` and
+``z(x, s, t)`` step by step (but for stacked Z with n = 1 and d = 2, see
+``model``).
 
 The joined path is evaluated the same way on an array of times: the
 states u_j and v_{j+1} of all requested times form one stack each, for
@@ -46,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .model import (SecondOrderMap, VectorField, _AreaLinearZ, _TimeOnlyZ,
-                    _Z_SUBSCRIPTS, _check_pairing, _matvec)
+from .model import (SecondOrderMap, VectorField, _check_pairing, _matvec,
+                    stack_grids)
 from .rough_path import Grid, RoughDriver, SampledPath
 
 __all__ = [
@@ -136,99 +135,41 @@ FINITE_BLOCK = 64
 SCHEMES = ("split", "milstein")
 
 
-def _run_view(rows, run):
-    """A step-major array's rows on the steps of one run, shape
-    (steps, members, ...)."""
-    m, j0, j1, span = run
-    return rows[span].reshape((j1 - j0, m) + rows.shape[1:])
+def _member_stages(members, grids, layout):
+    """The stages of M members, member k on ``grids[k]``, longest first,
+    with per-member arrays laid out step-major by ``layout``.
 
-
-def _member_stages(members, grids, step_major):
-    """Stage evaluators of M members, member k on ``grids[k]``, longest
-    first.
-
-    Returns ``stages(run)``.  A run (m, j0, j1, span) is steps j0 to j1 - 1,
-    on which the first m members step; ``step_major`` lays per-member
-    arrays out step by step, so that a run's rows are the one block
-    ``span``.  For a run, ``stages`` gives ``drift(y, i)``, the rows
-    f_k(y[k]) X^k over step j0 + i, and ``z_at(y, i)``, the rows Z_k(y[k])
-    over it, for an (m, n) stack of states y.  Members with the same driver
-    object and grid share one ``increment_many`` query, and maps with the
-    same driver and grid one ``area_many`` query.  A step's drift is one
-    matmul of its increments with the field rows, one stacked evaluation
-    of a field that every member shares, or one call per row of members
-    that hold distinct field objects.  When every map is area-linear on a
-    shared field, all canonical or all transposed, its stacked form feeds
-    one contraction of the members' areas.  When no map reads the state,
-    the Z rows of every interval are one array.  Otherwise each map is
-    called on its own row.  Either way row k is bitwise member k's
-    single-state evaluation (but for n = 1, d = 2).
+    Returns (values, incs, z_rows): ``values(y)``, the field rows f_k(y[k])
+    of an (m, n) stack of states, one stacked call of a field that every
+    member shares or one call per row; ``incs``, the step-major increments;
+    and ``z_rows(y, lo)``, the Z rows of the members on step-major rows lo
+    to lo + m, from ``model.stack_grids``.  Members with one driver object
+    and grid share one ``increment_many`` query, and members with one map
+    object and grid one ``on_grid`` form, so one ``area_many`` query.
     """
-    drivers, fields, zs, y0s = zip(*members)
+    drivers, fields, zs, _ = zip(*members)
     field = fields[0]
-    intervals = [(grid.points[:-1], grid.points[1:]) for grid in grids]
 
     def queries(name, owners):
         """``owner.name(ss, tt)`` on every member's intervals, one call per
         distinct (owner, grid)."""
         memo = {}
-        for owner, grid, (ss, tt) in zip(owners, grids, intervals):
+        for owner, grid in zip(owners, grids):
             key = id(owner), grid
             if key not in memo:
-                memo[key] = getattr(owner, name)(ss, tt)
+                memo[key] = getattr(owner, name)(grid.points[:-1],
+                                                 grid.points[1:])
             yield memo[key]
 
-    incs = step_major(queries("increment_many", drivers))[..., None]
-    # hooks bound once: a wrapper call per step costs more than a small stack
-    stacked = all(f is field for f in fields)
-    if stacked:
+    incs = layout(queries("increment_many", drivers))[..., None]
+    # the hook bound once: a wrapper call per step outweighs a small stack
+    if all(f is field for f in fields):
         values = field._value_many_fn
     else:
         def values(y):
             return np.array([f(x) for f, x in zip(fields, y)])
-
-    def drift_on(run):
-        inc = _run_view(incs, run)
-        return lambda y, i: np.matmul(values(y), inc[i])[..., 0]
-
-    z0 = zs[0]
-    if stacked and all(isinstance(z, _AreaLinearZ) and z.field is field
-                       and z.transpose == z0.transpose for z in zs):
-        value_and_grad_many = field._value_and_grad_many_fn
-        areas = step_major(queries("area_many", [z.driver for z in zs]))
-
-        def z_on(run):
-            # einsum sums in the order of the areas' strides: one kind of
-            # map only
-            area = z0.oriented(_run_view(areas, run))
-
-            def z_at(y, i):
-                f_y, grad_y = value_and_grad_many(y)
-                return np.einsum(_Z_SUBSCRIPTS, grad_y, f_y, area[i])
-
-            return z_at
-    elif all(isinstance(z, _TimeOnlyZ) for z in zs):
-        # no map reads the state: every interval's rows in one array
-        rows = step_major(z.on_grid(ss, tt).every(y0)
-                          for z, y0, (ss, tt) in zip(zs, y0s, intervals))
-
-        def z_on(run):
-            block = _run_view(rows, run)
-            return lambda y, i: block[i]
-    else:
-        intervals = [(ss.tolist(), tt.tolist()) for ss, tt in intervals]
-
-        def z_on(run):
-            m, j0, j1, _ = run
-            spans = [(ss[j0:j1], tt[j0:j1]) for ss, tt in intervals[:m]]
-
-            def z_at(y, i):
-                return np.array([z(x, ss[i], tt[i])
-                                 for z, x, (ss, tt) in zip(zs, y, spans)])
-
-            return z_at
-
-    return lambda run: (drift_on(run), z_on(run))
+    z_rows = stack_grids(list(queries("on_grid", zs)), layout).rows
+    return values, incs, z_rows
 
 
 def _z_point(at_start):
@@ -266,17 +207,18 @@ def _march(members, grids, schemes):
 
     One Python step advances every member whose grid has steps left, as a
     stack of states.  The members are ordered longest grid first, so those
-    still stepping are always the first m, and the stack is sliced only
-    at the steps where m falls; on one shared grid it never is.  The
-    increments and Z on every member's intervals are set up once, with
-    batch queries where the drivers have them, and held step by step: one
-    row per member and step, Σ N_k rows in all.  Every row takes the
-    transport stage v = u + f(u) X and adds Z at a point w: the split
-    update takes w = v, the one-step second-order Euler (Milstein) update
-    w = u, since (u + f(u) X) + Z(u) is its u + f(u) X + Z(u).  Every
-    member is bitwise its own single-member march.  Returns, per member in
-    the given order, the grid values, shape (N_k+1, n), and the split
-    stage-1 endpoints, shape (N_k, n), or None for a Milstein member.
+    still stepping are always the first m, and the stack is cut only at the
+    steps where m falls; on one shared grid it never is.  The increments
+    and the Z forms of every member's intervals are set up once, with batch
+    queries where the drivers have them, and laid out step-major: one row
+    per member and step, Σ N_k rows in all, step j's rows the window
+    starts[j] to starts[j+1].  Every row takes the transport stage
+    v = u + f(u) X and adds Z at a point w: the split update takes w = v,
+    the one-step second-order Euler (Milstein) update w = u, since
+    (u + f(u) X) + Z(u) is its u + f(u) X + Z(u).  Every member is bitwise
+    its own single-member march.  Returns, per member in the given order,
+    the grid values, shape (N_k+1, n), and the split stage-1 endpoints,
+    shape (N_k, n), or None for a Milstein member.
 
     The states are checked every ``FINITE_BLOCK`` steps; a member that left
     the finite range raises NumericFailure with the first failing step and
@@ -311,12 +253,6 @@ def _march(members, grids, schemes):
     # at rows starts[j] to starts[j+1]
     stepping = M - np.searchsorted(Ns[::-1], np.arange(Ns[0]), side="right")
     starts = np.concatenate(([0], np.cumsum(stepping)))
-    runs, j0 = [], 0
-    for m in range(M, 0, -1):
-        j1 = Ns[m - 1]
-        if j1 > j0:
-            runs.append((m, j0, j1, slice(starts[j0], starts[j1])))
-            j0 = j1
 
     def step_major(arrays):
         """The per-member arrays (N_k, ...), longest first, as one array
@@ -328,38 +264,36 @@ def _march(members, grids, schemes):
             out[starts[:len(a)] + p] = a
         return out
 
-    stages = _member_stages([members[k] for k in order],
-                            [grids[k] for k in order], step_major)
+    values_at, incs, z_rows = _member_stages([members[k] for k in order],
+                                             [grids[k] for k in order],
+                                             step_major)
     at_start = np.array([schemes[k] == "milstein" for k in order])
     # the states after step j follow the M initial states step by step
     values = np.empty((M + starts[-1], n))
     values[:M] = [y0s[k] for k in order]
     after = np.concatenate(([0], M + starts))
     _check_finite(values, after, order, 0, 1)
-    mid = np.empty((starts[-1], n))
-    state = values[:M]
-    for run in runs:
-        m, j0, j1, _ = run
-        if m < len(state):
-            state = state[:m]
-        drift, z_at = stages(run)
-        point = _z_point(at_start[:m])
-        out, mids = _run_view(values[M:], run), _run_view(mid, run)
-        for lo in range(0, j1 - j0, FINITE_BLOCK):
-            hi = min(lo + FINITE_BLOCK, j1 - j0)
-            try:
-                for i in range(lo, hi):
-                    v = mids[i] = state + drift(state, i)
-                    state = v + z_at(point(state, v), i)
-                    out[i] = state
-            except Exception:
-                # a field or map may reject the non-finite state that a
-                # failed member carries on to the end of its block
-                _check_finite(values, after, order, j0 + lo + 1, j0 + i + 1)
-                raise
-            _check_finite(values, after, order, j0 + lo + 1, j0 + hi + 1)
+    out, mid = values[M:], np.empty((starts[-1], n))
+    state, point = values[:M], _z_point(at_start)
+    bounds = starts.tolist()
+    for j0 in range(0, Ns[0], FINITE_BLOCK):
+        j1 = min(j0 + FINITE_BLOCK, Ns[0])
+        try:
+            for j in range(j0, j1):
+                lo, hi = bounds[j], bounds[j + 1]
+                if hi - lo < len(state):
+                    state, point = state[:hi - lo], _z_point(at_start[:hi - lo])
+                v = mid[lo:hi] = state + np.matmul(values_at(state),
+                                                   incs[lo:hi])[..., 0]
+                state = out[lo:hi] = v + z_rows(point(state, v), lo)
+        except Exception:
+            # a field or map may reject the non-finite state that a failed
+            # member carries on to the end of its block
+            _check_finite(values, after, order, j0 + 1, j + 1)
+            raise
+        _check_finite(values, after, order, j0 + 1, j1 + 1)
     # the stages hold every increment and area: free them before the copies
-    del stages, drift, z_at
+    del incs, z_rows
     us, vs = [None] * M, [None] * M
     for p, (k, N) in enumerate(zip(order, Ns)):
         us[k] = values[after[:N + 1] + p]
@@ -443,6 +377,11 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
     substep boundaries align with the path's sample times every stage sees
     the exact segment slope.  Returns values at the grid points, shape
     (N+1, n).
+
+    Known defect: nothing checks that alignment.  A substep spanning several
+    path segments takes one slope, so the ODE runs along another path: at
+    N = 64 on a 2^14-segment synthetic path (4 segments per substep) that
+    path lies up to 4.89 away from the driver's, whose largest entry is 1.46.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")

@@ -3,11 +3,14 @@ import dataclasses
 import io
 import json
 import re
+import traceback
 from collections import Counter
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdesplit.cli as cli
 from rdesplit import RoughDriver, SecondOrderMap
@@ -493,3 +496,138 @@ def test_marched_commands_write_the_per_level_solves_files(tmp_path, args):
     assert sorted(written) == sorted(expected)
     for name, content in expected.items():
         assert written[name] == content.encode("utf-8"), name
+
+
+# ---------------------------------------------------------------- exit codes
+
+FUZZ_COMMANDS = ([["solve"], ["solve", "--oracle"], ["check-z"], ["davie"],
+                  ["compare-schemes"]]
+                 + [["rates", "--kind", kind]
+                    for kind in ("sup", "holder", "rational")])
+
+
+def floats_text(lo, hi):
+    return st.floats(lo, hi, allow_nan=False).map(repr)
+
+
+# Every key with its valid raw values, sizes kept tiny: at most 6 levels,
+# 16 steps, 64 path segments, 3 samples and 2 seeds.
+FUZZ_KEYS = {
+    "driver": {
+        "kind": st.sampled_from(["smooth", "synthetic", "file"]),
+        "d": st.sampled_from(["1", "2", "2"]),
+        "alpha": floats_text(0.34, 0.5),
+        "seed": st.integers(0, 50).map(str),
+        "levels": st.integers(1, 6).map(str),
+        "resolution": st.integers(1, 64).map(str),
+        "path": st.just("path.csv"),
+    },
+    "field": {
+        "preset": st.sampled_from(["constant", "linear", "sine"]),
+        "gamma": floats_text(3.0, 5.0),
+        "seed": st.integers(0, 50).map(str),
+        # 1e8 blows a linear field up: exit 3
+        "scale": st.sampled_from(["0.0", "0.5", "0.8", "1e8"]),
+    },
+    "z": {"kind": st.sampled_from(["canonical", "zero", "transposed",
+                                   "rough-probe"])},
+    "problem": {
+        "y0": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3).map(
+            lambda y0: ", ".join(map(repr, y0))),
+        "t_final": floats_text(0.05, 1.0),
+        "n_steps": st.integers(1, 16).map(str),
+    },
+    "experiment": {
+        "levels": st.integers(3, 6).map(str),
+        "base_n": st.integers(4, 8).map(str),
+        "beta": floats_text(0.05, 0.95),
+        "q_num": st.integers(3, 5).map(str),
+        "q_den": st.integers(2, 4).map(str),
+        "seeds": st.integers(1, 2).map(str),
+        "samples": st.integers(1, 3).map(str),
+        "box": floats_text(0.1, 2.0),
+    },
+}
+# Keys whose value sizes a run: an invalid value never makes it larger.
+SIZE_KEYS = {("driver", "levels"), ("driver", "resolution"),
+             ("problem", "n_steps"), ("experiment", "levels"),
+             ("experiment", "base_n"), ("experiment", "seeds"),
+             ("experiment", "samples")}
+INVALID_SIZES = st.sampled_from(["0", "-1", "2.5", "x", ""])
+INVALID_VALUES = st.sampled_from(["0", "-1", "0.3", "0.6", "2.0", "1e308",
+                                  "nan", "inf", "-inf", "x", "", "1, 2"])
+
+
+@st.composite
+def fuzz_configs(draw):
+    """INI text of a tiny config: all valid, or with invalid values, an
+    unknown key or section, or a required section left out."""
+    sections = {section: {key: draw(value) for key, value in keys.items()}
+                for section, keys in FUZZ_KEYS.items()}
+    for section, key in draw(st.lists(st.sampled_from(
+            [(s, k) for s, keys in FUZZ_KEYS.items() for k in keys]),
+            max_size=2)):
+        sections[section][key] = draw(INVALID_SIZES if (section, key)
+                                      in SIZE_KEYS else INVALID_VALUES)
+    flaw = draw(st.sampled_from([None] * 6 + ["key", "section", "missing"]))
+    if flaw == "key":
+        sections["field"]["typo"] = "1"
+    elif flaw == "section":
+        sections["extra"] = {"key": "1"}
+    elif flaw == "missing":
+        del sections[draw(st.sampled_from(["driver", "problem"]))]
+    return "".join(f"[{section}]\n"
+                   + "".join(f"{key} = {value}\n"
+                             for key, value in keys.items()) + "\n"
+                   for section, keys in sections.items())
+
+
+def assert_strict_outputs(out):
+    """Every file in ``out`` is the copied config, strict JSON, or CSV with
+    its documented header and rows as wide as the header."""
+    from rdesplit.config import ProblemConfig
+
+    if not out.exists():
+        return
+    n = None
+    if (out / "config.ini").exists():
+        n = len(ProblemConfig.parse((out / "config.ini").read_text())
+                .problem.y0)
+    for path in out.iterdir():
+        if path.name == "config.ini":
+            continue
+        if path.suffix == ".json":
+            strict_json(path)
+            continue
+        assert path.suffix == ".csv", path.name
+        if re.fullmatch(r"rates_seed\d+\.csv", path.name):
+            header = "level,N,h,diff,log2_diff"
+        else:
+            assert path.name in ("trajectory.csv", "split.csv",
+                                 "milstein.csv"), path.name
+            header = ",".join(["j", "t"] + [f"u{i + 1}" for i in range(n)]
+                              + [f"v{i + 1}" for i in range(n)])
+        rows = path.read_text().splitlines()
+        assert rows[0] == header, path.name
+        assert all(row.count(",") == header.count(",") for row in rows), \
+            path.name
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+@settings(max_examples=60, deadline=None)
+@given(args=st.sampled_from(FUZZ_COMMANDS), text=fuzz_configs(),
+       seed=st.one_of(st.none(), st.integers(0, 50)))
+def test_every_command_exits_0_2_or_3_with_strict_outputs(
+        tmp_path_factory, args, text, seed):
+    from rdesplit import synth_midpoint_path
+
+    work = tmp_path_factory.mktemp("fuzz")
+    with open(work / "path.csv", "w") as fh:
+        synth_midpoint_path(3, 0.45, 4, 2).to_csv(fh)
+    if seed is not None:
+        args = args + ["--seed", str(seed)]
+    result, out = run_cli(work, text, args)
+    assert result.exit_code in (0, 2, 3), "".join(
+        traceback.format_exception(*result.exc_info))
+    assert_strict_outputs(out)

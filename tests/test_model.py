@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,7 +15,7 @@ from rdesplit import (Grid, SampledPath, VectorField, canonical_z,
                       lift_piecewise_linear, linear_field, rough_probe_z,
                       scalar_driver, sine_field, synth_midpoint_path,
                       transposed_z, validate_gradient, zero_z)
-from rdesplit.model import _Z_SUBSCRIPTS, SecondOrderMap
+from rdesplit.model import _Z_SUBSCRIPTS, SecondOrderMap, stack_grids
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
                       build_field, build_z, with_area)
@@ -620,27 +620,77 @@ def test_grid_z_every_matches_per_interval_calls():
     assert zero_z(2).on_grid([], []).every(x).shape == (0, 2)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**16), K=st.integers(0, 12),
+def step_major_layout(lengths):
+    """The march's layout of arrays of ``lengths``, longest first: row
+    starts[j] + p holds row j of array p.  Returns (layout, starts)."""
+    stepping = [sum(length > j for length in lengths)
+                for j in range(lengths[0])]
+    starts = np.concatenate(([0], np.cumsum(stepping))).astype(int)
+
+    def layout(arrays):
+        arrays = list(arrays)
+        out = np.empty((starts[-1],) + arrays[0].shape[1:], arrays[0].dtype)
+        for p, a in enumerate(arrays):
+            out[starts[:len(a)] + p] = a
+        return out
+
+    return layout, starts
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       members=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(Z_KINDS)),
+                        min_size=1, max_size=3),
        driver_kind=st.sampled_from(DRIVER_KINDS),
-       field_kind=st.sampled_from(FIELD_KINDS),
-       z_kind=st.sampled_from(Z_KINDS))
-def test_grid_z_at_rows_are_the_single_state_calls(seed, K, driver_kind,
-                                                   field_kind, z_kind):
-    driver = build_driver(driver_kind, seed)
-    field = build_field(field_kind, seed, driver.dim)
-    z = build_z(z_kind, field, driver)
+       field_kind=st.sampled_from(FIELD_KINDS), shared=st.booleans(),
+       lo=st.integers(0, 12), width=st.integers(0, 12))
+# a mixed stack: an area-linear map, a map that does not read the state and
+# an opaque map, each row through its own map's grid
+@example(seed=3, members=[(9, "canonical"), (7, "zero"), (5, "nan-probe")],
+         driver_kind="synthetic", field_kind="sine", shared=True, lo=2,
+         width=4)
+def test_grid_z_at_rows_are_the_single_state_calls(seed, members,
+                                                   driver_kind, field_kind,
+                                                   shared, lo, width):
+    # each member is a map on its own driver and intervals; with ``shared``
+    # every map is on one field object
     rng = np.random.default_rng(seed)
-    # long intervals too, where the NaN map is NaN; s == t gives Z = 0
-    ss, tt = np.sort(rng.uniform(0.0, 1.0, (2, K)), axis=0)
-    tt[: K // 4] = ss[: K // 4]
-    xs = rng.uniform(-1.5, 1.5, (K, 2))
-    rows = z.on_grid(ss, tt).at(xs)
-    same_bits(rows, np.reshape([z(x, s, t) for x, s, t in zip(xs, ss, tt)],
-                               (K, 2)))
-    with pytest.raises(ValueError,
-                       match=f"^{K + 1} states for {K} intervals$"):
-        z.on_grid(ss, tt).at(np.zeros((K + 1, 2)))
+    field = None
+    grids, xss, expected = [], [], []
+    for p, (K, z_kind) in enumerate(sorted(members, key=lambda m: -m[0])):
+        driver = build_driver(driver_kind, seed + p)
+        if field is None or not shared:
+            field = build_field(field_kind, seed + p, driver.dim)
+        z = build_z(z_kind, field, driver)
+        # long intervals too, where the NaN map is NaN; s == t gives Z = 0
+        ss, tt = np.sort(rng.uniform(0.0, 1.0, (2, K)), axis=0)
+        tt[: K // 4] = ss[: K // 4]
+        xs = rng.uniform(-1.5, 1.5, (K, 2))
+        grid_z = z.on_grid(ss, tt)
+        rows = np.reshape([z(x, s, t) for x, s, t in zip(xs, ss, tt)],
+                          (K, 2))
+        same_bits(grid_z.at(xs), rows)
+        # a window of intervals lo, lo + 1, ...
+        start = min(lo, K)
+        stop = min(start + width, K)
+        same_bits(grid_z.rows(xs[start:stop], start), rows[start:stop])
+        with pytest.raises(ValueError,
+                           match=f"^{K + 1} states for {K} intervals$"):
+            grid_z.at(np.zeros((K + 1, 2)))
+        grids.append(grid_z)
+        xss.append(xs)
+        expected.append(rows)
+    # the members' grids that have intervals as one, step by step as a
+    # march lays them out: every window's rows are those of their own maps
+    grids = [g for g in grids if len(g)]
+    if not grids:
+        return
+    layout, starts = step_major_layout([len(g) for g in grids])
+    stacked = stack_grids(grids, layout)
+    xs, rows = layout(xss[:len(grids)]), layout(expected[:len(grids)])
+    same_bits(stacked.at(xs), rows)
+    for start, stop in zip(starts[:-1], starts[1:]):
+        same_bits(stacked.rows(xs[start:stop], start), rows[start:stop])
 
 
 def per_pair_z(field, driver, transpose, x, s, t):

@@ -45,3 +45,21 @@ def test_no_module_imports_a_name_it_never_uses(path):
               and (path.stem, name) not in PATCH_POINTS]
     assert not unused, (f"{path.name} imports names it never uses: "
                         + ", ".join(unused))
+
+
+def test_the_solver_imports_no_map_kind_from_model():
+    # every Z evaluation of a march goes through ``model.stack_grids``: the
+    # solver reads no map's kind, orientation or contraction itself
+    from rdesplit import model, splitting_solver
+
+    tree = ast.parse(Path(splitting_solver.__file__).read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "model"
+             for alias in node.names]
+    kinds = [name for name in names
+             if name == "_Z_SUBSCRIPTS"
+             or isinstance(getattr(model, name), type)
+             and issubclass(getattr(model, name),
+                            (model.SecondOrderMap, model.GridZ))
+             and getattr(model, name) is not model.SecondOrderMap]
+    assert names and not kinds, kinds

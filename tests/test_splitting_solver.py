@@ -514,8 +514,9 @@ def assert_reference_loops(members, grid):
 
 def test_maps_on_the_first_members_field_do_not_stack_other_fields():
     # every map is area-linear on member 0's field, but member 1 has its own
-    # field and driver: its stages must use them, and the stacked stages of
-    # a shared field must not be taken
+    # field and driver: its drift must use them, and the stacked drift of a
+    # shared field must not be taken, while Z, on the maps' one field, may
+    # be one contraction
     field = sine_field(2, 2, seed=1, amplitude=0.8)
     driver = build_driver("synthetic", 1)
     z = canonical_z(field, driver)
