@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NumericFailure
 from .model import (SecondOrderMap, VectorField, _AreaLinearZ, _chunks,
-                    _first_max, _matvec, _powers, _row_norms)
+                    _first_max, _matvec, _powers, _row_norms, c_einsum)
 from .rough_path import Grid, RoughDriver, SampledPath, hoelder_seminorm
 from .splitting_solver import SplitTrajectory, solve_many
 # not called here: bench/spans.py patches this module attribute
@@ -376,7 +376,7 @@ def _row_form_maxima(u, x, areas, f, grad, z, times, exponent):
     """
     N, n, d = f.shape
     coeff = z.coefficient_many(f, grad)
-    P = f - np.einsum("kiab,ka->kib", coeff, x[:N])
+    P = f - c_einsum("kiab,ka->kib", coeff, x[:N])
     columns = np.concatenate([u, x, areas.reshape(N + 1, d * d)], axis=1).T
     columns = np.ascontiguousarray(columns)
     weights = np.concatenate([np.broadcast_to(np.eye(n), (N, n, n)), -P,
@@ -387,14 +387,14 @@ def _row_form_maxima(u, x, areas, f, grad, z, times, exponent):
         residual = w @ columns[:, k + 1:]
         residual -= w @ columns[:, k:k + 1]
         # np.power: the screen need not be bitwise the scalar pow
-        squares[k] = np.max(np.einsum("ij,ij->j", residual, residual)
+        squares[k] = np.max(c_einsum("ij,ij->j", residual, residual)
                             / np.power(times[k + 1:] - times[k], 2 * exponent))
 
     def total(a):
         return np.abs(a).reshape(N, -1).sum(axis=1)
 
     mag_u, mag_x, mag_a = (np.max(np.abs(a)) for a in (u, x, areas))
-    terms = np.einsum("kibm,kma->k", np.abs(grad), np.abs(f))
+    terms = c_einsum("kibm,kma->k", np.abs(grad), np.abs(f))
     size = 2.0 * (n * mag_u + mag_x * (total(f) + total(P))
                   + (mag_a + mag_x * mag_x) * terms)
     ulps = 16 * (n * d * d + n + d + 10) * np.finfo(float).eps

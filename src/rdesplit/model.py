@@ -26,6 +26,12 @@ of intervals lo, lo + 1, ..., and ``stack_grids`` joins the grid forms of
 several maps into one, which a march reads window by window.  Rows are
 bitwise the single-state calls but for n = 1 and d = 2, where numpy's
 einsum sums a stack in another order.
+
+Every einsum of the package calls numpy's compiled kernel, bound here once
+as ``c_einsum``: ``np.einsum`` without ``optimize`` is that same call
+behind a Python wrapper and a dispatcher, which cost about 1.3 us of a
+3 us call on the small operands of a march step, an RK4 stage or a Davie
+row, so the kernel gives bitwise the same numbers for less.
 """
 
 from __future__ import annotations
@@ -36,6 +42,18 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .rough_path import Grid, RoughDriver
+
+# numpy's compiled einsum kernel (see above).  numpy exports it under a
+# private name only, in ``numpy._core`` in numpy 2 and ``numpy.core`` in
+# 1.x; where neither import works, the public function takes the same
+# positional call.
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:
+    try:
+        from numpy.core.multiarray import c_einsum
+    except ImportError:
+        c_einsum = np.einsum
 
 __all__ = [
     "VectorField",
@@ -208,10 +226,16 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
         arr.flags.writeable = False
 
     def fn(x):
-        return amp * np.sin(np.einsum("iam,m->ia", W, x) + phi)
+        # one buffer for the whole formula: the RK4 oracle calls this on
+        # every stage
+        arg = c_einsum("iam,m->ia", W, x)
+        arg += phi
+        np.sin(arg, out=arg)
+        arg *= amp
+        return arg
 
     def grad_fn(x):
-        core = amp * np.cos(np.einsum("iam,m->ia", W, x) + phi)
+        core = amp * np.cos(c_einsum("iam,m->ia", W, x) + phi)
         return core[:, :, None] * W
 
     # the stacked forms give the coefficients a leading axis of length 1:
@@ -220,15 +244,15 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
     amp_k, W_k, phi_k = amp[None], W[None], phi[None]
 
     def value_and_grad_many_fn(xs):
-        arg = np.einsum("iam,km->kia", W, xs) + phi_k
+        arg = c_einsum("iam,km->kia", W, xs) + phi_k
         return amp_k * np.sin(arg), (amp_k * np.cos(arg))[..., None] * W_k
 
     # the values alone save a cos per transport stage
     def value_many_fn(xs):
-        return amp_k * np.sin(np.einsum("iam,km->kia", W, xs) + phi_k)
+        return amp_k * np.sin(c_einsum("iam,km->kia", W, xs) + phi_k)
 
     def hess_fn(x):
-        core = -amp * np.sin(np.einsum("iam,m->ia", W, x) + phi)
+        core = -amp * np.sin(c_einsum("iam,m->ia", W, x) + phi)
         return core[:, :, None, None] * W[:, :, :, None] * W[:, :, None, :]
 
     return VectorField(
@@ -342,7 +366,7 @@ class _AreaLinearZ(SecondOrderMap):
         f_x, grad_x = self.field.value_and_gradient_many(
             np.asarray(x, dtype=float)[None])
         area = self.driver.area(float(s), float(t))[None]
-        return np.einsum(_Z_SUBSCRIPTS, grad_x, f_x, self.oriented(area))[0]
+        return c_einsum(_Z_SUBSCRIPTS, grad_x, f_x, self.oriented(area))[0]
 
     def coefficient_many(self, f_x, grad_x) -> np.ndarray:
         """K(x) at every row of a stack of states, shape (K, n, d, d), from
@@ -351,7 +375,7 @@ class _AreaLinearZ(SecondOrderMap):
         areas of the map's driver: K^i_{ab} = Σ_m ∂_m f^i_b f^m_a, with a
         and b swapped for the transposed map.  Contracting K sums in another
         order than ``z(x, s, t)``, so the two agree to roundoff only."""
-        return self.oriented(np.einsum("kibm,kma->kiab", grad_x, f_x))
+        return self.oriented(c_einsum("kibm,kma->kiab", grad_x, f_x))
 
     def oriented(self, areas: np.ndarray) -> np.ndarray:
         """A (..., d, d) stack of driver areas as this map contracts them."""
@@ -380,12 +404,12 @@ class _AreaGridZ(GridZ):
 
     def every(self, x) -> np.ndarray:
         f_x, grad_x = self._value_and_grad(np.asarray(x, dtype=float)[None])
-        return np.einsum(_Z_SUBSCRIPTS, grad_x, f_x, self._areas)
+        return c_einsum(_Z_SUBSCRIPTS, grad_x, f_x, self._areas)
 
     def rows(self, xs, lo: int) -> np.ndarray:
         f_x, grad_x = self._value_and_grad(xs)
-        return np.einsum(_Z_SUBSCRIPTS, grad_x, f_x,
-                         self._areas[lo:lo + len(xs)])
+        return c_einsum(_Z_SUBSCRIPTS, grad_x, f_x,
+                        self._areas[lo:lo + len(xs)])
 
 
 def _check_pairing(field: VectorField, driver: RoughDriver) -> None:
@@ -715,8 +739,8 @@ def check_z_cocycle(z: SecondOrderMap, field: VectorField, driver: RoughDriver,
         for q, (x, f_x, grad_x) in enumerate(states):
             z_su, z_st, z_ut = np.split(grid_z.every(x), 3)
             d_z = z_st - z_su - z_ut
-            quad = np.einsum("ibm,km,kb->ki", grad_x, _matvec(f_x, x_su), x_ut)
-            corr = np.einsum("ibm,km,kb->ki", grad_x, z_su, x_ut)
+            quad = c_einsum("ibm,km,kb->ki", grad_x, _matvec(f_x, x_su), x_ut)
+            corr = c_einsum("ibm,km,kb->ki", grad_x, z_su, x_ut)
             ratio, j = _first_max(_row_norms(d_z - quad - corr) / scale)
             if ratio > best[q][0]:
                 best[q] = (ratio, {"witness_x": x, "witness_s": float(ss[j]),
@@ -754,8 +778,8 @@ def convention_defect_max(z: SecondOrderMap, field: VectorField,
     for i in range(m):
         # δZ[j,k] = Z[i,k] - Z[i,j] - Z[j,k] over i <= j, k; then k >= j
         d_z = zmat[i, None, i:] - zmat[i, i:, None] - zmat[i:, i:]
-        quad = np.einsum("nbq,qa,ja,jkb->jkn", grad_x, f_x, incr[i, i:],
-                         incr[i:, i:])
+        quad = c_einsum("nbq,qa,ja,jkb->jkn", grad_x, f_x, incr[i, i:],
+                        incr[i:, i:])
         defect = np.abs(d_z - quad).max(axis=-1)
         defect[np.tri(m - i, k=-1, dtype=bool)] = -np.inf
         flat = int(np.argmax(defect))

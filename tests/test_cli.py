@@ -131,6 +131,38 @@ def test_compare_schemes_blowup_names_the_level(tmp_path):
     assert not (out / "compare.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_oracle_blowup_exits_3_naming_its_step(tmp_path):
+    # along x = 1000 t the linear field of seed 1 gives dY ≈ 346 Y dt.  The
+    # split solve takes increments of 0.08 and ends near 3e305, while the
+    # RK4 slopes 1000 f(Y) leave the float range once Y passes about 9e304
+    (tmp_path / "path.csv").write_text("t,x1\n0,0\n1,1000\n")
+    text = f"""
+[driver]
+kind = file
+d = 1
+path = {tmp_path / "path.csv"}
+
+[field]
+preset = linear
+seed = 1
+
+[problem]
+y0 = 1e304
+t_final = 0.01
+n_steps = 128
+"""
+    result, out = run_cli(tmp_path, text, ["solve", "--oracle"])
+    assert result.exit_code == 3
+    assert result.output.strip().endswith(
+        "numeric failure: reference integration left finite range at step 81"
+    ), result.output
+    assert not (out / "summary.json").exists()
+    result, out = run_cli(tmp_path, text, ["solve"])
+    assert result.exit_code == 0, result.output
+
+
 def nan_where(z, bad):
     """``z`` with NaN rows wherever ``bad(x, s, t)``."""
 

@@ -1,7 +1,9 @@
+import ast
 import gc
 import json
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from rdesplit import (Grid, SampledPath, VectorField, canonical_z,
                       lift_piecewise_linear, linear_field, rough_probe_z,
                       scalar_driver, sine_field, synth_midpoint_path,
                       transposed_z, validate_gradient, zero_z)
-from rdesplit.model import _Z_SUBSCRIPTS, SecondOrderMap, stack_grids
+from rdesplit import model
+from rdesplit.model import _Z_SUBSCRIPTS, SecondOrderMap, c_einsum, stack_grids
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
                       build_field, build_z, with_area)
@@ -691,6 +694,56 @@ def test_grid_z_at_rows_are_the_single_state_calls(seed, members,
     same_bits(stacked.at(xs), rows)
     for start, stop in zip(starts[:-1], starts[1:]):
         same_bits(stacked.rows(xs[start:stop], start), rows[start:stop])
+
+
+def einsum_subscripts():
+    """Every subscript string a module of the package passes to the bound
+    kernel ``c_einsum``: a literal, or a name defined in ``model``."""
+    found = set()
+    for path in Path(model.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "c_einsum"):
+                first = node.args[0]
+                found.add(first.value if isinstance(first, ast.Constant)
+                          else getattr(model, first.id))
+    return sorted(found)
+
+
+EINSUM_SUBSCRIPTS = einsum_subscripts()
+
+
+def test_every_einsum_site_is_seen():
+    # the sine preset's forms, the area-linear maps, the cocycle and
+    # convention-defect contractions and the Davie row form
+    assert len(EINSUM_SUBSCRIPTS) == 9 and _Z_SUBSCRIPTS in EINSUM_SUBSCRIPTS
+
+
+@pytest.mark.parametrize("subscripts", EINSUM_SUBSCRIPTS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_bound_kernel_is_numpys_einsum(subscripts, data):
+    terms = subscripts.split("->")[0].split(",")
+    size = {label: data.draw(st.integers(1, 4), label)
+            for label in sorted(set("".join(terms)))}
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), "seed"))
+    operands = []
+    for term in terms:
+        shape = [size[label] for label in term]
+        # a one-state stack: its leading axis broadcasts against the others
+        if len(term) > 1 and data.draw(st.booleans(), f"{term} one row"):
+            shape[0] = 1
+        # the transposed map's areas: a swapaxes view, which einsum sums in
+        # the order of its strides
+        if len(term) > 1 and data.draw(st.booleans(), f"{term} swapped"):
+            a = rng.standard_normal(shape[:-2] + shape[:-3:-1])
+            a = a.swapaxes(-1, -2)
+        else:
+            a = rng.standard_normal(shape)
+        # terms of many sizes: another summation order would show
+        operands.append(a * 10.0 ** rng.integers(-8, 9, a.shape))
+    same_bits(c_einsum(subscripts, *operands),
+              np.einsum(subscripts, *operands))
 
 
 def per_pair_z(field, driver, transpose, x, s, t):

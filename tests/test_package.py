@@ -21,9 +21,10 @@ def test_every_exported_name_resolves(name):
         assert hasattr(module, attr), f"{name}.__all__ lists missing {attr!r}"
 
 
-@pytest.mark.parametrize("path",
-                         sorted(Path(rdesplit.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.stem)
+SOURCES = sorted(Path(rdesplit.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
 def test_no_module_imports_a_name_it_never_uses(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
@@ -63,3 +64,18 @@ def test_the_solver_imports_no_map_kind_from_model():
                             (model.SecondOrderMap, model.GridZ))
              and getattr(model, name) is not model.SecondOrderMap]
     assert names and not kinds, kinds
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_no_module_calls_numpys_einsum_wrapper(path):
+    # ``np.einsum`` is ``model.c_einsum`` behind a Python wrapper and the
+    # ``__array_function__`` dispatcher, which the hot loops would pay on
+    # every call
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "einsum"
+                  or isinstance(node.func, ast.Name)
+                  and node.func.id == "einsum")]
+    assert not calls, f"{path.name} calls np.einsum at lines {calls}"

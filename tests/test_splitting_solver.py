@@ -819,6 +819,121 @@ def test_ode_reference_validation():
     path2 = SampledPath(np.linspace(0, 1, 3), np.zeros((3, 1)))
     with pytest.raises(ValueError):
         solve_ode_reference(path2, field, np.array([1.0]), Grid(1.0, 4), substeps=0)
+    # the grid rows hold the state: another shape would be broadcast into them
+    with pytest.raises(ValueError, match="initial state must have shape"):
+        solve_ode_reference(path2, linear_field(np.ones((2, 1, 2))), [1.0],
+                            Grid(1.0, 4))
+
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_ode_reference_blowup_names_its_step_and_stops():
+    # dY = 1000 Y dt: the RK4 states trail e^{1000 t} a little and leave the
+    # float range in the interval ending at grid row 181 of 256
+    path = SampledPath(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
+    linear = linear_field(np.full((1, 1, 1), 1000.0))
+    calls = Counter()
+
+    def fn(x):
+        calls["f"] += 1
+        return linear(x)
+
+    field = VectorField(1, 1, fn, linear.gradient)
+    with pytest.raises(NumericFailure, match=r"at step 181$") as info:
+        solve_ode_reference(path, field, np.array([1.0]), Grid(1.0, 256),
+                            substeps=4)
+    assert info.value.step == 181
+    # it stops at the end of the block of grid rows holding the failure
+    block_end = 3 * splitting_solver.FINITE_BLOCK
+    assert calls["f"] == 4 * 4 * block_end
+
+
+def test_ode_reference_rejects_a_non_finite_start_before_stepping():
+    field = linear_field(np.ones((1, 1, 1)))
+    path = SampledPath(np.linspace(0, 1, 3), np.zeros((3, 1)))
+    with pytest.raises(NumericFailure, match=r"at step 0$") as info:
+        solve_ode_reference(path, field, np.array([np.nan]), Grid(1.0, 4))
+    assert info.value.step == 0
+
+
+def reference_rk4(path, fn, y0, grid, substeps):
+    """RK4 along the interpolant as a per-substep loop: one slope per
+    substep, taken at its midpoint, and ``fn(y) @ w`` per stage."""
+    total = grid.N * substeps
+    dt = grid.T / total
+    mids = (np.arange(total) + 0.5) * dt
+    seg = np.clip(np.searchsorted(path.times, mids, side="right") - 1,
+                  0, path.n_samples - 2)
+    slopes = (np.diff(path.values, axis=0)
+              / np.diff(path.times)[:, None])[seg]
+    y = np.asarray(y0, dtype=float)
+    out = [y]
+    for m in range(total):
+        w = slopes[m]
+        k1 = fn(y) @ w
+        k2 = fn(y + (0.5 * dt) * k1) @ w
+        k3 = fn(y + (0.5 * dt) * k2) @ w
+        k4 = fn(y + dt * k3) @ w
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (m + 1) % substeps == 0:
+            out.append(y)
+    return np.array(out)
+
+
+def oracle_fields(kind, seed, n, d):
+    """(field, its formula with ``np.einsum``) of one kind."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        C = rng.standard_normal((n, d))
+        return constant_field(C), lambda x: C
+    if kind == "linear":
+        A = 0.5 * rng.standard_normal((n, d, n))
+        b = rng.standard_normal((n, d))
+        return linear_field(A, offset=b), lambda x: b + A @ x
+    # the sine preset's coefficients, drawn as ``sine_field`` draws them
+    amplitude, frequency = 0.8, 1.5
+    coeffs = np.random.default_rng(seed)
+    amp = amplitude * (0.5 + 0.5 * coeffs.random((n, d)))
+    W = frequency * coeffs.standard_normal((n, d, n))
+    phi = 2.0 * np.pi * coeffs.random((n, d))
+
+    def sine(x):
+        return amp * np.sin(np.einsum("iam,m->ia", W, x) + phi)
+
+    if kind == "sine":
+        return sine_field(n, d, seed=seed, amplitude=amplitude,
+                          frequency=frequency), sine
+    return VectorField(n, d, sine, lambda x: np.zeros((n, d, n))), sine
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["constant", "linear", "sine", "callable"]),
+       n=st.integers(1, 3), d=st.integers(1, 3), N=st.integers(1, 6),
+       substeps=st.integers(1, 5), segments=st.integers(1, 12),
+       aligned=st.booleans(), T=st.sampled_from([0.25, 1.0, 3.0]))
+def test_ode_reference_is_the_per_substep_loop_bitwise(seed, kind, n, d, N,
+                                                       substeps, segments,
+                                                       aligned, T):
+    field, fn = oracle_fields(kind, seed, n, d)
+    rng = np.random.default_rng(seed + 1)
+    if aligned:
+        # the path's sample times are substep boundaries
+        times = np.linspace(0.0, T, N * substeps + 1)
+    else:
+        times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, T,
+                                                           segments - 1)),
+                                [T]))
+        assume(np.all(np.diff(times) > 0))
+    path = SampledPath(times, rng.standard_normal((len(times), d)))
+    y0 = rng.standard_normal(n)
+    grid = Grid(T, N)
+    expected = reference_rk4(path, fn, y0, grid, substeps)
+    # a short segment inside a long substep is a steep slope for all of it
+    assume(np.isfinite(expected).all())
+    same_bits(solve_ode_reference(path, field, y0, grid, substeps=substeps),
+              expected)
 
 
 # ---------------------------------------------------------------- csv
