@@ -35,6 +35,21 @@ DRIVER_KINDS = ("smooth", "synthetic", "file")
 FIELD_PRESETS = ("constant", "linear", "sine")
 Z_KINDS = ("canonical", "zero", "transposed", "rough-probe")
 
+# Most entries, segments × d², of one (segments, d, d) table of a driver's
+# lift: 128 MB of float64, and the lift holds two.  It admits every
+# acceptance and bench driver (at most 2^14 segments at d <= 3) and 2^18
+# segments at d = 2, and rejects a driver that would not fit in memory
+# before any of it is allocated.
+MAX_LIFT_ENTRIES = 2**24
+
+
+def _check_driver_size(what: str, segments: int, d: int) -> None:
+    if segments * d * d > MAX_LIFT_ENTRIES:
+        raise ConfigError(
+            f"driver too large: {what} at d = {d} exceeds the cap of "
+            f"2^24 lift entries (segments × d², MAX_LIFT_ENTRIES)")
+
+
 @dataclass
 class DriverSpec:
     kind: str
@@ -141,10 +156,18 @@ class ProblemConfig:
             raise ConfigError(f"driver.alpha must lie in (1/3, 1/2], got {d.alpha}")
         if d.d < 1:
             raise ConfigError("driver.d must be positive")
-        if d.kind == "synthetic" and d.levels < 1:
-            raise ConfigError("driver.levels must be >= 1")
-        if d.kind == "smooth" and d.resolution < 1:
-            raise ConfigError("driver.resolution must be >= 1")
+        if d.kind == "synthetic":
+            if d.levels < 1:
+                raise ConfigError("driver.levels must be >= 1")
+            # 2^levels segments; any levels past 24 exceeds the cap, and the
+            # min keeps a huge levels from forming a huge power
+            _check_driver_size(f"driver.levels = {d.levels}",
+                               2 ** min(d.levels, 25), d.d)
+        if d.kind == "smooth":
+            if d.resolution < 1:
+                raise ConfigError("driver.resolution must be >= 1")
+            _check_driver_size(f"driver.resolution = {d.resolution}",
+                               d.resolution, d.d)
         if d.kind == "file" and not d.path:
             raise ConfigError("driver.path is required for kind=file")
         if self.field.preset not in FIELD_PRESETS:
@@ -231,6 +254,8 @@ def _build_driver(spec: DriverSpec, seed_override=None):
     else:
         with open(spec.path, "r", encoding="utf-8") as fh:
             path = SampledPath.from_csv(fh)
+        _check_driver_size(f"a driver file of {path.n_samples - 1} segments",
+                           path.n_samples - 1, path.d)
     return lift_piecewise_linear(path, alpha=spec.alpha), path
 
 

@@ -285,24 +285,29 @@ def _march(members, grids, schemes):
     out, mid = values[M:], np.empty((starts[-1], n))
     state, point = values[:M], _z_point(at_start)
     bounds = starts.tolist()
-    for j0 in range(0, Ns[0], FINITE_BLOCK):
-        j1 = min(j0 + FINITE_BLOCK, Ns[0])
-        try:
-            for j in range(j0, j1):
-                lo, hi = bounds[j], bounds[j + 1]
-                if hi - lo < len(state):
-                    state, point = state[:hi - lo], _z_point(at_start[:hi - lo])
-                # each stage written in place: no copy of a fresh stack
-                v = np.add(state, np.matmul(values_at(state),
-                                            incs[lo:hi])[..., 0],
-                           out=mid[lo:hi])
-                state = np.add(v, z_rows(point(state, v), lo), out=out[lo:hi])
-        except Exception:
-            # a field or map may reject the non-finite state that a failed
-            # member carries on to the end of its block
-            _check_finite(values, after, order, j0 + 1, j + 1)
-            raise
-        _check_finite(values, after, order, j0 + 1, j1 + 1)
+    # a blow-up is reported by the finite checks, as NumericFailure, so
+    # numpy's warnings on the non-finite states are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(0, Ns[0], FINITE_BLOCK):
+            j1 = min(j0 + FINITE_BLOCK, Ns[0])
+            try:
+                for j in range(j0, j1):
+                    lo, hi = bounds[j], bounds[j + 1]
+                    if hi - lo < len(state):
+                        state = state[:hi - lo]
+                        point = _z_point(at_start[:hi - lo])
+                    # each stage written in place: no copy of a fresh stack
+                    v = np.add(state, np.matmul(values_at(state),
+                                                incs[lo:hi])[..., 0],
+                               out=mid[lo:hi])
+                    state = np.add(v, z_rows(point(state, v), lo),
+                                   out=out[lo:hi])
+            except Exception:
+                # a field or map may reject the non-finite state that a
+                # failed member carries on to the end of its block
+                _check_finite(values, after, order, j0 + 1, j + 1)
+                raise
+            _check_finite(values, after, order, j0 + 1, j1 + 1)
     # the stages hold every increment and area: free them before the copies
     del incs, z_rows
     us, vs = [None] * M, [None] * M
@@ -430,20 +435,23 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
     # float array, and a stage is a few calls on arrays of n entries
     f, matmul, add, multiply = field._fn, np.matmul, np.add, np.multiply
     half, sixth = 0.5 * dt, dt / 6.0
-    for j0 in range(0, grid.N, FINITE_BLOCK):
-        j1 = min(j0 + FINITE_BLOCK, grid.N)
-        try:
-            for j in range(j0, j1):
-                for w in slopes[j * substeps:(j + 1) * substeps]:
-                    k1 = matmul(f(y), w)
-                    k2 = matmul(f(add(y, multiply(half, k1))), w)
-                    k3 = matmul(f(add(y, multiply(half, k2))), w)
-                    k4 = matmul(f(add(y, multiply(dt, k3))), w)
-                    y = add(y, multiply(sixth, k1 + 2.0 * k2 + 2.0 * k3 + k4))
-                out[j + 1] = y
-        except Exception:
-            # a field may reject the non-finite state of an earlier row
-            check_finite(j0 + 1, j + 1)
-            raise
-        check_finite(j0 + 1, j1 + 1)
+    # as in the march, check_finite reports a blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(0, grid.N, FINITE_BLOCK):
+            j1 = min(j0 + FINITE_BLOCK, grid.N)
+            try:
+                for j in range(j0, j1):
+                    for w in slopes[j * substeps:(j + 1) * substeps]:
+                        k1 = matmul(f(y), w)
+                        k2 = matmul(f(add(y, multiply(half, k1))), w)
+                        k3 = matmul(f(add(y, multiply(half, k2))), w)
+                        k4 = matmul(f(add(y, multiply(dt, k3))), w)
+                        y = add(y, multiply(sixth,
+                                            k1 + 2.0 * k2 + 2.0 * k3 + k4))
+                    out[j + 1] = y
+            except Exception:
+                # a field may reject the non-finite state of an earlier row
+                check_finite(j0 + 1, j + 1)
+                raise
+            check_finite(j0 + 1, j1 + 1)
     return out

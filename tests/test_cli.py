@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdesplit.cli as cli
+import rdesplit.config as config
 from rdesplit import RoughDriver, SecondOrderMap
 from rdesplit.cli import main
 
@@ -102,37 +103,38 @@ def test_missing_config_file_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
+def one_line_failure(result, pattern):
+    """The run exited 3 with stdout empty and stderr the single line
+    ``numeric failure: ...`` matching ``pattern``, no numpy warning before it."""
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert re.fullmatch(f"numeric failure: {pattern}\n", result.stderr), \
+        result.stderr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numeric_blowup_exits_3(tmp_path):
     result, _ = run_cli(tmp_path, BLOWUP, ["solve"])
-    assert result.exit_code == 3
+    one_line_failure(result, r"state left finite range at step \d+")
     # rates marches seeds 5, 6 and 7 together and names the one that failed
     text = SYNTHETIC.replace("preset = sine", "preset = linear").replace(
         "scale = 0.8", "scale = 1e8")
     result, out = run_cli(tmp_path, text, ["rates", "--kind", "sup",
                                            "--seed", "5"])
-    assert result.exit_code == 3
-    assert re.search(r"numeric failure: seed [567]: solve at N=\d+ failed: "
-                     r"state left finite range at step \d+( in member \d)?$",
-                     result.output.strip()), result.output
+    one_line_failure(result, r"seed [567]: solve at N=\d+ failed: "
+                             r"state left finite range at step \d+")
     assert not (out / "rates_summary.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_compare_schemes_blowup_names_the_level(tmp_path):
     result, out = run_cli(tmp_path, BLOWUP, ["compare-schemes"])
-    assert result.exit_code == 3
-    assert re.search(r"numeric failure: (split|Milstein) solve at "
-                     r"N=(64|128|256) failed: "
-                     r"state left finite range at step \d+$",
-                     result.output.strip()), result.output
+    one_line_failure(result, r"(split|Milstein) solve at N=(64|128|256) "
+                             r"failed: state left finite range at step \d+")
     assert not (out / "compare.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_oracle_blowup_exits_3_naming_its_step(tmp_path):
     # along x = 1000 t the linear field of seed 1 gives dY ≈ 346 Y dt.  The
     # split solve takes increments of 0.08 and ends near 3e305, while the
@@ -154,10 +156,8 @@ t_final = 0.01
 n_steps = 128
 """
     result, out = run_cli(tmp_path, text, ["solve", "--oracle"])
-    assert result.exit_code == 3
-    assert result.output.strip().endswith(
-        "numeric failure: reference integration left finite range at step 81"
-    ), result.output
+    one_line_failure(result, "reference integration left finite range "
+                             "at step 81")
     assert not (out / "summary.json").exists()
     result, out = run_cli(tmp_path, text, ["solve"])
     assert result.exit_code == 0, result.output
@@ -222,6 +222,54 @@ def test_out_of_memory_exits_2(tmp_path, monkeypatch):
     assert result.exit_code == 2
     assert result.output.strip() == ("invalid run: out of memory: "
                                      "Unable to allocate 64.0 TiB for an array")
+
+
+def refuse_to_build(monkeypatch):
+    """Make building any driver path or lift a test failure (exit 1)."""
+    def build(*args, **kwargs):
+        raise AssertionError("a driver above the cap was built")
+
+    for name in ("smooth_path", "synth_midpoint_path", "lift_piecewise_linear"):
+        monkeypatch.setattr(config, name, build)
+
+
+@pytest.mark.parametrize("text,what", [
+    # 2^40 samples, 16 TiB of values: about levels = 30 the path alone
+    # would exhaust the host's memory
+    pytest.param(SYNTHETIC.replace("levels = 8", "levels = 40"),
+                 "driver.levels = 40 at d = 2", id="levels"),
+    pytest.param(SMOOTH.replace("resolution = 256", f"resolution = {2**40}"),
+                 f"driver.resolution = {2**40} at d = 2", id="resolution"),
+    # d² = 10^10 entries per segment
+    pytest.param(SYNTHETIC.replace("d = 2", "d = 100000"),
+                 "driver.levels = 8 at d = 100000", id="d"),
+])
+@pytest.mark.parametrize("args", [["solve"], ["rates", "--kind", "sup"]])
+def test_driver_above_the_cap_exits_2_before_it_is_built(tmp_path, monkeypatch,
+                                                         text, what, args):
+    refuse_to_build(monkeypatch)
+    result, out = run_cli(tmp_path, text, args)
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"invalid run: driver too large: {what} exceeds "
+                             "the cap of 2^24 lift entries (segments × d², "
+                             "MAX_LIFT_ENTRIES)\n")
+    assert not (out / "config.ini").exists()
+
+
+def test_driver_file_above_the_cap_exits_2_before_it_is_lifted(tmp_path,
+                                                               monkeypatch):
+    # one segment at d = 4097: 4097² = 2^24 + 8193 entries
+    d = 4097
+    (tmp_path / "path.csv").write_text(
+        "t," + ",".join(f"x{a + 1}" for a in range(d)) + "\n"
+        + "0" + ",0" * d + "\n" + "1" + ",1" * d + "\n")
+    text = SMOOTH.replace("kind = smooth", f"kind = file\npath = path.csv")
+    refuse_to_build(monkeypatch)
+    result, _ = run_cli(tmp_path, text.replace("d = 2", f"d = {d}"), ["solve"])
+    assert result.exit_code == 2, result.output
+    assert result.output == ("invalid run: driver too large: a driver file of "
+                             f"1 segments at d = {d} exceeds the cap of 2^24 "
+                             "lift entries (segments × d², MAX_LIFT_ENTRIES)\n")
 
 
 @pytest.mark.parametrize("key,message", [

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdesplit.config import (DRIVER_KINDS, FIELD_PRESETS, Z_KINDS, ConfigError,
-                             DriverSpec, ExperimentSpec, FieldSpec,
-                             ProblemConfig, SolveSpec, ZSpec, build_problem)
+from rdesplit.config import (DRIVER_KINDS, FIELD_PRESETS, MAX_LIFT_ENTRIES,
+                             Z_KINDS, ConfigError, DriverSpec, ExperimentSpec,
+                             FieldSpec, ProblemConfig, SolveSpec, ZSpec,
+                             build_problem)
 
 BASE = """
 [driver]
@@ -104,10 +105,17 @@ paths = st.text(st.characters(exclude_categories=("C", "Z")) | st.just(" "),
 @st.composite
 def valid_configs(draw):
     kind = draw(st.sampled_from(DRIVER_KINDS))
+    # a generated driver stays under the cap of segments × d² lift entries;
+    # a file driver is checked once it is read
+    d = draw(counts if kind == "file" else st.integers(1, 2**11))
+    segments = MAX_LIFT_ENTRIES // (d * d)
     driver = DriverSpec(
-        kind, d=draw(counts), alpha=draw(finite(1 / 3, 0.5, exclude_min=True)),
-        seed=draw(ints), levels=draw(counts if kind == "synthetic" else ints),
-        resolution=draw(counts if kind == "smooth" else ints),
+        kind, d=d, alpha=draw(finite(1 / 3, 0.5, exclude_min=True)),
+        seed=draw(ints),
+        levels=draw(st.integers(1, segments.bit_length() - 1)
+                    if kind == "synthetic" else ints),
+        resolution=draw(st.integers(1, segments) if kind == "smooth"
+                        else ints),
         path=draw(paths.filter(bool) if kind == "file"
                   else st.none() | paths))
     field = FieldSpec(draw(st.sampled_from(FIELD_PRESETS)),
@@ -169,6 +177,24 @@ def test_bad_values_are_errors():
         ProblemConfig.parse(BASE + "\n[experiment]\nbeta = 1.5\n")
     with pytest.raises(ConfigError):
         ProblemConfig.parse("not ini at all")
+
+
+@pytest.mark.parametrize("kind,key,d,largest", [
+    # 2^22 segments × 2² entries is the cap exactly
+    ("smooth", "resolution", 2, 2**22),
+    ("synthetic", "levels", 2, 22),
+    # 9 × 2^20 entries is under the cap, 9 × 2^21 above it
+    ("synthetic", "levels", 3, 20),
+])
+def test_driver_size_cap_is_segments_times_d_squared(kind, key, d, largest):
+    text = BASE.replace("kind = smooth", f"kind = {kind}").replace(
+        "resolution = 256", f"{key} = {{}}\nalpha = 0.45").replace(
+        "d = 2", f"d = {d}")
+    assert MAX_LIFT_ENTRIES == 2**24
+    ProblemConfig.parse(text.format(largest))
+    with pytest.raises(ConfigError, match=r"driver too large: .*2\^24 lift "
+                       r"entries \(segments × d², MAX_LIFT_ENTRIES\)"):
+        ProblemConfig.parse(text.format(largest + 1))
 
 
 def test_build_problem_smooth():

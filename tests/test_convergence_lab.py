@@ -107,6 +107,7 @@ def test_dyadic_validation():
         dyadic_sup_rate([smooth_problem()], 2, 3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dyadic_propagates_numeric_failure_with_level():
     from rdesplit import VectorField
 
@@ -120,7 +121,7 @@ def test_dyadic_propagates_numeric_failure_with_level():
     driver = lift_piecewise_linear(path, alpha=0.5)
     problem = Problem(driver=driver, field=field, z=zero_z(1),
                       y0=np.array([40.0]), T=1.0, path=path)
-    with np.errstate(over="ignore"), pytest.raises(NumericFailure) as err:
+    with pytest.raises(NumericFailure) as err:
         dyadic_sup_rate([problem], 4, 3)
     assert "N=" in str(err.value)
 
@@ -138,8 +139,7 @@ def _cubic_problem(driver):
                    y0=np.array([1.0]), T=1.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("experiment,K,Ns", [
     pytest.param(lambda ps: dyadic_sup_rate(ps, 8, 3), 8, [8, 16, 32, 64],
                  id="dyadic"),

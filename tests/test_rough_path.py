@@ -129,6 +129,108 @@ def test_chen_defect_many_matches_scalar():
         assert chen_defect_many(drv, [], [], []).shape == (0,)
 
 
+def broadcast_tables(path):
+    """The lift's tables by the (m, d, d) broadcast formulas."""
+    dts = np.diff(path.times)
+    steps = np.diff(path.values, axis=0)
+    slopes = steps / dts[:, None]
+    seg = 0.5 * steps[:, :, None] * steps[:, None, :]
+    seg += (path.values[:-1] - path.values[0])[:, :, None] * steps[:, None, :]
+    m, d = path.values.shape
+    base = np.zeros((m, d, d))
+    np.cumsum(seg, axis=0, out=base[1:])
+    return slopes, base, slopes[:, :, None] * slopes[:, None, :]
+
+
+def broadcast_locate(lift, ts):
+    """The lift's segment indices by comparison arrays and ``np.clip``."""
+    ts = np.asarray(ts, dtype=float)
+    lo, hi = lift.times[0], lift.times[-1]
+    tol = 1e-9 * max(1.0, abs(hi - lo))
+    if np.any(ts < lo - tol) or np.any(ts > hi + tol):
+        raise ValueError(f"query times outside path span [{lo}, {hi}]")
+    idx = np.searchsorted(lift.times, ts, side="right") - 1
+    return np.clip(idx, 0, lift._top)
+
+
+@st.composite
+def lift_paths(draw):
+    """Paths of 2-300 samples in d = 1..4 at non-uniform, strictly
+    increasing times, with values over several orders of magnitude."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.uniform(0.5, 1.0, m - 1) * 10.0 ** rng.integers(-3, 2, m - 1)
+    start = draw(st.floats(-10.0, 10.0))
+    times = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    scale = 10.0 ** rng.integers(-8, 9, (m, d))
+    return SampledPath(times, scale * rng.standard_normal((m, d)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(path=lift_paths())
+def test_lift_tables_are_bitwise_the_broadcast_formulas(path):
+    lift = rough_path._PiecewiseLinearLift(path)
+    for got, want in zip((lift.slopes, lift.base_area, lift.seg_outer),
+                         broadcast_tables(path)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def assert_locates_like_the_broadcast_formula(lift, ts):
+    try:
+        want = broadcast_locate(lift, ts)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            lift.locate_many(ts)
+        assert str(err.value) == str(exc)
+        return
+    got = lift.locate_many(ts)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(path=lift_paths(), data=st.data())
+def test_locate_many_is_the_broadcast_formula(path, data):
+    lift = rough_path._PiecewiseLinearLift(path)
+    lo, hi = path.times[0], path.times[-1]
+    tol = 1e-9 * max(1.0, abs(hi - lo))
+    edges = [lo, hi, lo - tol, hi + tol, np.nextafter(lo - tol, -np.inf),
+             np.nextafter(hi + tol, np.inf), lo - 1.0, hi + 1.0,
+             np.inf, -np.inf, np.nan]
+    times = st.one_of(st.floats(lo, hi), st.sampled_from(edges),
+                      st.sampled_from(path.times.tolist()))
+    ts = np.array(data.draw(st.lists(times, max_size=40)), dtype=float)
+    assert_locates_like_the_broadcast_formula(lift, ts)
+
+
+@pytest.mark.parametrize("ts", [
+    [], [np.nan], [np.nan, np.nan], [0.5, np.nan],
+    # NaN next to a time out of range, on either side, still raises
+    [np.nan, 1.5], [-0.5, np.nan], [np.nan, np.inf], [-np.inf, np.nan],
+    [np.inf], [-np.inf], [0.0, 1.0], [-1e-9, 1.0 + 1e-9],
+    [np.nextafter(-1e-9, -1.0)], [np.nextafter(1.0 + 1e-9, 2.0)],
+])
+def test_locate_many_edge_cases(ts):
+    lift = rough_path._PiecewiseLinearLift(l_shaped_path())
+    assert_locates_like_the_broadcast_formula(lift, np.array(ts, dtype=float))
+
+
+def test_lift_memory_peak_is_at_most_the_broadcast_builds():
+    path = synth_midpoint_path(17, 0.45, 14, 2)
+    tracemalloc.start()
+    try:
+        lift_piecewise_linear(path, alpha=0.45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (m, d, d) broadcast formulas peaked at 2,499,876 bytes here, 4.77
+    # tables of 2^14 + 1 rows; holding every component's offsets and steps
+    # at once as columns would peak higher
+    assert peak <= 2_499_876
+
+
 # ---------------------------------------------------------------- synthetic paths
 
 def test_midpoint_path_deterministic():
