@@ -17,15 +17,18 @@ ratios are bitwise those of a loop calling ``z(x, s, t)`` once per pair,
 and so are their witnesses: the first strict maximum in (state, s, t)
 order.
 
-Fields and Z also take a leading state axis: a field has one stacked form
-on a (K, n) stack of states, and ``z(x, s, t)``, ``on_grid(ss, tt).every(x)``
-and ``.at(xs)`` of the canonical and transposed maps are one contraction,
-those of the zero and rough-probe maps one array for every state; other
-maps are called per row.  ``.rows(xs, lo)`` gives the rows of the window
-of intervals lo, lo + 1, ..., and ``stack_grids`` joins the grid forms of
-several maps into one, which a march reads window by window.  Rows are
-bitwise the single-state calls but for n = 1 and d = 2, where numpy's
-einsum sums a stack in another order.
+Every field and map has one form, on a leading state axis, and its single
+calls are one-row views of it: a field is evaluated on a (K, n) stack of
+states, ``field(x)`` being row 0 of a one-state stack, and a map on fixed
+intervals, ``on_grid(ss, tt)``, with ``z(x, s, t)`` the one row of a
+one-interval grid.  ``every(x)`` and ``.at(xs)`` of the canonical and
+transposed maps are one contraction, those of the zero and rough-probe
+maps one array for every state; other maps are called per row.
+``.rows(xs, lo)`` gives the rows of the window of intervals lo, lo + 1,
+..., and ``stack_grids`` joins the grid forms of several maps into one,
+which a march reads window by window.  Rows of a stack are bitwise the
+one-row calls but for n = 1 and d = 2, where numpy's einsum sums a stack
+of two or more rows in another order.
 
 Every einsum of the package calls numpy's compiled kernel, bound here once
 as ``c_einsum``: ``np.einsum`` without ``optimize`` is that same call
@@ -88,19 +91,24 @@ class VectorField:
     user-supplied metadata (validated numerically, never enforced
     symbolically).
 
-    Every field has one stacked form on a (K, n) stack of states, row k
-    bitwise the single-state call on xs[k]: ``value_and_grad_many_fn``
-    returns (f, ∇f) of every row and ``value_many_fn`` f alone.  The presets
-    supply them as broadcasting expressions; a missing hook is derived here
-    once, the values from the fused hook, or, for a field built from plain
-    callables, both as one call of ``fn`` and ``grad_fn`` per row.
+    A field has one form, stacked on a (K, n) stack of states:
+    ``value_and_grad_many_fn`` returns (f, ∇f) of every row and
+    ``value_many_fn`` f alone.  ``field(x)`` and ``field.gradient(x)`` are
+    their one-row views.  The presets supply the hooks as broadcasting
+    expressions; a missing hook is derived here once, the values from the
+    fused hook, or, for a field built from per-state callables ``fn`` and
+    ``grad_fn``, both as one call of them per row.
     """
 
-    def __init__(self, n, d, fn, grad_fn, hess_fn=None, gamma=3.0,
+    def __init__(self, n, d, fn=None, grad_fn=None, hess_fn=None, gamma=3.0,
                  sup_f=None, sup_grad=None, name="custom",
                  value_and_grad_many_fn=None, value_many_fn=None):
         if n < 1 or d < 1:
             raise ValueError("dimensions must be positive")
+        if value_and_grad_many_fn is None and (
+                grad_fn is None or (fn is None and value_many_fn is None)):
+            raise ValueError("a field needs fn and grad_fn or its stacked "
+                             "hooks")
         # NaN passes every range check, so finiteness is tested first
         if not math.isfinite(gamma) or gamma <= 2.0:
             raise ValueError(
@@ -121,8 +129,6 @@ class VectorField:
         elif value_many_fn is None:
             def value_many_fn(xs):
                 return value_and_grad_many_fn(xs)[0]
-        self._fn = fn
-        self._grad_fn = grad_fn
         self._hess_fn = hess_fn
         self._value_and_grad_many_fn = value_and_grad_many_fn
         self._value_many_fn = value_many_fn
@@ -132,10 +138,14 @@ class VectorField:
         self.name = name
 
     def __call__(self, x) -> np.ndarray:
-        return self._fn(np.asarray(x, dtype=float))
+        """f(x), shape (n, d): row 0 of the values of a one-state stack."""
+        return self._value_many_fn(np.asarray(x, dtype=float)[None])[0]
 
     def gradient(self, x) -> np.ndarray:
-        return self._grad_fn(np.asarray(x, dtype=float))
+        """∇f(x), shape (n, d, n): row 0 of the gradients of a one-state
+        stack."""
+        return self._value_and_grad_many_fn(
+            np.asarray(x, dtype=float)[None])[1][0]
 
     def value_many(self, xs) -> np.ndarray:
         """f at every row of a (K, n) stack of states, shape (K, n, d)."""
@@ -167,9 +177,6 @@ def constant_field(matrix, gamma: float = 3.0) -> VectorField:
     zero_grad.flags.writeable = False
     return VectorField(
         n, d,
-        lambda x: C,
-        lambda x: zero_grad,
-        hess_fn=lambda x: np.zeros((n, d, n, n)),
         gamma=gamma,
         sup_f=float(np.max(np.abs(C))),
         sup_grad=0.0,
@@ -199,9 +206,6 @@ def linear_field(A, offset=None, gamma: float = 3.0) -> VectorField:
     b.flags.writeable = False
     return VectorField(
         n, d,
-        lambda x: b + A @ x,
-        lambda x: A,
-        hess_fn=lambda x: np.zeros((n, d, n, n)),
         gamma=gamma,
         sup_grad=float(np.max(np.abs(A))),
         name="linear",
@@ -225,19 +229,6 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
     for arr in (amp, W, phi):
         arr.flags.writeable = False
 
-    def fn(x):
-        # one buffer for the whole formula: the RK4 oracle calls this on
-        # every stage
-        arg = c_einsum("iam,m->ia", W, x)
-        arg += phi
-        np.sin(arg, out=arg)
-        arg *= amp
-        return arg
-
-    def grad_fn(x):
-        core = amp * np.cos(c_einsum("iam,m->ia", W, x) + phi)
-        return core[:, :, None] * W
-
     # the stacked forms give the coefficients a leading axis of length 1:
     # numpy combines arrays of equal rank faster, and a single-member solve
     # evaluates a one-state stack on every step
@@ -247,16 +238,17 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
         arg = c_einsum("iam,km->kia", W, xs) + phi_k
         return amp_k * np.sin(arg), (amp_k * np.cos(arg))[..., None] * W_k
 
-    # the values alone save a cos per transport stage
+    # the values alone save a cos per transport stage and an RK4 stage;
+    # one buffer for the whole formula
     def value_many_fn(xs):
-        return amp_k * np.sin(c_einsum("iam,km->kia", W, xs) + phi_k)
-
-    def hess_fn(x):
-        core = -amp * np.sin(c_einsum("iam,m->ia", W, x) + phi)
-        return core[:, :, None, None] * W[:, :, :, None] * W[:, :, None, :]
+        arg = c_einsum("iam,km->kia", W, xs)
+        arg += phi_k
+        np.sin(arg, out=arg)
+        arg *= amp_k
+        return arg
 
     return VectorField(
-        n, d, fn, grad_fn, hess_fn=hess_fn, gamma=gamma,
+        n, d, gamma=gamma,
         sup_f=float(np.max(np.abs(amp))),
         sup_grad=float(np.max(np.abs(amp[:, :, None] * W))),
         name="sine", value_and_grad_many_fn=value_and_grad_many_fn,
@@ -289,6 +281,10 @@ class SecondOrderMap:
     ``time_exponent`` is the claimed |t-s| budget and ``space_exponent``
     the claimed |x-y| budget of the Lipschitz-type condition.  Z(x)_{t,t}
     must vanish for every x.
+
+    A map has one form, ``on_grid``; a map given by a callable
+    ``fn(x, s, t)`` is called once per row of it.  ``z(x, s, t)`` is the
+    one row of a one-interval grid.
     """
 
     def __init__(self, n, fn, time_exponent=None, space_exponent=None, name="z"):
@@ -299,7 +295,8 @@ class SecondOrderMap:
         self.name = name
 
     def __call__(self, x, s: float, t: float) -> np.ndarray:
-        return self._fn(np.asarray(x, dtype=float), float(s), float(t))
+        """Z(x)_{s,t}, shape (n,)."""
+        return self.on_grid((s,), (t,)).every(x)[0]
 
     def on_grid(self, ss, tt) -> "GridZ":
         """This map on the fixed intervals [ss[j], tt[j]], evaluated by index j."""
@@ -309,9 +306,10 @@ class SecondOrderMap:
 class GridZ:
     """A second-order map restricted to fixed intervals, evaluated by index.
 
-    The general form calls the map once per row with the interval's
-    endpoints; area-linear maps replace it with areas fetched up front, and
-    maps that do not read the state with rows computed up front.
+    The general form calls the map's ``fn`` once per row with the
+    interval's endpoints; area-linear maps replace it with areas fetched
+    up front, and maps that do not read the state with rows computed up
+    front.
     """
 
     def __init__(self, z: SecondOrderMap, ss, tt):
@@ -336,7 +334,8 @@ class GridZ:
         """Z(xs[k]) over interval lo + k for every row k of a (K, n) stack
         of states, shape (K, n): the rows of a window of intervals."""
         hi = lo + len(xs)
-        values = [self._z(x, s, t)
+        fn = self._z._fn
+        values = [fn(x, s, t)
                   for x, s, t in zip(xs, self._ss[lo:hi], self._tt[lo:hi])]
         return np.array(values, dtype=float).reshape(len(xs), self._z.n)
 
@@ -353,7 +352,7 @@ class _AreaLinearZ(SecondOrderMap):
 
     def __init__(self, field: VectorField, driver: RoughDriver,
                  transpose: bool, name: str):
-        # no fn: __call__ is overridden, and a bound method stored on the
+        # no fn: on_grid is overridden, and a bound method stored on the
         # instance would be a reference cycle keeping the driver alive until
         # the cyclic collector runs
         super().__init__(field.n, None, time_exponent=2.0 * driver.alpha,
@@ -362,19 +361,13 @@ class _AreaLinearZ(SecondOrderMap):
         self.driver = driver
         self.transpose = transpose
 
-    def __call__(self, x, s: float, t: float) -> np.ndarray:
-        f_x, grad_x = self.field.value_and_gradient_many(
-            np.asarray(x, dtype=float)[None])
-        area = self.driver.area(float(s), float(t))[None]
-        return c_einsum(_Z_SUBSCRIPTS, grad_x, f_x, self.oriented(area))[0]
-
     def coefficient_many(self, f_x, grad_x) -> np.ndarray:
         """K(x) at every row of a stack of states, shape (K, n, d, d), from
         (f, ∇f) there as ``field.value_and_gradient_many`` returns them,
         with Z(x)^i_{s,t} = Σ_{a,b} K(x)^i_{ab} XX^{ab}_{s,t} on the raw
         areas of the map's driver: K^i_{ab} = Σ_m ∂_m f^i_b f^m_a, with a
         and b swapped for the transposed map.  Contracting K sums in another
-        order than ``z(x, s, t)``, so the two agree to roundoff only."""
+        order than ``on_grid``, so the two agree to roundoff only."""
         return self.oriented(c_einsum("kibm,kma->kiab", grad_x, f_x))
 
     def oriented(self, areas: np.ndarray) -> np.ndarray:
@@ -448,16 +441,12 @@ def transposed_z(field: VectorField, driver: RoughDriver) -> SecondOrderMap:
 class _TimeOnlyZ(SecondOrderMap):
     """A map that does not depend on the state, given by one formula: its
     rows ``rows_fn(ss, tt)`` over the intervals [ss[j], tt[j]], shape
-    (K, n).  On a grid they are one array shared by every state, and a
-    single call is the one row of a one-interval grid."""
+    (K, n).  On a grid they are one array shared by every state."""
 
     def __init__(self, n, rows_fn, time_exponent, name):
         super().__init__(n, None, time_exponent=time_exponent,
                          space_exponent=np.inf, name=name)
         self._rows_fn = rows_fn
-
-    def __call__(self, x, s: float, t: float) -> np.ndarray:
-        return self._rows_fn(np.array([float(s)]), np.array([float(t)]))[0]
 
     def on_grid(self, ss, tt) -> "GridZ":
         rows = self._rows_fn(np.asarray(ss, dtype=float),

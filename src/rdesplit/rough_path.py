@@ -17,8 +17,6 @@ piecewise-linear interpolant.
 
 from __future__ import annotations
 
-import array
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,9 +121,13 @@ class SampledPath:
 class RoughDriver:
     """Evaluates increments and areas of a rough path on a time span.
 
-    Immutable after construction; evaluators must be pure.  The batch
-    queries use the optional batch hooks and otherwise fall back to one
-    scalar query per interval.
+    Immutable after construction; evaluators must be pure.  A driver has
+    one form, its batch queries ``increment_many`` and ``area_many`` on
+    paired arrays of times; ``increment(s, t)`` and ``area(s, t)`` are
+    their one-row views.  A driver built from per-interval callables
+    ``increment_fn`` and ``area_fn`` gets batch queries made from them
+    once, here, that call them once per interval; ``has_batch`` tells
+    whether both batch hooks were given.
     """
 
     # True only on the drivers lift_piecewise_linear builds: their areas
@@ -133,16 +135,29 @@ class RoughDriver:
     # area of every grid pair from the areas about the start
     _chen_exact = False
 
-    def __init__(self, dim, alpha, increment_fn, area_fn, value_fn=None,
-                 span=(0.0, 1.0), increment_many_fn=None, area_many_fn=None):
+    def __init__(self, dim, alpha, increment_fn=None, area_fn=None,
+                 value_fn=None, span=(0.0, 1.0), increment_many_fn=None,
+                 area_many_fn=None):
         if dim < 1 or int(dim) != dim:
             raise ValueError(f"dimension must be a positive integer, got {dim}")
         if not (1.0 / 3.0 < alpha <= 0.5):
             raise ValueError(f"alpha must lie in (1/3, 1/2], got {alpha}")
-        self.dim = int(dim)
+        if ((increment_many_fn is None and increment_fn is None)
+                or (area_many_fn is None and area_fn is None)):
+            raise ValueError("a driver needs an increment and an area "
+                             "evaluator, per interval or batch")
+        d = self.dim = int(dim)
         self.alpha = float(alpha)
-        self._increment_fn = increment_fn
-        self._area_fn = area_fn
+        self.has_batch = (increment_many_fn is not None
+                          and area_many_fn is not None)
+        if increment_many_fn is None:
+            def increment_many_fn(ss, tt):
+                return np.reshape([increment_fn(s, t) for s, t in zip(ss, tt)],
+                                  (-1, d))
+        if area_many_fn is None:
+            def area_many_fn(ss, tt):
+                return np.reshape([area_fn(s, t) for s, t in zip(ss, tt)],
+                                  (-1, d, d))
         self._value_fn = value_fn
         self._increment_many_fn = increment_many_fn
         self._area_many_fn = area_many_fn
@@ -150,11 +165,11 @@ class RoughDriver:
 
     def increment(self, s: float, t: float) -> np.ndarray:
         """X_{s,t} = X_t - X_s, shape (d,)."""
-        return self._increment_fn(s, t)
+        return self.increment_many((s,), (t,))[0]
 
     def area(self, s: float, t: float) -> np.ndarray:
         """XX_{s,t}, shape (d, d), indexed [a, b] = ∫ X^a_{s,r} dX^b_r."""
-        return self._area_fn(s, t)
+        return self.area_many((s,), (t,))[0]
 
     def value(self, t: float) -> np.ndarray:
         """Base-point value X_t - X_{t0}; optional."""
@@ -162,22 +177,12 @@ class RoughDriver:
             raise ValueError("driver has no base-point evaluator")
         return self._value_fn(t)
 
-    @property
-    def has_batch(self) -> bool:
-        return self._increment_many_fn is not None and self._area_many_fn is not None
-
     def increment_many(self, ss, tt) -> np.ndarray:
-        """X_{s,t} for paired query arrays, shape (K, d); optional hook."""
-        if self._increment_many_fn is None:
-            rows = [self.increment(s, t) for s, t in zip(ss, tt)]
-            return np.reshape(rows, (-1, self.dim))
+        """X_{s,t} for paired query arrays, shape (K, d)."""
         return self._increment_many_fn(np.asarray(ss, float), np.asarray(tt, float))
 
     def area_many(self, ss, tt) -> np.ndarray:
-        """XX_{s,t} for paired query arrays, shape (K, d, d); optional hook."""
-        if self._area_many_fn is None:
-            rows = [self.area(s, t) for s, t in zip(ss, tt)]
-            return np.reshape(rows, (-1, self.dim, self.dim))
+        """XX_{s,t} for paired query arrays, shape (K, d, d)."""
         return self._area_many_fn(np.asarray(ss, float), np.asarray(tt, float))
 
 
@@ -188,9 +193,8 @@ class _PiecewiseLinearLift:
     (1/2) Δx ⊗ Δx; cumulative areas from t0 are precomputed so any query
     costs O(1).  Chen's relation then holds up to roundoff because every
     evaluation reduces to the algebraic combination of exact cumulative
-    integrals.  The scalar queries are kept lean (bisect plus a handful of
-    vector operations): the batch queries are tested against them, and a
-    traced run or a map called per interval makes one per interval.
+    integrals.  The queries take arrays of times, one expression tree
+    applied elementwise; a single query is a one-row array.
 
     The (m, d, d) tables are built on 1-d columns of the m - 1 segments,
     one pair (a, b) at a time, with the operations of the broadcast
@@ -198,7 +202,7 @@ class _PiecewiseLinearLift:
     numpy's loop over a trailing (d, d) broadcast runs d entries at a
     time, and every CLI command lifts a 2^14-segment path: the broadcasts
     took 3-4 times as long at d = 2.  What a driver keeps is unchanged
-    (1.8 MB at 2^14 segments, see below), and the build's peak is lower.
+    (1.7 MB at 2^14 segments, see below), and the build's peak is lower.
     """
 
     def __init__(self, path: SampledPath):
@@ -219,12 +223,11 @@ class _PiecewiseLinearLift:
         # XX_{t0, tau_i} accumulated over whole segments.  A rate experiment
         # holds the drivers of all its seeds at once, so a driver keeps
         # little beyond what its queries read: offsets from values[0] are
-        # formed per query (a subtraction is cheaper than a gather), and
-        # bisect reads the times from a packed array rather than a list of
-        # float objects.  At 2^14 segments a driver with its path takes
-        # 1.8 MB instead of 2.5 MB.  The build holds the steps, one offset
-        # column and a few column buffers; offsets and half-steps of every
-        # component at once would raise its peak above the broadcasts'.
+        # formed per query (a subtraction is cheaper than a gather).  At
+        # 2^14 segments a driver with its path takes 1.7 MB.  The build
+        # holds the steps, one offset column and a few column buffers;
+        # offsets and half-steps of every component at once would raise
+        # its peak above the broadcasts'.
         self.base_area = np.empty((m, d, d))
         self.base_area[0] = 0.0
         self.seg_outer = np.empty((m - 1, d, d))
@@ -238,68 +241,22 @@ class _PiecewiseLinearLift:
                 np.cumsum(seg, out=self.base_area[1:, a, b])
                 np.multiply(self.slopes[:, a], self.slopes[:, b],
                             out=self.seg_outer[:, a, b])
-        self._bisect_times = array.array("d", self.times.tobytes())
-        self._lo = self._bisect_times[0]
-        self._hi = self._bisect_times[-1]
-        self._top = len(self._bisect_times) - 2
+        self._lo = float(self.times[0])
+        self._hi = float(self.times[-1])
+        self._top = m - 2
         tol = 1e-9 * max(1.0, abs(self._hi - self._lo))
         self._floor = self._lo - tol
         self._ceil = self._hi + tol
 
-    def locate(self, t: float) -> int:
-        if t < self._floor or t > self._ceil:
-            raise ValueError(
-                f"query time {t} outside path span [{self._lo}, {self._hi}]"
-            )
-        i = bisect_right(self._bisect_times, t) - 1
-        if i < 0:
-            return 0
-        return i if i <= self._top else self._top
-
-    def value(self, t: float) -> np.ndarray:
-        i = self.locate(t)
-        return self.values[i] + (t - self._bisect_times[i]) * self.slopes[i]
-
-    def base_value(self, t: float) -> np.ndarray:
-        return self.value(t) - self.values[0]
-
-    def increment(self, s: float, t: float) -> np.ndarray:
-        i = self.locate(s)
-        j = self.locate(t)
-        return (self.values[j] - self.values[i]
-                + (t - self._bisect_times[j]) * self.slopes[j]
-                - (s - self._bisect_times[i]) * self.slopes[i])
-
-    def area(self, s: float, t: float) -> np.ndarray:
-        i = self.locate(s)
-        j = self.locate(t)
-        ds = s - self._bisect_times[i]
-        dt = t - self._bisect_times[j]
-        v0, vi, vj = self.values[0], self.values[i], self.values[j]
-        step_s = ds * self.slopes[i]
-        step_t = dt * self.slopes[j]
-        xs = vi + step_s
-        xt = vj + step_t
-        base = (self.base_area[j] - self.base_area[i]
-                + (0.5 * dt * dt) * self.seg_outer[j]
-                - (0.5 * ds * ds) * self.seg_outer[i]
-                + (vj - v0)[:, None] * step_t[None, :]
-                - (vi - v0)[:, None] * step_s[None, :])
-        rel = xs - v0
-        return base - rel[:, None] * (xt - xs)[None, :]
-
-    # Batch variants: same expression tree applied elementwise, so results
-    # agree bitwise with the scalar evaluators (asserted in the tests).
-
     def locate_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        # fmin and fmax skip NaN (NaN passes, as in the scalar locate) and
-        # cost one pass each, where a comparison array and any() cost two
+        # fmin and fmax skip NaN (NaN passes) and cost one pass each, where
+        # a comparison array and any() cost two
         if ts.size and (np.fmin.reduce(ts, axis=None) < self._floor
                         or np.fmax.reduce(ts, axis=None) > self._ceil):
-            raise ValueError(
-                f"query times outside path span [{self._lo}, {self._hi}]"
-            )
+            first = ts[(ts < self._floor) | (ts > self._ceil)][0]
+            raise ValueError(f"query time {float(first)} outside path span "
+                             f"[{self._lo}, {self._hi}]")
         idx = self.times.searchsorted(ts, side="right")
         idx -= 1
         np.maximum(idx, 0, out=idx)
@@ -343,16 +300,9 @@ def lift_piecewise_linear(path: SampledPath, alpha: float = 0.5) -> RoughDriver:
     if path.n_samples < 2:
         raise ValueError("need at least 2 samples to interpolate")
     lift = _PiecewiseLinearLift(path)
-    driver = RoughDriver(
-        path.d,
-        alpha,
-        lift.increment,
-        lift.area,
-        lift.base_value,
-        span=(path.times[0], path.times[-1]),
-        increment_many_fn=lift.increment_many,
-        area_many_fn=lift.area_many,
-    )
+    driver = RoughDriver(path.d, alpha, span=(path.times[0], path.times[-1]),
+                         increment_many_fn=lift.increment_many,
+                         area_many_fn=lift.area_many)
     driver._chen_exact = True
     return driver
 
@@ -418,32 +368,25 @@ def chen_defect(driver: RoughDriver, s: float, u: float, t: float) -> float:
     """Max-entry norm of XX_{s,t} - XX_{s,u} - XX_{u,t} - X_{s,u} ⊗ X_{u,t}.
 
     Zero (to roundoff) for exactly lifted drivers; positive when the area
-    is inconsistent with the increments.
+    is inconsistent with the increments.  The one triple of
+    :func:`chen_defect_many`.
     """
-    if not (s <= u <= t):
-        raise ValueError(f"times must satisfy s <= u <= t, got {(s, u, t)}")
-    left = driver.increment(s, u)
-    right = driver.increment(u, t)
-    defect = (
-        driver.area(s, t)
-        - driver.area(s, u)
-        - driver.area(u, t)
-        - left[:, None] * right[None, :]
-    )
-    return float(np.max(np.abs(defect)))
+    return float(chen_defect_many(driver, (s,), (u,), (t,))[0])
 
 
 def chen_defect_many(driver: RoughDriver, ss, uu, tt) -> np.ndarray:
     """Chen defects for arrays of triples, shape (K,).
 
-    Bitwise the per-triple :func:`chen_defect`: the driver's batch queries
-    agree bitwise with its scalar ones.
+    An unordered triple rejects the whole call, named in the message.
     """
     ss = np.asarray(ss, dtype=float)
     uu = np.asarray(uu, dtype=float)
     tt = np.asarray(tt, dtype=float)
-    if np.any(ss > uu) or np.any(uu > tt):
-        raise ValueError("triples must satisfy s <= u <= t")
+    unordered = (ss > uu) | (uu > tt)
+    if unordered.any():
+        k = int(np.argmax(unordered))
+        raise ValueError("triple must satisfy s <= u <= t, got "
+                         f"{(float(ss[k]), float(uu[k]), float(tt[k]))}")
     left = driver.increment_many(ss, uu)
     right = driver.increment_many(uu, tt)
     defect = (driver.area_many(ss, tt)

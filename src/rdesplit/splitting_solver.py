@@ -27,11 +27,11 @@ rows.  Members that share one field evaluate it as one stack of states.
 Z is evaluated by ``model`` alone: every map's ``on_grid`` form (one per
 distinct map object and grid) is stacked into one ``GridZ`` by
 ``model.stack_grids``, and each step takes the rows of its window.  A
-driver without batch hooks is queried once per interval.  The arithmetic
-of each step is that of the per-interval scalar queries, so every member's
-trajectory is bitwise that of a loop calling ``increment`` and
-``z(x, s, t)`` step by step (but for stacked Z with n = 1 and d = 2, see
-``model``).
+driver built from per-interval callables is queried once per interval.
+A single query, ``increment(s, t)`` or ``z(x, s, t)``, is the one row of
+the same batch form, so every member's trajectory is bitwise that of a
+loop calling them step by step (but for stacked Z with n = 1 and d = 2,
+see ``model``).
 
 The joined path is evaluated the same way on an array of times: the
 states u_j and v_{j+1} of all requested times form one stack each, for
@@ -430,10 +430,12 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
                                  f"at step {step}", step=step)
 
     check_finite(0, 1)
-    y = out[0]
+    # the state as a one-state stack, for the field's stacked hook
+    y = out[:1]
     # the hook and the ufuncs bound once: every stage state is already a
     # float array, and a stage is a few calls on arrays of n entries
-    f, matmul, add, multiply = field._fn, np.matmul, np.add, np.multiply
+    f = field._value_many_fn
+    matmul, add, multiply = np.matmul, np.add, np.multiply
     half, sixth = 0.5 * dt, dt / 6.0
     # as in the march, check_finite reports a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
@@ -448,7 +450,7 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
                         k4 = matmul(f(add(y, multiply(dt, k3))), w)
                         y = add(y, multiply(sixth,
                                             k1 + 2.0 * k2 + 2.0 * k3 + k4))
-                    out[j + 1] = y
+                    out[j + 1] = y[0]
             except Exception:
                 # a field may reject the non-finite state of an earlier row
                 check_finite(j0 + 1, j + 1)

@@ -7,6 +7,8 @@ from rdesplit import (RoughDriver, SecondOrderMap, VectorField, canonical_z,
                       rough_probe_z, scalar_driver, sine_field, smooth_path,
                       synth_midpoint_path, transposed_z, zero_z)
 
+from references import constant_forms, linear_forms, sine_forms
+
 SMOOTH_DRIVER = lift_piecewise_linear(smooth_path(d=2, segments=256))
 
 
@@ -27,19 +29,37 @@ def with_area(driver, area_fn):
                        driver.value, span=driver.span)
 
 
-def build_field(kind, seed, d, n=2):
+def _field_parameters(kind, seed, d, n):
     rng = np.random.default_rng(seed)
     if kind == "constant":
-        return constant_field(0.5 + 0.5 * rng.random((n, d)))
+        return (0.5 + 0.5 * rng.random((n, d)),)
     if kind == "linear":
-        return linear_field(0.5 * rng.standard_normal((n, d, n)),
-                            offset=0.5 * rng.standard_normal((n, d)))
-    sine = sine_field(n, d, seed=seed, amplitude=0.8)
+        return (0.5 * rng.standard_normal((n, d, n)),
+                0.5 * rng.standard_normal((n, d)))
+    return ()
+
+
+def build_field(kind, seed, d, n=2):
+    params = _field_parameters(kind, seed, d, n)
+    if kind == "constant":
+        return constant_field(*params)
+    if kind == "linear":
+        return linear_field(params[0], offset=params[1])
     if kind == "callable":
-        # plain callables: stacked evaluations fall back to one call per row
-        return VectorField(n, d, sine.__call__, sine.gradient,
-                           gamma=sine.gamma)
-    return sine
+        # plain per-state callables: stacked evaluations call them per row
+        return VectorField(n, d, *field_forms("sine", seed, d, n))
+    return sine_field(n, d, seed=seed, amplitude=0.8)
+
+
+def field_forms(kind, seed, d, n=2):
+    """(fn, grad_fn): the single-state formulas of ``build_field(kind,
+    seed, d, n)``, kept in the tests as its bitwise reference."""
+    params = _field_parameters(kind, seed, d, n)
+    if kind == "constant":
+        return constant_forms(*params)
+    if kind == "linear":
+        return linear_forms(*params)
+    return sine_forms(n, d, seed=seed, amplitude=0.8)
 
 
 def steep_field(kind, seed, n, d, slope):

@@ -1,0 +1,112 @@
+"""Single-state formulas kept as bitwise references.
+
+The package defines each field, driver and map by one stacked or batch
+form, with single calls as its one-row views.  The per-state and
+per-interval formulas below are the ones those views replaced; a test that
+compares a stack with them compares two programs, not one with itself.
+"""
+
+from bisect import bisect_right
+
+import numpy as np
+
+from rdesplit.model import _Z_SUBSCRIPTS
+
+
+def sine_coefficients(n, d, seed=0, amplitude=1.0, frequency=1.0):
+    """(amp, W, phi) of ``sine_field(n, d, seed, amplitude, frequency)``."""
+    rng = np.random.default_rng(seed)
+    amp = amplitude * (0.5 + 0.5 * rng.random((n, d)))
+    W = frequency * rng.standard_normal((n, d, n))
+    phi = 2.0 * np.pi * rng.random((n, d))
+    return amp, W, phi
+
+
+def sine_forms(n, d, seed=0, amplitude=1.0, frequency=1.0):
+    """(fn, grad_fn) of the sine preset at one state."""
+    amp, W, phi = sine_coefficients(n, d, seed, amplitude, frequency)
+
+    def fn(x):
+        arg = np.einsum("iam,m->ia", W, x)
+        arg += phi
+        np.sin(arg, out=arg)
+        arg *= amp
+        return arg
+
+    def grad_fn(x):
+        core = amp * np.cos(np.einsum("iam,m->ia", W, x) + phi)
+        return core[:, :, None] * W
+
+    return fn, grad_fn
+
+
+def linear_forms(A, offset):
+    """(fn, grad_fn) of ``linear_field(A, offset)`` at one state."""
+    A, b = np.asarray(A, dtype=float), np.asarray(offset, dtype=float)
+    return (lambda x: b + A @ x), (lambda x: A)
+
+
+def constant_forms(C):
+    """(fn, grad_fn) of ``constant_field(C)`` at one state."""
+    C = np.asarray(C, dtype=float)
+    zero_grad = np.zeros(C.shape + (C.shape[0],))
+    return (lambda x: C), (lambda x: zero_grad)
+
+
+def _locate(lift, t):
+    """The lift's segment of one time by bisection, out of span rejected."""
+    times = lift.times.tolist()
+    lo, hi = times[0], times[-1]
+    tol = 1e-9 * max(1.0, abs(hi - lo))
+    if t < lo - tol or t > hi + tol:
+        raise ValueError(f"query time {t} outside path span [{lo}, {hi}]")
+    i = bisect_right(times, t) - 1
+    return min(max(i, 0), len(times) - 2)
+
+
+def lift_increment(lift, s, t):
+    """X_{s,t} of a ``rough_path._PiecewiseLinearLift`` at one interval."""
+    i, j = _locate(lift, s), _locate(lift, t)
+    times = lift.times.tolist()
+    return (lift.values[j] - lift.values[i]
+            + (t - times[j]) * lift.slopes[j]
+            - (s - times[i]) * lift.slopes[i])
+
+
+def lift_area(lift, s, t):
+    """XX_{s,t} of a ``rough_path._PiecewiseLinearLift`` at one interval."""
+    i, j = _locate(lift, s), _locate(lift, t)
+    times = lift.times.tolist()
+    ds = s - times[i]
+    dt = t - times[j]
+    v0, vi, vj = lift.values[0], lift.values[i], lift.values[j]
+    step_s = ds * lift.slopes[i]
+    step_t = dt * lift.slopes[j]
+    xs = vi + step_s
+    xt = vj + step_t
+    base = (lift.base_area[j] - lift.base_area[i]
+            + (0.5 * dt * dt) * lift.seg_outer[j]
+            - (0.5 * ds * ds) * lift.seg_outer[i]
+            + (vj - v0)[:, None] * step_t[None, :]
+            - (vi - v0)[:, None] * step_s[None, :])
+    rel = xs - v0
+    return base - rel[:, None] * (xt - xs)[None, :]
+
+
+def area_linear_z(f_x, grad_x, area, transpose):
+    """Z of the canonical (or transposed) map at one state and interval,
+    from f, ∇f and the raw area there: one contraction of one-row stacks."""
+    area = area[None]
+    if transpose:
+        area = area.swapaxes(-1, -2)
+    return np.einsum(_Z_SUBSCRIPTS, grad_x[None], f_x[None], area)[0]
+
+
+def chen_defect(increment, area, s, u, t):
+    """The Chen defect of one triple from per-interval ``increment`` and
+    ``area``."""
+    left = increment(s, u)
+    right = increment(u, t)
+    defect = (area(s, t) - area(s, u) - area(u, t)
+              - left[:, None] * right[None, :])
+    return float(np.max(np.abs(defect)))

@@ -11,17 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rdesplit import (Grid, SampledPath, VectorField, canonical_z,
+from rdesplit import (Grid, RoughDriver, SampledPath, VectorField, canonical_z,
                       check_z_bound, check_z_cocycle, check_z_lipschitz,
                       constant_field, convention_defect_max,
                       lift_piecewise_linear, linear_field, rough_probe_z,
                       scalar_driver, sine_field, synth_midpoint_path,
                       transposed_z, validate_gradient, zero_z)
-from rdesplit import model
+from rdesplit import model, rough_path
 from rdesplit.model import _Z_SUBSCRIPTS, SecondOrderMap, c_einsum, stack_grids
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
-                      build_field, build_z, with_area)
+                      build_field, build_z, field_forms, with_area)
+from references import area_linear_z, lift_area, lift_increment
 
 
 def l_driver():
@@ -48,19 +49,6 @@ def test_gradients_match_finite_differences():
         assert validate_gradient(field, xs) <= 1e-5
 
 
-def test_sine_field_hessian_matches_finite_differences():
-    field = sine_field(2, 2, seed=1)
-    rng = np.random.default_rng(1)
-    step = 1e-5
-    for x in sample_points(rng, 2, count=10):
-        hess = field.hessian(x)
-        for m in range(2):
-            e = np.zeros(2)
-            e[m] = step
-            fd = (field.gradient(x + e) - field.gradient(x - e)) / (2 * step)
-            assert np.max(np.abs(fd - hess[:, :, :, m])) <= 1e-4
-
-
 def test_field_validation():
     with pytest.raises(ValueError):
         constant_field(np.zeros(3))
@@ -68,6 +56,11 @@ def test_field_validation():
         linear_field(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         VectorField(2, 2, lambda x: x, lambda x: x, gamma=2.0)
+    # a field needs a gradient and values, per state or stacked
+    for forms in ({}, {"fn": lambda x: x},
+                  {"value_many_fn": lambda xs: xs}):
+        with pytest.raises(ValueError, match="fn and grad_fn"):
+            VectorField(2, 2, **forms)
 
 
 @pytest.mark.parametrize("key", ["gamma", "sup_f", "sup_grad"])
@@ -101,14 +94,15 @@ def same_bits(got, expected):
        field_kind=st.sampled_from(FIELD_KINDS))
 def test_stacked_field_rows_are_the_single_state_calls(seed, K, d, field_kind):
     field = build_field(field_kind, seed, d)
+    fn, grad_fn = field_forms(field_kind, seed, d)
     xs = np.random.default_rng(seed).uniform(-3.0, 3.0, (K, 2))
     values = field.value_many(xs)
     f_many, grad_many = field.value_and_gradient_many(xs)
     same_bits(values, f_many)
     assert grad_many.shape == (K, 2, d, 2)
     for k, x in enumerate(xs):
-        same_bits(f_many[k], field(x))
-        same_bits(grad_many[k], field.gradient(x))
+        same_bits(f_many[k], fn(x))
+        same_bits(grad_many[k], grad_fn(x))
 
 
 @settings(max_examples=80, deadline=None)
@@ -122,6 +116,77 @@ def test_values_hook_is_the_fused_hooks_values(data, seed, n, d, field_kind):
     xs = data.draw(arrays(float, st.tuples(st.integers(1, 8), st.just(n)),
                           elements=st.floats(-1e3, 1e3)))
     same_bits(field.value_many(xs), field.value_and_gradient_many(xs)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16), K=st.integers(1, 6), n=st.integers(1, 3),
+       d=st.integers(1, 3), field_kind=st.sampled_from(FIELD_KINDS),
+       transpose=st.booleans(), data=st.data())
+def test_stacks_and_one_row_views_are_the_single_state_formulas(
+        seed, K, n, d, field_kind, transpose, data):
+    # every object defines one stacked or batch form; its rows and its
+    # one-row views (field(x), driver.area(s, t), z(x, s, t), ...) must be
+    # the single-state formulas they replaced, kept in ``references``
+    rng = np.random.default_rng(seed)
+    field = build_field(field_kind, seed, d, n=n)
+    fn, grad_fn = field_forms(field_kind, seed, d, n=n)
+    xs = rng.uniform(-3.0, 3.0, (K, n))
+    values = field.value_many(xs)
+    f_many, grad_many = field.value_and_gradient_many(xs)
+    for k, x in enumerate(xs):
+        for got in (values[k], f_many[k], field(x)):
+            same_bits(got, fn(x))
+        for got in (grad_many[k], field.gradient(x)):
+            same_bits(got, grad_fn(x))
+
+    # the lift, queried at the span ends, within the tolerance outside
+    # them and at its sample times
+    path = synth_midpoint_path(seed, 0.45, 5, d)
+    lift = rough_path._PiecewiseLinearLift(path)
+    driver = lift_piecewise_linear(path, alpha=0.45)
+    edges = [0.0, 1.0, -1e-9, 1.0 + 1e-9, -5e-10, 1.0 + 5e-10]
+    times = st.one_of(st.floats(0.0, 1.0),
+                      st.sampled_from(edges + path.times.tolist()))
+    ss, tt = (np.array(data.draw(st.lists(times, min_size=K, max_size=K)))
+              for _ in range(2))
+    incs = [lift_increment(lift, s, t) for s, t in zip(ss, tt)]
+    areas = [lift_area(lift, s, t) for s, t in zip(ss, tt)]
+    # the same lift through the per-interval adapter
+    plain = RoughDriver(d, 0.45, lambda s, t: lift_increment(lift, s, t),
+                        lambda s, t: lift_area(lift, s, t))
+    assert driver.has_batch and not plain.has_batch
+    for drv in (driver, plain):
+        same_bits(drv.increment_many(ss, tt), np.reshape(incs, (K, d)))
+        same_bits(drv.area_many(ss, tt), np.reshape(areas, (K, d, d)))
+        for s, t, inc, area in zip(ss, tt, incs, areas):
+            same_bits(drv.increment(s, t), inc)
+            same_bits(drv.area(s, t), area)
+
+    # the area-linear map on the lift, and the same formula as a map given
+    # by a per-pair callable
+    z = (transposed_z if transpose else canonical_z)(field, driver)
+    zs = [area_linear_z(fn(x), grad_fn(x), area, transpose)
+          for x, area in zip(xs, areas)]
+    opaque = SecondOrderMap(n, lambda x, s, t: area_linear_z(
+        fn(x), grad_fn(x), lift_area(lift, s, t), transpose))
+    for x, s, t, want in zip(xs, ss, tt, zs):
+        same_bits(z(x, s, t), want)
+        same_bits(opaque(x, s, t), want)
+    same_bits(opaque.on_grid(ss, tt).at(xs), np.reshape(zs, (K, n)))
+    # a stack of two or more rows sums in another order at n = 1, d = 2:
+    # the strict xfails of the per-pair contraction test pin that gap
+    if (n, d) != (1, 2):
+        same_bits(z.on_grid(ss, tt).at(xs), np.reshape(zs, (K, n)))
+
+    # a scalar driver: per-interval callables of a one-dimensional path
+    def g(t):
+        return np.sin(3.0 * t) + t * t
+
+    scalar = scalar_driver(g)
+    for s, t in zip(ss, tt):
+        same_bits(scalar.increment(s, t), np.array([g(t) - g(s)]))
+        dx = g(t) - g(s)
+        same_bits(scalar.area(s, t), np.array([[0.5 * dx * dx]]))
 
 
 # ---------------------------------------------------------------- canonical Z
@@ -716,7 +781,7 @@ EINSUM_SUBSCRIPTS = einsum_subscripts()
 def test_every_einsum_site_is_seen():
     # the sine preset's forms, the area-linear maps, the cocycle and
     # convention-defect contractions and the Davie row form
-    assert len(EINSUM_SUBSCRIPTS) == 9 and _Z_SUBSCRIPTS in EINSUM_SUBSCRIPTS
+    assert len(EINSUM_SUBSCRIPTS) == 8 and _Z_SUBSCRIPTS in EINSUM_SUBSCRIPTS
 
 
 @pytest.mark.parametrize("subscripts", EINSUM_SUBSCRIPTS)

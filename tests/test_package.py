@@ -79,3 +79,49 @@ def test_no_module_calls_numpys_einsum_wrapper(path):
                   or isinstance(node.func, ast.Name)
                   and node.func.id == "einsum")]
     assert not calls, f"{path.name} calls np.einsum at lines {calls}"
+
+
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+
+def test_presets_define_only_stacked_hooks():
+    # a preset field is one stacked form: no per-state fn or grad_fn, and
+    # no Hessian, beside it
+    from rdesplit import model
+
+    calls = [node for node in ast.walk(_tree(model))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "VectorField"]
+    bad = [node.lineno for node in calls
+           if len(node.args) > 2
+           or any(kw.arg in ("fn", "grad_fn", "hess_fn")
+                  for kw in node.keywords)]
+    assert calls and not bad, f"per-state forms passed at lines {bad}"
+
+
+def test_the_lift_defines_only_batch_queries():
+    from rdesplit import rough_path
+
+    [lift] = [node for node in ast.walk(_tree(rough_path))
+              if isinstance(node, ast.ClassDef)
+              and node.name == "_PiecewiseLinearLift"]
+    methods = {node.name for node in lift.body
+               if isinstance(node, ast.FunctionDef)}
+    assert "area_many" in methods
+    assert not methods & {"locate", "increment", "area", "value",
+                          "base_value"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_no_module_reads_a_per_state_field_form(path):
+    # fields have no ``_fn``: the only ``._fn`` read is a grid's of its own
+    # second-order map (``self._z._fn``)
+    reads = [node.lineno for node in ast.walk(ast.parse(
+                 path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "_fn"
+             and isinstance(node.ctx, ast.Load)
+             and not (isinstance(node.value, ast.Attribute)
+                      and node.value.attr == "_z")]
+    assert not reads, f"{path.name} reads ._fn at lines {reads}"

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,8 @@ from rdesplit import rough_path
 from rdesplit.rough_path import chen_defect_many
 
 from builders import with_area
+from references import chen_defect as reference_chen_defect
+from references import lift_area, lift_increment
 
 
 def l_shaped_path():
@@ -103,29 +106,53 @@ def test_lift_query_outside_span_rejected():
 
 
 def test_batch_evaluators_match_scalar_bitwise():
+    # the batch queries and their one-row views against the lift's
+    # per-interval bisect formulas
     rng = np.random.default_rng(3)
-    drv = lift_piecewise_linear(random_path(rng, 17, 3))
+    path = random_path(rng, 17, 3)
+    drv = lift_piecewise_linear(path)
+    lift = rough_path._PiecewiseLinearLift(path)
     qs = np.sort(rng.uniform(0, 1, (50, 2)), axis=1)
     areas = drv.area_many(qs[:, 0], qs[:, 1])
     incs = drv.increment_many(qs[:, 0], qs[:, 1])
     for k, (s, t) in enumerate(qs):
-        assert np.array_equal(areas[k], drv.area(s, t))
-        assert np.array_equal(incs[k], drv.increment(s, t))
+        for area in (areas[k], drv.area(s, t)):
+            assert np.array_equal(area, lift_area(lift, s, t))
+        for inc in (incs[k], drv.increment(s, t)):
+            assert np.array_equal(inc, lift_increment(lift, s, t))
 
 
 def test_chen_defect_many_matches_scalar():
     rng = np.random.default_rng(4)
-    lifted = lift_piecewise_linear(random_path(rng, 9, 2))
+    path = random_path(rng, 9, 2)
+    lifted = lift_piecewise_linear(path)
+    lift = rough_path._PiecewiseLinearLift(path)
     tri = np.sort(rng.uniform(0, 1, (40, 3)), axis=1)
-    # the last two have no batch hooks: their batch queries fall back to
-    # scalar ones, and the scaled area makes the defects nonzero
-    drivers = (lifted,
-               scalar_driver(lambda t: np.sin(3.0 * t) + t * t),
-               with_area(lifted, lambda s, t: 2.0 * lifted.area(s, t)))
-    for drv in drivers:
+
+    def g(t):
+        return np.sin(3.0 * t) + t * t
+
+    def g_increment(s, t):
+        return np.array([g(t) - g(s)])
+
+    def g_area(s, t):
+        dx = g(t) - g(s)
+        return np.array([[0.5 * dx * dx]])
+
+    # (driver, its per-interval increment and area): the last two have no
+    # batch hooks, so their batch queries call per interval, and the
+    # scaled area makes the defects nonzero
+    cases = ((lifted, partial(lift_increment, lift), partial(lift_area, lift)),
+             (scalar_driver(g), g_increment, g_area),
+             (with_area(lifted, lambda s, t: 2.0 * lifted.area(s, t)),
+              partial(lift_increment, lift),
+              lambda s, t: 2.0 * lift_area(lift, s, t)))
+    for drv, increment, area in cases:
         batch = chen_defect_many(drv, tri[:, 0], tri[:, 1], tri[:, 2])
-        scalar = np.array([chen_defect(drv, *row) for row in tri])
-        assert np.array_equal(batch, scalar)
+        reference = [reference_chen_defect(increment, area, *row)
+                     for row in tri]
+        assert np.array_equal(batch, reference)
+        assert [chen_defect(drv, *row) for row in tri] == reference
         assert chen_defect_many(drv, [], [], []).shape == (0,)
 
 
@@ -147,8 +174,10 @@ def broadcast_locate(lift, ts):
     ts = np.asarray(ts, dtype=float)
     lo, hi = lift.times[0], lift.times[-1]
     tol = 1e-9 * max(1.0, abs(hi - lo))
-    if np.any(ts < lo - tol) or np.any(ts > hi + tol):
-        raise ValueError(f"query times outside path span [{lo}, {hi}]")
+    outside = (ts < lo - tol) | (ts > hi + tol)
+    if outside.any():
+        raise ValueError(f"query time {float(ts[outside][0])} outside path "
+                         f"span [{lo}, {hi}]")
     idx = np.searchsorted(lift.times, ts, side="right") - 1
     return np.clip(idx, 0, lift._top)
 
@@ -215,6 +244,20 @@ def test_locate_many_is_the_broadcast_formula(path, data):
 def test_locate_many_edge_cases(ts):
     lift = rough_path._PiecewiseLinearLift(l_shaped_path())
     assert_locates_like_the_broadcast_formula(lift, np.array(ts, dtype=float))
+
+
+def test_out_of_span_queries_name_the_first_offending_time():
+    drv = lift_piecewise_linear(l_shaped_path())
+    with pytest.raises(ValueError, match=r"^query time 1\.5 outside path "
+                                         r"span \[0\.0, 1\.0\]$"):
+        drv.increment(0.0, 1.5)
+    # NaN passes; the first time out of range is named
+    with pytest.raises(ValueError, match=r"^query time -0\.25 outside path "
+                                         r"span \[0\.0, 1\.0\]$"):
+        drv.area_many([0.2, np.nan, -0.25, 2.0], [0.5] * 4)
+    with pytest.raises(ValueError, match=r"^triple must satisfy s <= u <= t, "
+                                         r"got \(0\.5, 0\.2, 0\.8\)$"):
+        chen_defect(drv, 0.5, 0.2, 0.8)
 
 
 def test_lift_memory_peak_is_at_most_the_broadcast_builds():
@@ -455,3 +498,10 @@ def test_sampled_path_validation():
         SampledPath([0.0, 1.0], [[1.0]])
     with pytest.raises(ValueError):
         SampledPath([0.0, 1.0], [[np.nan], [1.0]])
+
+
+def test_driver_needs_an_increment_and_an_area_evaluator():
+    with pytest.raises(ValueError, match="increment and an area"):
+        rough_path.RoughDriver(2, 0.5, area_fn=lambda s, t: np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="increment and an area"):
+        rough_path.RoughDriver(2, 0.5, increment_many_fn=lambda ss, tt: ss)
