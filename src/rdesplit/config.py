@@ -259,10 +259,6 @@ def _build_driver(spec: DriverSpec, seed_override=None):
     return lift_piecewise_linear(path, alpha=spec.alpha), path
 
 
-def _build_field(spec: FieldSpec, n: int, d: int):
-    return _preset_field(spec.preset, spec.gamma, spec.seed, spec.scale, n, d)
-
-
 # One instance per distinct field: the problems of the seeds of one rate
 # experiment then share their field object, which is what lets a march
 # evaluate them as one stack.  Preset fields are immutable (read-only
@@ -300,7 +296,9 @@ def build_problem(cfg: ProblemConfig, seed_override=None):
             f"driver dimension mismatch: config says d={cfg.driver.d}, "
             f"driver has d={path.d}")
     y0 = np.asarray(cfg.problem.y0, dtype=float)
-    field = _build_field(cfg.field, len(y0), driver.dim)
+    spec = cfg.field
+    field = _preset_field(spec.preset, spec.gamma, spec.seed, spec.scale,
+                          len(y0), driver.dim)
     z = _build_z(cfg.z, field, driver)
     if cfg.problem.t_final > path.times[-1] + 1e-12:
         raise ConfigError(

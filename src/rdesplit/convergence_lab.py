@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -113,15 +113,7 @@ class DavieReport:
     pairs: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "n_steps": self.n_steps,
-            "max_ratio": self.max_ratio,
-            "k": self.k,
-            "m": self.m,
-            "exponent": self.exponent,
-            "pairs": self.pairs,
-        }
+        return asdict(self)
 
 
 def fit_rate(levels, diffs) -> float:
@@ -197,6 +189,14 @@ def rates_summary(reports, seeds) -> dict:
     return summary
 
 
+def _report(problem, Ns, diffs, target, norm_kind, **meta) -> RateReport:
+    """One problem's report on the levels ``Ns``, with its step sizes and
+    fitted slope."""
+    return RateReport(levels=Ns, hs=[problem.T / N for N in Ns], diffs=diffs,
+                      slope=fit_rate(Ns, diffs), target=target,
+                      norm_kind=norm_kind, meta=meta)
+
+
 def _sup_rows(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(a - b, axis=1)))
 
@@ -221,14 +221,9 @@ def dyadic_sup_rate(problems, base_N: int, levels: int) -> list:
     for k, problem in enumerate(problems):
         diffs = [_sup_rows(trajs[n][k].u, trajs[n + 1][k].u[::2])
                  for n in range(levels)]
-        reports.append(RateReport(
-            levels=Ns[:levels],
-            hs=[problem.T / N for N in Ns[:levels]],
-            diffs=diffs,
-            slope=fit_rate(Ns[:levels], diffs),
-            target=problem.gamma_capped * problem.alpha - 1.0,
-            norm_kind="sup",
-        ))
+        reports.append(_report(problem, Ns[:levels], diffs,
+                               problem.gamma_capped * problem.alpha - 1.0,
+                               "sup"))
     return reports
 
 
@@ -278,16 +273,11 @@ def holder_rate(problems, beta: float, base_N: int, levels: int) -> list:
                 diffs.append(0.0)
             else:
                 diffs.append(hoelder_seminorm(SampledPath(times, delta), beta))
-        reports.append(RateReport(
-            levels=Ns[:levels],
-            hs=[problem.T / N for N in Ns[:levels]],
-            diffs=diffs,
-            slope=fit_rate(Ns[:levels], diffs),
-            target=min(problem.alpha - beta,
-                       problem.gamma_capped * problem.alpha - 1.0),
-            norm_kind=f"holder({beta})",
-            meta={"sup_diffs": sup_diffs, "min_spacings": spacings},
-        ))
+        reports.append(_report(
+            problem, Ns[:levels], diffs,
+            min(problem.alpha - beta,
+                problem.gamma_capped * problem.alpha - 1.0),
+            f"holder({beta})", sup_diffs=sup_diffs, min_spacings=spacings))
     return reports
 
 
@@ -336,15 +326,9 @@ def rational_rate(problems, q_num: int, q_den: int, base_N: int,
         diffs = [_sup_rows(coarse[k].u[ci], fine[k].u[fi])
                  for coarse, fine, (ci, fi)
                  in zip(coarse_trajs, fine_trajs, shared)]
-        reports.append(RateReport(
-            levels=Ns,
-            hs=[problem.T / N for N in Ns],
-            diffs=diffs,
-            slope=fit_rate(Ns, diffs),
-            target=problem.gamma_capped * problem.alpha - 1.0,
-            norm_kind="sup",
-            meta={"q": f"{q_num}/{q_den}"},
-        ))
+        reports.append(_report(problem, Ns, diffs,
+                               problem.gamma_capped * problem.alpha - 1.0,
+                               "sup", q=f"{q_num}/{q_den}"))
     return reports
 
 

@@ -21,14 +21,16 @@ Every field and map has one form, on a leading state axis, and its single
 calls are one-row views of it: a field is evaluated on a (K, n) stack of
 states, ``field(x)`` being row 0 of a one-state stack, and a map on fixed
 intervals, ``on_grid(ss, tt)``, with ``z(x, s, t)`` the one row of a
-one-interval grid.  ``every(x)`` and ``.at(xs)`` of the canonical and
-transposed maps are one contraction, those of the zero and rough-probe
-maps one array for every state; other maps are called per row.
-``.rows(xs, lo)`` gives the rows of the window of intervals lo, lo + 1,
-..., and ``stack_grids`` joins the grid forms of several maps into one,
-which a march reads window by window.  Rows of a stack are bitwise the
-one-row calls but for n = 1 and d = 2, where numpy's einsum sums a stack
-of two or more rows in another order.
+one-interval grid.  A grid form has one evaluation method,
+``rows(xs, lo, hi)``: Z on intervals lo to hi - 1, at a (hi - lo, n)
+stack of states or at one (1, n) state for every interval; ``every(x)``
+is its view on the whole grid.  The canonical and transposed maps
+contract a window in one einsum (a window of one interval as row 0 of a
+two-row stack, see ``_AreaGridZ``), the zero and rough-probe maps give
+one array for every state and other maps are called per row, so a row is
+bitwise the same however many intervals its window holds.
+``stack_grids`` joins the grid forms of several maps into one, which a
+march reads window by window.
 
 Every einsum of the package calls numpy's compiled kernel, bound here once
 as ``c_einsum``: ``np.einsum`` without ``optimize`` is that same call
@@ -306,10 +308,10 @@ class SecondOrderMap:
 class GridZ:
     """A second-order map restricted to fixed intervals, evaluated by index.
 
-    The general form calls the map's ``fn`` once per row with the
-    interval's endpoints; area-linear maps replace it with areas fetched
-    up front, and maps that do not read the state with rows computed up
-    front.
+    ``rows`` is a grid form's one evaluation method.  The general form
+    calls the map's ``fn`` once per row with the interval's endpoints;
+    area-linear maps replace it with areas fetched up front, and maps that
+    do not read the state with rows computed up front.
     """
 
     def __init__(self, z: SecondOrderMap, ss, tt):
@@ -322,22 +324,18 @@ class GridZ:
 
     def every(self, x) -> np.ndarray:
         """Z(x) over every interval, shape (K, n)."""
-        return self.at([x] * len(self))
+        return self.rows(np.asarray(x, dtype=float)[None], 0, len(self))
 
-    def at(self, xs) -> np.ndarray:
-        """Z(xs[k]) over interval k for every k, shape (K, n)."""
-        if len(xs) != len(self):
-            raise ValueError(f"{len(xs)} states for {len(self)} intervals")
-        return self.rows(np.asarray(xs, dtype=float), 0)
-
-    def rows(self, xs, lo: int) -> np.ndarray:
-        """Z(xs[k]) over interval lo + k for every row k of a (K, n) stack
-        of states, shape (K, n): the rows of a window of intervals."""
-        hi = lo + len(xs)
+    def rows(self, xs, lo: int, hi: int) -> np.ndarray:
+        """Z over intervals lo to hi - 1, shape (hi - lo, n): row k at
+        ``xs[k]`` of a (hi - lo, n) stack of states, or at the one state of
+        a (1, n) stack for every k."""
         fn = self._z._fn
+        if len(xs) == 1:
+            xs = [xs[0]] * (hi - lo)
         values = [fn(x, s, t)
                   for x, s, t in zip(xs, self._ss[lo:hi], self._tt[lo:hi])]
-        return np.array(values, dtype=float).reshape(len(xs), self._z.n)
+        return np.array(values, dtype=float).reshape(hi - lo, self._z.n)
 
 
 # Σ_{m,a,b} ∂_m f^i_b f^m_a XX^{ab} over a leading axis k of states and areas
@@ -381,28 +379,31 @@ class _AreaLinearZ(SecondOrderMap):
 class _AreaGridZ(GridZ):
     """Area-linear maps on one field and of one orientation, with the raw
     areas of all intervals fetched up front: row k contracts the areas of
-    interval k, whichever driver they came from, as ``z`` orients them."""
+    interval k, whichever driver they came from, as ``z`` orients them.
+
+    A window of one interval is contracted against two area rows, its own
+    and the next, and keeps row 0: einsum sums a one-row stack in another
+    order than a longer one at n = 1 and d = 2.  The areas are held with
+    one zero row after the last interval for that purpose.
+    """
 
     def __init__(self, z: _AreaLinearZ, areas: np.ndarray):
         self._z = z
-        self._raw = areas
+        padded = np.concatenate([areas, np.zeros((1,) + areas.shape[1:])])
+        self._raw = padded[:-1]
         # einsum sums in the order of the areas' strides, so the transposed
         # areas stay a view: rows are then bitwise ``z(x, s, t)``
-        self._areas = z.oriented(areas)
+        self._areas = z.oriented(padded)
         # the hook bound once: a march takes rows on every step
         self._value_and_grad = z.field._value_and_grad_many_fn
 
     def __len__(self) -> int:
-        return len(self._areas)
+        return len(self._raw)
 
-    def every(self, x) -> np.ndarray:
-        f_x, grad_x = self._value_and_grad(np.asarray(x, dtype=float)[None])
-        return c_einsum(_Z_SUBSCRIPTS, grad_x, f_x, self._areas)
-
-    def rows(self, xs, lo: int) -> np.ndarray:
+    def rows(self, xs, lo: int, hi: int) -> np.ndarray:
         f_x, grad_x = self._value_and_grad(xs)
         return c_einsum(_Z_SUBSCRIPTS, grad_x, f_x,
-                        self._areas[lo:lo + len(xs)])
+                        self._areas[lo:hi + (hi - lo == 1)])[:hi - lo]
 
 
 def _check_pairing(field: VectorField, driver: RoughDriver) -> None:
@@ -465,11 +466,8 @@ class _TimeGridZ(GridZ):
     def __len__(self) -> int:
         return len(self._values)
 
-    def every(self, x) -> np.ndarray:
-        return self._values
-
-    def rows(self, xs, lo: int) -> np.ndarray:
-        return self._values[lo:lo + len(xs)]
+    def rows(self, xs, lo: int, hi: int) -> np.ndarray:
+        return self._values[lo:hi]
 
 
 class _StackedGridZ(GridZ):
@@ -484,10 +482,12 @@ class _StackedGridZ(GridZ):
     def __len__(self) -> int:
         return len(self._steps)
 
-    def rows(self, xs, lo: int) -> np.ndarray:
-        hi = lo + len(xs)
-        return np.array([self._grids[p].rows(x[None], j)[0] for x, p, j
-                         in zip(xs, self._members[lo:hi], self._steps[lo:hi])])
+    def rows(self, xs, lo: int, hi: int) -> np.ndarray:
+        if len(xs) == 1:
+            xs = [xs[0]] * (hi - lo)
+        return np.array([self._grids[p].rows(x[None], j, j + 1)[0]
+                         for x, p, j in zip(xs, self._members[lo:hi],
+                                            self._steps[lo:hi])])
 
 
 def stack_grids(grids, layout) -> GridZ:
@@ -635,8 +635,6 @@ def check_z_bound(z: SecondOrderMap, xs, grid: Grid, alpha: float,
     xs = [np.asarray(x, dtype=float) for x in xs]
     if not xs:
         raise ValueError("empty sample set")
-    if grid.N < 1:
-        raise ValueError("grid must have at least 2 points")
     expo = 2.0 * alpha if exponent is None else float(exponent)
     report = CheckReport("z_bound", 0.0, 0, exponents={"time": expo})
     pts = grid.points
@@ -714,7 +712,8 @@ def check_z_cocycle(z: SecondOrderMap, field: VectorField, driver: RoughDriver,
         bad = tuple(triples[int(np.argmin(ordered))].tolist())
         raise ValueError(f"triple must satisfy s <= u <= t, got {bad}")
     triples = triples[triples[:, 2] != triples[:, 0]]
-    states = [(x, field(x), field.gradient(x)) for x in xs]
+    f_xs, grad_xs = field.value_and_gradient_many(xs)
+    states = list(zip(xs, f_xs, grad_xs))
     best = [(0.0, {})] * len(xs)
     # three intervals per triple go into one batched Z
     step = PAIR_BLOCK // 3
@@ -762,7 +761,7 @@ def convention_defect_max(z: SecondOrderMap, field: VectorField,
     zmat = np.zeros((m, m, z.n))
     for ii, jj in _pair_blocks(m):
         zmat[ii, jj] = z.on_grid(pts[ii], pts[jj]).every(x)
-    grad_x, f_x = field.gradient(x), field(x)
+    (f_x,), (grad_x,) = field.value_and_gradient_many(x[None])
     best, witness = -np.inf, (0, 0, 0)
     for i in range(m):
         # δZ[j,k] = Z[i,k] - Z[i,j] - Z[j,k] over i <= j, k; then k >= j

@@ -30,12 +30,11 @@ distinct map object and grid) is stacked into one ``GridZ`` by
 driver built from per-interval callables is queried once per interval.
 A single query, ``increment(s, t)`` or ``z(x, s, t)``, is the one row of
 the same batch form, so every member's trajectory is bitwise that of a
-loop calling them step by step (but for stacked Z with n = 1 and d = 2,
-see ``model``).
+loop calling them step by step.
 
 The joined path is evaluated the same way on an array of times: the
 states u_j and v_{j+1} of all requested times form one stack each, for
-one stacked field evaluation and one ``GridZ.at`` call.
+one stacked field evaluation and one ``GridZ.rows`` call.
 
 A step, and a substep of the RK4 reference ``solve_ode_reference``, is a
 few numpy calls on arrays of n entries, so its cost is their call
@@ -93,7 +92,7 @@ class SplitTrajectory:
         K times shape (K, n); one time that is not finite or lies outside
         [0, T] rejects the whole call.  All times on first half-intervals
         share one ``increment_many`` query and one stacked field
-        evaluation, all times on second halves one ``on_grid(...).at``
+        evaluation, all times on second halves one ``on_grid(...).rows``
         call; rows are bitwise those of the per-time formula.
         """
         ts = np.asarray(t, dtype=float)
@@ -121,7 +120,7 @@ class SplitTrajectory:
         second = ~first
         v, s = self.v[j[second]], left[second]
         z_on = self.z.on_grid(s, s + 2.0 * (local[second] - half[second]))
-        out[second] = v + z_on.at(v)
+        out[second] = v + z_on.rows(v, 0, len(v))
         return out.reshape(ts.shape + (self.field.n,))
 
 
@@ -151,8 +150,8 @@ def _member_stages(members, grids, layout):
     Returns (values, incs, z_rows): ``values(y)``, the field rows f_k(y[k])
     of an (m, n) stack of states, one stacked call of a field that every
     member shares or one call per row; ``incs``, the step-major increments;
-    and ``z_rows(y, lo)``, the Z rows of the members on step-major rows lo
-    to lo + m, from ``model.stack_grids``.  Members with one driver object
+    and ``z_rows(y, lo, hi)``, the Z rows of the members on step-major rows
+    lo to hi - 1, from ``model.stack_grids``.  Members with one driver object
     and grid share one ``increment_many`` query, and members with one map
     object and grid one ``on_grid`` form, so one ``area_many`` query.
     """
@@ -187,8 +186,6 @@ def _z_point(at_start):
     endpoint v elsewhere (split)."""
     if not at_start.any():
         return lambda state, v: v
-    if at_start.all():
-        return lambda state, v: state
     at_start = at_start[:, None]
     return lambda state, v: np.where(at_start, state, v)
 
@@ -300,7 +297,7 @@ def _march(members, grids, schemes):
                     v = np.add(state, np.matmul(values_at(state),
                                                 incs[lo:hi])[..., 0],
                                out=mid[lo:hi])
-                    state = np.add(v, z_rows(point(state, v), lo),
+                    state = np.add(v, z_rows(point(state, v), lo, hi),
                                    out=out[lo:hi])
             except Exception:
                 # a field or map may reject the non-finite state that a

@@ -12,12 +12,14 @@ from references import constant_forms, linear_forms, sine_forms
 SMOOTH_DRIVER = lift_piecewise_linear(smooth_path(d=2, segments=256))
 
 
-def build_driver(kind, seed):
+def build_driver(kind, seed, d=2):
+    """A driver of dimension ``d``; the scalar kind has dimension 1."""
     if kind == "synthetic":
-        return lift_piecewise_linear(synth_midpoint_path(seed, 0.45, 8, 2),
+        return lift_piecewise_linear(synth_midpoint_path(seed, 0.45, 8, d),
                                      alpha=0.45)
     if kind == "smooth":
-        return SMOOTH_DRIVER
+        return (SMOOTH_DRIVER if d == 2 else
+                lift_piecewise_linear(smooth_path(d=d, segments=256)))
     # no batch hooks: solves and diagnostics fall back to per-interval queries
     return scalar_driver(lambda t: np.sin(3.0 * t) + t * t)
 

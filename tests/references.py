@@ -95,11 +95,13 @@ def lift_area(lift, s, t):
 
 def area_linear_z(f_x, grad_x, area, transpose):
     """Z of the canonical (or transposed) map at one state and interval,
-    from f, ∇f and the raw area there: one contraction of one-row stacks."""
-    area = area[None]
+    from f, ∇f and the raw area there: row 0 of one contraction against a
+    two-row stack of areas, which einsum sums in the order of every longer
+    stack (a one-row stack differs at n = 1, d = 2)."""
+    areas = np.stack([area, np.zeros_like(area)])
     if transpose:
-        area = area.swapaxes(-1, -2)
-    return np.einsum(_Z_SUBSCRIPTS, grad_x[None], f_x[None], area)[0]
+        areas = areas.swapaxes(-1, -2)
+    return np.einsum(_Z_SUBSCRIPTS, grad_x[None], f_x[None], areas)[0]
 
 
 def chen_defect(increment, area, s, u, t):

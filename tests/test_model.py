@@ -172,11 +172,8 @@ def test_stacks_and_one_row_views_are_the_single_state_formulas(
     for x, s, t, want in zip(xs, ss, tt, zs):
         same_bits(z(x, s, t), want)
         same_bits(opaque(x, s, t), want)
-    same_bits(opaque.on_grid(ss, tt).at(xs), np.reshape(zs, (K, n)))
-    # a stack of two or more rows sums in another order at n = 1, d = 2:
-    # the strict xfails of the per-pair contraction test pin that gap
-    if (n, d) != (1, 2):
-        same_bits(z.on_grid(ss, tt).at(xs), np.reshape(zs, (K, n)))
+    for zmap in (opaque, z):
+        same_bits(zmap.on_grid(ss, tt).rows(xs, 0, K), np.reshape(zs, (K, n)))
 
     # a scalar driver: per-interval callables of a one-dimensional path
     def g(t):
@@ -711,54 +708,73 @@ def step_major_layout(lengths):
                         min_size=1, max_size=3),
        driver_kind=st.sampled_from(DRIVER_KINDS),
        field_kind=st.sampled_from(FIELD_KINDS), shared=st.booleans(),
+       n=st.integers(1, 3), d=st.integers(1, 3),
        lo=st.integers(0, 12), width=st.integers(0, 12))
 # a mixed stack: an area-linear map, a map that does not read the state and
 # an opaque map, each row through its own map's grid
 @example(seed=3, members=[(9, "canonical"), (7, "zero"), (5, "nan-probe")],
-         driver_kind="synthetic", field_kind="sine", shared=True, lo=2,
-         width=4)
-def test_grid_z_at_rows_are_the_single_state_calls(seed, members,
-                                                   driver_kind, field_kind,
-                                                   shared, lo, width):
+         driver_kind="synthetic", field_kind="sine", shared=True, n=2, d=2,
+         lo=2, width=4)
+# n = 1, d = 2, where einsum sums a one-row stack in another order: a grid
+# of eight intervals with one-interval windows, and one-interval grids,
+# alone and stacked
+@example(seed=5, members=[(8, "canonical")], driver_kind="synthetic",
+         field_kind="sine", shared=True, n=1, d=2, lo=3, width=1)
+@example(seed=7, members=[(1, "transposed"), (1, "rough-probe")],
+         driver_kind="smooth", field_kind="callable", shared=True, n=1, d=2,
+         lo=0, width=1)
+def test_grid_z_rows_and_every_are_the_single_state_calls(
+        seed, members, driver_kind, field_kind, shared, n, d, lo, width):
     # each member is a map on its own driver and intervals; with ``shared``
     # every map is on one field object
     rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1.5, 1.5, n)
     field = None
-    grids, xss, expected = [], [], []
+    grids, xss, expected, at_x0 = [], [], [], []
     for p, (K, z_kind) in enumerate(sorted(members, key=lambda m: -m[0])):
-        driver = build_driver(driver_kind, seed + p)
+        driver = build_driver(driver_kind, seed + p, d)
         if field is None or not shared:
-            field = build_field(field_kind, seed + p, driver.dim)
+            field = build_field(field_kind, seed + p, driver.dim, n=n)
         z = build_z(z_kind, field, driver)
         # long intervals too, where the NaN map is NaN; s == t gives Z = 0
         ss, tt = np.sort(rng.uniform(0.0, 1.0, (2, K)), axis=0)
         tt[: K // 4] = ss[: K // 4]
-        xs = rng.uniform(-1.5, 1.5, (K, 2))
+        xs = rng.uniform(-1.5, 1.5, (K, n))
         grid_z = z.on_grid(ss, tt)
         rows = np.reshape([z(x, s, t) for x, s, t in zip(xs, ss, tt)],
-                          (K, 2))
-        same_bits(grid_z.at(xs), rows)
-        # a window of intervals lo, lo + 1, ...
+                          (K, n))
+        every = np.reshape([z(x0, s, t) for s, t in zip(ss, tt)], (K, n))
+        # the whole grid, the window of intervals lo, lo + 1, ..., one
+        # interval at the last index and an empty window, at a stack of
+        # states and at one state for every interval
         start = min(lo, K)
         stop = min(start + width, K)
-        same_bits(grid_z.rows(xs[start:stop], start), rows[start:stop])
-        with pytest.raises(ValueError,
-                           match=f"^{K + 1} states for {K} intervals$"):
-            grid_z.at(np.zeros((K + 1, 2)))
+        for a, b in ((0, K), (start, stop), (max(K - 1, 0), K),
+                     (start, start)):
+            same_bits(grid_z.rows(xs[a:b], a, b), rows[a:b])
+            same_bits(grid_z.rows(x0[None], a, b), every[a:b])
+        same_bits(grid_z.every(x0), every)
+        # a grid of one interval
+        if K:
+            same_bits(z.on_grid(ss[-1:], tt[-1:]).every(x0), every[-1:])
         grids.append(grid_z)
         xss.append(xs)
         expected.append(rows)
+        at_x0.append(every)
     # the members' grids that have intervals as one, step by step as a
     # march lays them out: every window's rows are those of their own maps
-    grids = [g for g in grids if len(g)]
-    if not grids:
+    P = sum(1 for g in grids if len(g))
+    if not P:
         return
-    layout, starts = step_major_layout([len(g) for g in grids])
-    stacked = stack_grids(grids, layout)
-    xs, rows = layout(xss[:len(grids)]), layout(expected[:len(grids)])
-    same_bits(stacked.at(xs), rows)
+    layout, starts = step_major_layout([len(g) for g in grids[:P]])
+    stacked = stack_grids(grids[:P], layout)
+    xs, rows = layout(xss[:P]), layout(expected[:P])
+    R = len(rows)
+    same_bits(stacked.rows(xs, 0, R), rows)
+    same_bits(stacked.every(x0), layout(at_x0[:P]))
+    same_bits(stacked.rows(xs[R - 1:], R - 1, R), rows[R - 1:])
     for start, stop in zip(starts[:-1], starts[1:]):
-        same_bits(stacked.rows(xs[start:stop], start), rows[start:stop])
+        same_bits(stacked.rows(xs[start:stop], start, stop), rows[start:stop])
 
 
 def einsum_subscripts():
@@ -812,11 +828,10 @@ def test_the_bound_kernel_is_numpys_einsum(subscripts, data):
 
 
 def per_pair_z(field, driver, transpose, x, s, t):
-    """Area-linear Z of one state over one interval, contracted on its own:
-    the reference of every evaluation path of the canonical and transposed
-    maps."""
-    return np.einsum("ibm,ma,ba->i" if transpose else "ibm,ma,ab->i",
-                     field.gradient(x), field(x), driver.area(s, t))
+    """Area-linear Z of one state over one interval: the reference of every
+    evaluation path of the canonical and transposed maps."""
+    return area_linear_z(field(x), field.gradient(x), driver.area(s, t),
+                         transpose)
 
 
 def area_linear_case(seed, K, n, d, field_kind, transpose):
@@ -844,16 +859,10 @@ def test_area_linear_call_is_the_per_pair_contraction(seed, K, n, d,
         same_bits(z(x, s, t), per_pair_z(field, driver, transpose, x, s, t))
 
 
-# Known defect: with n = 1 and d = 2, numpy's einsum buffers the reduction
-# of a stack of two or more rows and adds the four terms of a row in
-# sequence, while the single contraction adds them in two pairs, so a row
-# can differ from the per-pair value in the last bit.
-@pytest.mark.parametrize("n,d", [
-    pytest.param(n, d, marks=pytest.mark.xfail(
-        strict=True, reason="einsum sums n = 1, d = 2 stacks in another "
-                            "order"))
-    if (n, d) == (1, 2) else (n, d)
-    for n in (1, 2, 3) for d in (1, 2, 3)])
+# With n = 1 and d = 2, numpy's einsum sums a stack of two or more rows in
+# another order than a one-row stack: the one-interval grids of z(x, s, t)
+# and the one-interval windows take the longer stack's order.
+@pytest.mark.parametrize("n,d", [(n, d) for n in (1, 2, 3) for d in (1, 2, 3)])
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**16), K=st.integers(0, 12),
        field_kind=st.sampled_from(FIELD_KINDS), transpose=st.booleans())
@@ -865,7 +874,7 @@ def test_area_linear_grid_rows_are_the_per_pair_contraction(n, d, seed, K,
     grid_z = z.on_grid(ss, tt)
     at_rows = np.reshape([per_pair_z(field, driver, transpose, x, s, t)
                           for x, s, t in zip(xs, ss, tt)], (K, n))
-    same_bits(grid_z.at(xs), at_rows)
+    same_bits(grid_z.rows(xs, 0, K), at_rows)
     x0 = np.zeros(n) if K == 0 else xs[0]
     every_rows = np.reshape([per_pair_z(field, driver, transpose, x0, s, t)
                              for s, t in zip(ss, tt)], (K, n))
@@ -886,7 +895,8 @@ def test_area_linear_coefficient_contracts_the_drivers_raw_areas(
     areas = driver.area_many(ss, tt)
     # another order of summation: equal to a few ulps of the terms' sizes,
     # taken before the sum over m that forms K
-    gap = np.einsum("kiab,kab->ki", coeff, areas) - z.on_grid(ss, tt).at(xs)
+    gap = (np.einsum("kiab,kab->ki", coeff, areas)
+           - z.on_grid(ss, tt).rows(xs, 0, K))
     sizes = np.einsum(_Z_SUBSCRIPTS, np.abs(grad_x), np.abs(f_x),
                       z.oriented(np.abs(areas)))
     assert np.all(np.abs(gap) <= 1e-14 * sizes)

@@ -125,3 +125,25 @@ def test_no_module_reads_a_per_state_field_form(path):
              and not (isinstance(node.value, ast.Attribute)
                       and node.value.attr == "_z")]
     assert not reads, f"{path.name} reads ._fn at lines {reads}"
+
+
+def test_grid_forms_have_one_evaluation_method():
+    # a grid form evaluates through ``rows`` alone: ``every`` is one view of
+    # it, written in ``GridZ``, and no ``at`` remains beside them
+    from rdesplit import model
+
+    def methods(tree, name):
+        return [node.name for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)
+                and any(isinstance(item, ast.FunctionDef) and item.name == name
+                        for item in node.body)]
+
+    assert methods(_tree(model), "every") == ["GridZ"]
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "at"]
+        assert not methods(tree, "at"), f"{path.name} defines at"
+        assert not calls, f"{path.name} calls .at( at lines {calls}"

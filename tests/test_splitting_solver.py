@@ -464,9 +464,7 @@ def test_every_member_of_a_march_is_its_reference_loop(specs, field_kind,
     assert_march_outcomes(specs, field_kind, shared)
 
 
-# n = 1 with the two-dimensional drivers is the known defect of the test
-# below, so the one-dimensional state runs with the scalar driver only
-@pytest.mark.parametrize("n,driver_kinds", [(1, ("scalar",)),
+@pytest.mark.parametrize("n,driver_kinds", [(1, DRIVER_KINDS),
                                              (3, DRIVER_KINDS)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -477,13 +475,11 @@ def test_march_members_of_another_state_dimension_are_their_reference_loops(
                           data.draw(st.booleans()), n=n)
 
 
-# Known defect: with n = 1 and d = 2, numpy's einsum sums a stack of two or
-# more Z rows in another order than a single contraction, so a stacked
-# march can differ from its reference loop in the last bit.  Fields built
-# from plain callables stack too, and so do members on different grids
-# while two or more of them step.
-@pytest.mark.xfail(strict=True, reason="einsum sums n = 1, d = 2 stacks in "
-                                       "another order")
+# With n = 1 and d = 2, numpy's einsum sums a stack of two or more Z rows
+# in another order than a one-row stack, so a single step's one-interval
+# window is contracted as a two-row stack.  Fields built from plain
+# callables stack too, and so do members on different grids while two or
+# more of them step.
 @pytest.mark.parametrize("field_kind,Ns", [
     pytest.param("sine", (32,) * 4, id="sine"),
     pytest.param("callable", (32,) * 4, id="callable"),
