@@ -120,6 +120,9 @@ class VectorField:
                 raise ValueError(f"{key} must be finite, got {bound}")
         n = self.n = int(n)
         d = self.d = int(d)
+        # whether one hook call evaluates a whole stack: the RK4 reference
+        # stacks time windows only then
+        self._stacked = value_and_grad_many_fn is not None
         if value_and_grad_many_fn is None:
             if value_many_fn is None:
                 def value_many_fn(xs):
@@ -404,6 +407,15 @@ class _AreaGridZ(GridZ):
         f_x, grad_x = self._value_and_grad(xs)
         return c_einsum(_Z_SUBSCRIPTS, grad_x, f_x,
                         self._areas[lo:hi + (hi - lo == 1)])[:hi - lo]
+
+
+def canonical_z_rows(field: VectorField, xs, areas) -> np.ndarray:
+    """Z(x_k)^i = Σ_{m,a,b} ∂_m f^i_b(x_k) f^m_a(x_k) XX_k^{ab} at every
+    row of a (K, n) stack of states on a (K, d, d) stack of areas, shape
+    (K, n): the canonical map on areas that no driver holds, such as those
+    of the path the RK4 reference integrates."""
+    f_x, grad_x = field._value_and_grad_many_fn(xs)
+    return c_einsum(_Z_SUBSCRIPTS, grad_x, f_x, areas)
 
 
 def _check_pairing(field: VectorField, driver: RoughDriver) -> None:

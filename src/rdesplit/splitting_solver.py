@@ -42,8 +42,11 @@ overhead.  Both loops call numpy's compiled einsum kernel through the
 fields and maps (``model.c_einsum``), write stages in place where the
 rounding allows, and bind their hooks once.  With d = n = 2 and the sine
 field, a one-member canonical solve takes about 16 us per step and the
-RK4 reference about 25 us per substep, in the benchmark's reference
-seconds.
+RK4 reference, run as one window, about 25 us per substep, in the
+benchmark's reference seconds.  On a smooth driver the reference runs as
+a stack of up to 64 time windows instead, each substep of a sweep
+advancing every window, and its rows stay bitwise those of the one
+window: 16,384 substeps (N = 256) take 0.17-0.20 s rather than 0.42 s.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import numpy as np
 
 from .errors import NumericFailure
 from .model import (SecondOrderMap, VectorField, _check_pairing, _matvec,
-                    stack_grids)
+                    canonical_z_rows, stack_grids)
 from .rough_path import Grid, RoughDriver, SampledPath
 
 __all__ = [
@@ -381,6 +384,200 @@ def write_trajectory_csv(traj, fileobj) -> None:
                                       us, vs)))
 
 
+# The RK4 reference integrates up to REFERENCE_WINDOWS time windows of
+# whole grid intervals as one stack, with COARSE_STEPS split steps per window
+# as the coarse solver of its parareal iteration, when COARSE_STEPS and
+# twice as many coarse steps from y0 differ by less than PROBE_LIMIT of every
+# window's move (see solve_ode_reference).
+REFERENCE_WINDOWS = 64
+COARSE_STEPS = 2
+PROBE_LIMIT = 1e-2
+
+
+def _substep_slopes(path: SampledPath, grid: Grid, substeps: int):
+    """(slopes, dt): the path's slope under the midpoint of each of the
+    N * substeps RK4 substeps, shape (N * substeps, d), and their length."""
+    total = grid.N * substeps
+    dt = grid.T / total
+    mids = (np.arange(total) + 0.5) * dt
+    seg = np.clip(np.searchsorted(path.times, mids, side="right") - 1,
+                  0, path.n_samples - 2)
+    dts = np.diff(path.times)
+    return (np.diff(path.values, axis=0) / dts[:, None])[seg], dt
+
+
+def _substep_lift(slopes, dt: float, at):
+    """(walk, lift): the substep path, the piecewise-linear path that the
+    RK4 substeps integrate, and its iterated integrals from 0, at the
+    substep boundaries ``at``, shapes (len(at), d) and (len(at), d, d).
+
+    The sums run one component at a time, so they hold about two copies of
+    one column of ``slopes`` beside the path.
+    """
+    total, d = slopes.shape
+    walk = np.zeros((total + 1, d))
+    np.cumsum(slopes, axis=0, out=walk[1:])
+    lift = np.empty((len(at), d, d))
+    column = np.zeros(total + 1)
+    for a in range(d):
+        for b in range(d):
+            # a segment entered at w adds (w + s / 2)^a s^b
+            term = slopes[:, a] * -0.5
+            term += walk[1:, a]
+            term *= slopes[:, b]
+            np.cumsum(term, out=column[1:])
+            lift[:, a, b] = column[at]
+    return dt * walk[at], dt * dt * lift
+
+
+def _coarse_solver(field: VectorField, walk, lift, bounds):
+    """G(y, lo, hi): the windows lo to hi - 1 from an (hi - lo, n) stack of
+    states, window k taking one split step (canonical Z) from each column
+    of ``bounds[k]`` to the next, indices into the substep path ``walk``
+    and its iterated integrals ``lift`` (see ``_substep_lift``).
+
+    It moves the iteration count only, never a row of the reference.
+    """
+    s, e = bounds[:, :-1], bounds[:, 1:]
+    X = walk[e] - walk[s]
+    XX = lift[e] - lift[s] - walk[s][..., :, None] * X[..., None, :]
+    X = X[..., None]
+    value = field._value_many_fn
+
+    def G(y, lo: int, hi: int) -> np.ndarray:
+        for j in range(bounds.shape[1] - 1):
+            v = y + np.matmul(value(y), X[lo:hi, j])[..., 0]
+            y = v + canonical_z_rows(field, v, XX[lo:hi, j])
+        return y
+
+    return G
+
+
+def _windows(field: VectorField, y0, slopes, dt: float, N: int,
+             substeps: int):
+    """(edges, starts, guesses, G): the grid-interval edges of up to
+    REFERENCE_WINDOWS windows of whole intervals, their first starts from
+    the coarse solver G, and G of each start.  One window, from y0, where
+    windows would not pay.
+
+    They pay only for a field whose hooks evaluate a stack in one call and
+    where COARSE_STEPS and twice as many split steps from y0 agree on
+    every window to PROBE_LIMIT of its move: on rough drivers the starts
+    jitter in their last bits long after they agree to 1e-14, and the
+    frontier then advances one window per sweep, at more than the
+    sequential cost.  A probe or prediction that raises declines too.
+    """
+    K = min(REFERENCE_WINDOWS, N)
+    q, r = divmod(N, K)
+    # the longer windows first, so those of a sweep's last interval lead
+    edges = np.concatenate(([0], np.cumsum([q + 1] * r + [q] * (K - r))))
+    starts = np.empty((K, len(y0)))
+    guesses = np.empty_like(starts)
+    starts[0] = y0
+    if K == 1 or not field._stacked:
+        return edges[[0, -1]], starts[:1], guesses[:1], None
+    spans = edges * substeps
+    parts = 2 * COARSE_STEPS
+    at = (spans[:-1, None] + (np.diff(spans)[:, None]
+                              * np.arange(parts)) // parts).ravel()
+    walk, lift = _substep_lift(slopes, dt, np.append(at, spans[-1]))
+    # window k's boundaries, as indices into walk and lift
+    bounds = parts * np.arange(K)[:, None] + np.arange(parts + 1)
+    try:
+        y = np.repeat(y0[None], K, axis=0)
+        fine = _coarse_solver(field, walk, lift, bounds)(y, 0, K)
+        G = _coarse_solver(field, walk, lift, bounds[:, ::2])
+        gap = np.abs(G(y, 0, K) - fine).max(axis=1)
+        move = np.abs(fine - y0).max(axis=1)
+        # a non-finite probe fails the comparison
+        pays = (gap < PROBE_LIMIT * move).all()
+        for k in range(K - 1 if pays else 0):
+            guesses[k] = G(starts[k:k + 1], k, k + 1)[0]
+            starts[k + 1] = guesses[k]
+    except Exception:
+        pays = False
+    if not pays:
+        return edges[[0, -1]], starts[:1], guesses[:1], None
+    return edges, starts, guesses, G
+
+
+def _layout(slopes, edges, substeps: int):
+    """(W, rows, lengths) of the windows between the grid-interval
+    ``edges``: substep s of interval i of window k takes the slope
+    ``W[i, s, k]``, shape (d, 1), and ends that interval at grid row
+    ``rows[i, k]``; the intervals past a shorter window's end are padding."""
+    lengths = np.diff(edges)
+    at = np.minimum(edges[:-1] + np.arange(lengths[0])[:, None],
+                    edges[-1] - 1)
+    W = slopes[substeps * at[:, None] + np.arange(substeps)[:, None]]
+    return W[..., None], at + 1, lengths
+
+
+def _rk4_sweep(f, dt: float, W, rows, lengths, y, out, check) -> None:
+    """RK4 on an (m, n) stack of window starts ``y``, window p for
+    ``lengths[p]`` grid intervals (non-increasing), substep s of its
+    interval i taking the slope ``W[i, s, p]`` (shape (d, 1)) and interval
+    i ending at grid row ``rows[i, p]`` of ``out``.
+
+    ``check(i0, i1)`` runs after every ``FINITE_BLOCK`` intervals on the
+    rows window 0 reached in them, and, before the exception goes on, on
+    those it reached when a field call raised.
+    """
+    matmul, add, multiply = np.matmul, np.add, np.multiply
+    half, sixth = 0.5 * dt, dt / 6.0
+    live = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0).tolist()
+    # the stage slopes go into (m, n, 1) buffers, read through (m, n) views
+    # made once: a fresh view per stage costs about 5 % of a one-window
+    # substep
+    slots = np.empty((4,) + y.shape + (1,))
+    for i0 in range(0, lengths[0], FINITE_BLOCK):
+        i1 = min(i0 + FINITE_BLOCK, lengths[0])
+        try:
+            for i in range(i0, i1):
+                m = live[i]
+                if i == 0 or m < len(y):
+                    y = y[:m]
+                    k1s, k2s, k3s, k4s = slots[:, :m]
+                    k1, k2, k3, k4 = slots[:, :m, :, 0]
+                for w in W[i, :, :m]:
+                    matmul(f(y), w, k1s)
+                    matmul(f(add(y, multiply(half, k1))), w, k2s)
+                    matmul(f(add(y, multiply(half, k2))), w, k3s)
+                    matmul(f(add(y, multiply(dt, k3))), w, k4s)
+                    y = add(y, multiply(sixth,
+                                        k1 + 2.0 * k2 + 2.0 * k3 + k4))
+                out[rows[i, :m]] = y
+        except Exception:
+            # a field may reject the non-finite state of an earlier row
+            check(i0, i)
+            raise
+        check(i0, i1)
+
+
+def _correct(out, ends, starts, guesses, G, lo: int) -> int:
+    """Parareal update of window starts lo + 1 on, after a sweep from
+    ``starts`` that reached the rows ``out[ends[k]]`` at window ends;
+    returns the first start that changed bitwise, len(starts) if none did.
+
+    After a changed start k, start k + 1 is F(U_k) + (G(U_k) - G(U_k^old)),
+    with F the sweep and ``guesses[k]`` = G(U_k^old); after an unchanged
+    one it is F(U_k) itself, so every start up to the first changed one
+    continues the sequential chain.
+    """
+    first = len(starts)
+    new = out[ends[lo]]
+    for k in range(lo + 1, len(starts)):
+        if new.tobytes() == starts[k].tobytes():
+            new = out[ends[k]]
+            continue
+        first = min(first, k)
+        starts[k] = new
+        g = G(starts[k:k + 1], k, k + 1)[0]
+        new = out[ends[k]] + (g - guesses[k])
+        guesses[k] = g
+    return first
+
+
 def solve_ode_reference(path: SampledPath, field: VectorField, y0,
                         grid: Grid, substeps: int = 64) -> np.ndarray:
     """Fixed-step RK4 reference for dY = f(Y) x'(t) dt along the interpolant.
@@ -389,16 +586,32 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
     piecewise-linear path is sampled at each substep midpoint, so when
     substep boundaries align with the path's sample times every stage sees
     the exact segment slope.  Returns values at the grid points, shape
-    (N+1, n).
+    (N+1, n), bitwise those of one RK4 loop over every substep.
 
     Known defect: nothing checks that alignment.  A substep spanning several
     path segments takes one slope, so the ODE runs along another path: at
     N = 64 on a 2^14-segment synthetic path (4 segments per substep) that
     path lies up to 4.89 away from the driver's, whose largest entry is 1.46.
 
-    The grid values are checked every ``FINITE_BLOCK`` grid intervals: a
-    state that left the finite range raises NumericFailure with the first
-    non-finite grid row as its step, and no later block is integrated.
+    The substeps run as one sweep over a stack of time windows, each a run
+    of whole grid intervals (parareal: Lions, Maday and Turinici 2001,
+    with COARSE_STEPS split steps per window as its coarse solver): up to
+    ``REFERENCE_WINDOWS`` of them where ``_windows`` finds that they pay,
+    else one window, which is the sequential loop.  Each sweep integrates
+    every window from its start, and a coarse sweep corrects the starts.
+    A start k + 1 whose predecessor did not change is the fine end of
+    window k unchanged, so every window before the first start that
+    changed holds the sequential rows bitwise.  Later sweeps begin at that
+    frontier, which moves by at least one window per sweep, and the
+    iteration stops once no start changes, after at most K sweeps.
+
+    Only rows below the frontier are checked: a state that left the finite
+    range there raises NumericFailure with the first non-finite grid row as
+    its step, the row of the sequential loop.  The frontier window is
+    checked every ``FINITE_BLOCK`` grid intervals, so with one window no
+    later block is integrated.  A non-finite value past the frontier
+    raises nothing, and a field that raises there makes the rest run as
+    one window from the frontier.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -408,13 +621,7 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
                          f"got {y0.shape}")
     if path.times[0] > 0.0 or path.times[-1] < grid.T - 1e-9 * grid.T:
         raise ValueError("path does not cover the grid span")
-    total = grid.N * substeps
-    dt = grid.T / total
-    mids = (np.arange(total) + 0.5) * dt
-    seg = np.clip(np.searchsorted(path.times, mids, side="right") - 1,
-                  0, path.n_samples - 2)
-    dts = np.diff(path.times)
-    slopes = (np.diff(path.values, axis=0) / dts[:, None])[seg]
+    slopes, dt = _substep_slopes(path, grid, substeps)
     out = np.empty((grid.N + 1, field.n))
     out[0] = y0
 
@@ -427,30 +634,33 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
                                  f"at step {step}", step=step)
 
     check_finite(0, 1)
-    # the state as a one-state stack, for the field's stacked hook
-    y = out[:1]
-    # the hook and the ufuncs bound once: every stage state is already a
-    # float array, and a stage is a few calls on arrays of n entries
+
+    def check_frontier(i0: int, i1: int) -> None:
+        """check_finite on the rows of intervals i0..i1-1 of window lo."""
+        check_finite(edges[lo] + i0 + 1, edges[lo] + i1 + 1)
+
     f = field._value_many_fn
-    matmul, add, multiply = np.matmul, np.add, np.multiply
-    half, sixth = 0.5 * dt, dt / 6.0
     # as in the march, check_finite reports a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
-        for j0 in range(0, grid.N, FINITE_BLOCK):
-            j1 = min(j0 + FINITE_BLOCK, grid.N)
+        edges, starts, guesses, G = _windows(field, y0, slopes, dt, grid.N,
+                                             substeps)
+        W, rows, lengths = _layout(slopes, edges, substeps)
+        lo = 0
+        while lo < len(starts):
             try:
-                for j in range(j0, j1):
-                    for w in slopes[j * substeps:(j + 1) * substeps]:
-                        k1 = matmul(f(y), w)
-                        k2 = matmul(f(add(y, multiply(half, k1))), w)
-                        k3 = matmul(f(add(y, multiply(half, k2))), w)
-                        k4 = matmul(f(add(y, multiply(dt, k3))), w)
-                        y = add(y, multiply(sixth,
-                                            k1 + 2.0 * k2 + 2.0 * k3 + k4))
-                    out[j + 1] = y[0]
-            except Exception:
-                # a field may reject the non-finite state of an earlier row
-                check_finite(j0 + 1, j + 1)
+                _rk4_sweep(f, dt, W[:, :, lo:], rows[:, lo:], lengths[lo:],
+                           starts[lo:], out, check_frontier)
+                hi = _correct(out, edges[1:], starts, guesses, G, lo)
+            except NumericFailure:
                 raise
-            check_finite(j0 + 1, j1 + 1)
+            except Exception:
+                if len(starts) - lo == 1:
+                    raise
+                # a window past the frontier raised: the rest as one window
+                edges = np.append(edges[:lo + 1], grid.N)
+                starts = starts[:lo + 1]
+                W, rows, lengths = _layout(slopes, edges, substeps)
+                continue
+            check_finite(edges[lo + 1] + 1, edges[hi] + 1)
+            lo = hi
     return out

@@ -13,7 +13,8 @@ from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
                       hoelder_seminorm, lift_piecewise_linear, linear_field,
                       scalar_driver, sine_field, smooth_path, solve_many,
                       solve_milstein, solve_ode_reference, solve_split,
-                      transposed_z, write_trajectory_csv, zero_z)
+                      synth_midpoint_path, transposed_z, write_trajectory_csv,
+                      zero_z)
 from rdesplit import model, splitting_solver
 from rdesplit.convergence_lab import joined_samples, quarter_times
 from rdesplit.splitting_solver import SCHEMES, _march
@@ -929,6 +930,185 @@ def test_ode_reference_is_the_per_substep_loop_bitwise(seed, kind, n, d, N,
     assume(np.isfinite(expected).all())
     same_bits(solve_ode_reference(path, field, y0, grid, substeps=substeps),
               expected)
+
+
+def sweep_heights(mp):
+    """Patch the RK4 reference's sweep to record the number of windows each
+    sweep stacks; returns that list."""
+    heights = []
+    sweep = splitting_solver._rk4_sweep
+
+    def counted(f, dt, W, rows, lengths, y, out, check):
+        heights.append(len(y))
+        return sweep(f, dt, W, rows, lengths, y, out, check)
+
+    mp.setattr(splitting_solver, "_rk4_sweep", counted)
+    return heights
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["constant", "linear", "sine"]),
+       n=st.integers(1, 3), d=st.integers(1, 3), N=st.integers(2, 24),
+       windows=st.integers(2, 9), substeps=st.integers(1, 4),
+       rough=st.booleans())
+@example(seed=3, kind="sine", n=2, d=2, N=23, windows=4, substeps=3,
+         rough=True)
+@example(seed=3, kind="sine", n=2, d=2, N=23, windows=4, substeps=3,
+         rough=False)
+def test_windowed_reference_is_the_per_substep_loop_bitwise(seed, kind, n, d,
+                                                            N, windows,
+                                                            substeps, rough):
+    # windows forced on every driver: on rough paths the starts jitter in
+    # their last bits and the frontier advances about one window per sweep
+    field, fn = oracle_fields(kind, seed, n, d)
+    rng = np.random.default_rng(seed + 1)
+    if rough:
+        times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 7)),
+                                [1.0]))
+        assume(np.all(np.diff(times) > 0))
+        path = SampledPath(times, rng.standard_normal((len(times), d)))
+    else:
+        # one segment per substep, and no window the path leaves unmoved
+        times = np.linspace(0.0, 1.0, N * substeps + 1)
+        waves = np.sin(3.0 * np.outer(times, range(1, d + 1)))
+        path = SampledPath(times, times[:, None] + 0.3 * waves)
+    y0 = 0.5 * rng.standard_normal(n)
+    grid = Grid(1.0, N)
+    expected = reference_rk4(path, fn, y0, grid, substeps)
+    assume(np.isfinite(expected).all())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitting_solver, "REFERENCE_WINDOWS", windows)
+        mp.setattr(splitting_solver, "PROBE_LIMIT", np.inf)
+        heights = sweep_heights(mp)
+        got = solve_ode_reference(path, field, y0, grid, substeps=substeps)
+    same_bits(got, expected)
+    K = min(windows, N)
+    assert heights[0] == K and len(heights) <= K
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_windowed_reference_blowup_names_the_sequential_step(monkeypatch):
+    # dY = 20 Y dt from 1e300: the states leave the float range at grid row
+    # 183 of 256, past the first sweep's frontier
+    path = SampledPath(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
+    field = linear_field(np.full((1, 1, 1), 20.0))
+    y0, grid = np.array([1e300]), Grid(1.0, 256)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = reference_rk4(path, lambda x: 20.0 * x[:, None], y0, grid, 4)
+    step = int(np.argmax(~np.isfinite(rows).all(axis=1)))
+    assert step == 183
+    heights = sweep_heights(monkeypatch)
+    for windows in (splitting_solver.REFERENCE_WINDOWS, 1):
+        monkeypatch.setattr(splitting_solver, "REFERENCE_WINDOWS", windows)
+        heights.clear()
+        with pytest.raises(NumericFailure, match=f"at step {step}$") as info:
+            solve_ode_reference(path, field, y0, grid, substeps=4)
+        assert info.value.step == step and heights[0] == windows
+
+
+def strict_sine(n, d, seed):
+    """The sine preset with stacked hooks that reject a non-finite state."""
+    sine, _ = oracle_fields("sine", seed, n, d)
+
+    def strict(hook):
+        def call(xs):
+            if not np.isfinite(xs).all():
+                raise ValueError("non-finite state")
+            return hook(xs)
+        return call
+
+    return VectorField(n, d, value_many_fn=strict(sine._value_many_fn),
+                       value_and_grad_many_fn=strict(
+                           sine._value_and_grad_many_fn))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("strict, wrong, first", [(False, 5, 64),
+                                                  (False, 62, 64),
+                                                  (True, 5, 1),
+                                                  (True, 62, 64)])
+def test_a_wrong_non_finite_prediction_raises_nothing(monkeypatch, strict,
+                                                      wrong, first):
+    # the coarse solver predicts inf for the end of window ``wrong``: the
+    # starts after it are non-finite.  A field that rejects them raises in
+    # the next prediction, and the reference declines the windows, or in a
+    # sweep, and the rest runs as one window.  None of it shows
+    coarse = splitting_solver._coarse_solver
+
+    def wrong_coarse(*args):
+        G = coarse(*args)
+
+        def predict(y, lo, hi):
+            return np.full_like(y, np.inf) if lo == wrong else G(y, lo, hi)
+
+        return predict
+
+    monkeypatch.setattr(splitting_solver, "_coarse_solver", wrong_coarse)
+    field, fn = oracle_fields("sine", 1, 2, 2)
+    if strict:
+        field = strict_sine(2, 2, 1)
+    path, grid = smooth_path(d=2, segments=512), Grid(1.0, 128)
+    heights = sweep_heights(monkeypatch)
+    got = solve_ode_reference(path, field, Y0, grid, substeps=4)
+    same_bits(got, reference_rk4(path, fn, Y0, grid, 4))
+    assert heights[0] == first and len(heights) <= 64
+    if strict:
+        assert heights[-1] == 1
+
+
+def test_the_probe_takes_windows_only_where_they_pay():
+    # criterion 3's smooth reference runs as 64 windows; the synthetic
+    # alpha = 0.45 driver of the acceptance suite and the bench, and a
+    # field called per state, run one window, the latter without a call
+    def windows(path, field, N, substeps):
+        grid = Grid(1.0, N)
+        slopes, dt = splitting_solver._substep_slopes(path, grid, substeps)
+        edges = splitting_solver._windows(field, Y0, slopes, dt, N,
+                                          substeps)[0]
+        return len(edges) - 1
+
+    field = sine_field(2, 2, seed=1, amplitude=0.8, gamma=3.0)
+    assert windows(smooth_path(d=2, segments=2**14), field, 2**12, 4) == 64
+    rough = synth_midpoint_path(17, 0.45, 14, 2)
+    for N in (64, 256):
+        assert windows(rough, field, N, 64) == 1
+    calls = Counter()
+
+    def fn(x):
+        calls["f"] += 1
+        return field(x)
+
+    per_row = VectorField(2, 2, fn, field.gradient)
+    assert windows(smooth_path(d=2, segments=2**14), per_row, 2**12, 4) == 1
+    assert not calls
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear", "sine"])
+def test_stacked_rk4_rows_are_the_one_row_stage(kind):
+    # the windows rest on numpy's kernels summing a row of an (m, n, d)
+    # stack times (m, d, 1) slopes as they sum a one-row stack
+    substeps = 2
+    for n in (1, 2, 3):
+        for d in (1, 2, 3):
+            field, _ = oracle_fields(kind, n + 3 * d, n, d)
+            f = field._value_many_fn
+            rng = np.random.default_rng(10 * n + d)
+            for m in (1, 2, 7, 64, 333):
+                y = rng.standard_normal((m, n))
+                W = rng.standard_normal((1, substeps, m, d, 1))
+                rows = np.arange(1, m + 1)[None]
+                lengths = np.ones(m, dtype=int)
+                stacked = np.zeros((m + 1, n))
+                splitting_solver._rk4_sweep(f, 0.01, W, rows, lengths, y,
+                                            stacked, lambda i0, i1: None)
+                one = np.zeros((m + 1, n))
+                for p in range(m):
+                    splitting_solver._rk4_sweep(
+                        f, 0.01, W[:, :, p:p + 1], rows[:, p:p + 1],
+                        lengths[p:p + 1], y[p:p + 1], one,
+                        lambda i0, i1: None)
+                same_bits(stacked, one)
 
 
 # ---------------------------------------------------------------- csv
