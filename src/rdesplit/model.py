@@ -32,6 +32,11 @@ bitwise the same however many intervals its window holds.
 ``stack_grids`` joins the grid forms of several maps into one, which a
 march reads window by window.
 
+The sine preset combines a stack of up to ``TILE_ROWS`` states, such as
+a march's member stack or the RK4 reference's window stack, with
+coefficient tiles rather than numpy's row-by-row broadcasts
+(``sine_field``), and its rows are bitwise the same.
+
 Every einsum of the package calls numpy's compiled kernel, bound here once
 as ``c_einsum``: ``np.einsum`` without ``optimize`` is that same call
 behind a Python wrapper and a dispatcher, which cost about 1.3 us of a
@@ -83,6 +88,14 @@ __all__ = [
 # Most intervals one batched Z evaluation covers: bounds the (K, d, d)
 # areas and (K, n) values a checker or the Davie sweep holds at once.
 PAIR_BLOCK = 2**16
+
+# Longest stack the sine preset combines with tiled coefficients (see
+# ``sine_field``).  Each sine field holds its tiles, (2 + n) n d floats per
+# row (16 KB at n = d = 2), and their views for every length, about 67 KB
+# more, which take about 0.15 ms to make.  The benchmark's marches and RK4
+# sweeps stack at most 64 rows (the reference's windows; a three-seed rate
+# march stacks up to 36).
+TILE_ROWS = 128
 
 
 class VectorField:
@@ -226,6 +239,17 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
 
     Genuinely C^2 with bounded derivatives of all orders; coefficients are
     deterministic in the seed.
+
+    The hooks combine a (K, n, d) stack with phi and amp and a
+    (K, n, d, n) one with W.  numpy broadcasts a leading axis of length 1
+    n d entries at a time per row, so a stack of 2 to ``TILE_ROWS``
+    states takes the first K rows of coefficient tiles instead, over
+    which numpy's loops run whole.  A one-state stack and a stack above
+    ``TILE_ROWS`` states take the one-row coefficients.  The tiles and their views for every
+    length are made with the field, so a call picks its coefficients by
+    one list index (slicing three tiles would cost about 0.8 us a call)
+    and allocates nothing.  Every entry takes the same IEEE operation
+    either way, so each row is bitwise the same.
     """
     rng = np.random.default_rng(seed)
     amp = amplitude * (0.5 + 0.5 * rng.random((n, d)))
@@ -237,15 +261,27 @@ def sine_field(n: int, d: int, seed: int = 0, amplitude: float = 1.0,
     # the stacked forms give the coefficients a leading axis of length 1:
     # numpy combines arrays of equal rank faster, and a single-member solve
     # evaluates a one-state stack on every step
-    amp_k, W_k, phi_k = amp[None], W[None], phi[None]
+    one_row = phi[None], amp[None], W[None]
+    tiles = tuple(np.repeat(c, TILE_ROWS, axis=0) for c in one_row)
+    for tile in tiles:
+        tile.flags.writeable = False
+    # views[k]: the coefficients for a stack of k <= TILE_ROWS states, the
+    # first k rows of the tiles from k = 2 on; the hooks test 1 < k so that
+    # a one-state stack takes the one-row arrays without indexing
+    views = [one_row] * 2 + [tuple(tile[:k] for tile in tiles)
+                             for k in range(2, TILE_ROWS + 1)]
 
     def value_and_grad_many_fn(xs):
+        k = len(xs)
+        phi_k, amp_k, W_k = views[k] if 1 < k <= TILE_ROWS else one_row
         arg = c_einsum("iam,km->kia", W, xs) + phi_k
         return amp_k * np.sin(arg), (amp_k * np.cos(arg))[..., None] * W_k
 
     # the values alone save a cos per transport stage and an RK4 stage;
     # one buffer for the whole formula
     def value_many_fn(xs):
+        k = len(xs)
+        phi_k, amp_k, _ = views[k] if 1 < k <= TILE_ROWS else one_row
         arg = c_einsum("iam,km->kia", W, xs)
         arg += phi_k
         np.sin(arg, out=arg)

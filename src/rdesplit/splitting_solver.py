@@ -46,7 +46,12 @@ RK4 reference, run as one window, about 25 us per substep, in the
 benchmark's reference seconds.  On a smooth driver the reference runs as
 a stack of up to 64 time windows instead, each substep of a sweep
 advancing every window, and its rows stay bitwise those of the one
-window: 16,384 substeps (N = 256) take 0.17-0.20 s rather than 0.42 s.
+window: 16,384 substeps (N = 256) take 0.15-0.17 s rather than 0.42 s.
+A stacked step or substep also pays numpy's loops per row, so the sine
+preset combines a stack of up to ``model.TILE_ROWS`` states with
+coefficient tiles rather than broadcasting them row by row
+(``model.sine_field``): that takes about 13 % off ``compare-schemes``'
+six-member march and 11-13 % off the windowed reference.
 """
 
 from __future__ import annotations

@@ -90,19 +90,33 @@ def same_bits(got, expected):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**16), K=st.integers(0, 9), d=st.integers(1, 3),
-       field_kind=st.sampled_from(FIELD_KINDS))
+@given(seed=st.integers(0, 2**16),
+       K=st.one_of(st.integers(0, 9),
+                   st.sampled_from((64, 333, model.TILE_ROWS,
+                                    model.TILE_ROWS + 1))),
+       d=st.integers(1, 3), field_kind=st.sampled_from(FIELD_KINDS))
+@example(seed=1, K=2, d=2, field_kind="sine")
+@example(seed=2, K=7, d=3, field_kind="sine")
+@example(seed=3, K=64, d=2, field_kind="sine")
+@example(seed=4, K=333, d=1, field_kind="sine")
+@example(seed=5, K=model.TILE_ROWS, d=3, field_kind="sine")
+@example(seed=6, K=model.TILE_ROWS + 1, d=2, field_kind="sine")
 def test_stacked_field_rows_are_the_single_state_calls(seed, K, d, field_kind):
+    # the sine preset combines a stack of up to TILE_ROWS states with the
+    # first rows of its coefficient tiles: stacks of K, K + 1 and K states
+    # again, each through both hooks, carry nothing from call to call
     field = build_field(field_kind, seed, d)
     fn, grad_fn = field_forms(field_kind, seed, d)
-    xs = np.random.default_rng(seed).uniform(-3.0, 3.0, (K, 2))
-    values = field.value_many(xs)
-    f_many, grad_many = field.value_and_gradient_many(xs)
-    same_bits(values, f_many)
-    assert grad_many.shape == (K, 2, d, 2)
-    for k, x in enumerate(xs):
-        same_bits(f_many[k], fn(x))
-        same_bits(grad_many[k], grad_fn(x))
+    rng = np.random.default_rng(seed)
+    for length in (K, K + 1, K):
+        xs = rng.uniform(-3.0, 3.0, (length, 2))
+        f_want = np.reshape([fn(x) for x in xs], (length, 2, d))
+        values = field.value_many(xs)
+        f_many, grad_many = field.value_and_gradient_many(xs)
+        same_bits(values, f_want)
+        same_bits(f_many, f_want)
+        same_bits(grad_many, np.reshape([grad_fn(x) for x in xs],
+                                        (length, 2, d, 2)))
 
 
 @settings(max_examples=80, deadline=None)

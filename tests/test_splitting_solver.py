@@ -1111,6 +1111,33 @@ def test_stacked_rk4_rows_are_the_one_row_stage(kind):
                 same_bits(stacked, one)
 
 
+def test_stacked_marches_and_windowed_references_fit_the_sine_tiles():
+    # the stacked loops' saving rests on the sine preset's coefficient
+    # tiles, which cover stacks of up to TILE_ROWS states: compare-schemes'
+    # six-member march and criterion 3's windowed reference stack no more
+    def recorded(field):
+        lengths = []
+        for name in ("_value_many_fn", "_value_and_grad_many_fn"):
+            def record(xs, hook=getattr(field, name)):
+                lengths.append(len(xs))
+                return hook(xs)
+            setattr(field, name, record)
+        return field, lengths
+
+    field, march = recorded(sine_field(2, 2, seed=1, amplitude=0.8,
+                                       gamma=3.0))
+    driver = build_driver("synthetic", 17)
+    members = [(driver, field, canonical_z(field, driver), Y0)] * 6
+    solve_many(members, [Grid(1.0, N) for N in (16, 32, 64)] * 2,
+               ["split"] * 3 + ["milstein"] * 3)
+    field, windows = recorded(sine_field(2, 2, seed=1, amplitude=0.8,
+                                         gamma=3.0))
+    solve_ode_reference(smooth_path(d=2, segments=2**14), field, Y0,
+                        Grid(1.0, 2**12), substeps=4)
+    for lengths in (march, windows):
+        assert 1 < max(lengths) <= model.TILE_ROWS
+
+
 # ---------------------------------------------------------------- csv
 
 def test_trajectory_csv_layout():
