@@ -269,10 +269,7 @@ def holder_rate(problems, beta: float, base_N: int, levels: int) -> list:
             delta = joined_samples(coarse, times) - joined_samples(fine, times)
             sup_diffs.append(float(np.max(np.linalg.norm(delta, axis=1))))
             spacings.append(float(np.min(np.diff(times))))
-            if np.all(delta == 0.0):
-                diffs.append(0.0)
-            else:
-                diffs.append(hoelder_seminorm(SampledPath(times, delta), beta))
+            diffs.append(hoelder_seminorm(SampledPath(times, delta), beta))
         reports.append(_report(
             problem, Ns[:levels], diffs,
             min(problem.alpha - beta,

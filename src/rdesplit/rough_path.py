@@ -34,10 +34,15 @@ __all__ = [
     "hoelder_seminorm",
 ]
 
-# Most sample pairs one band of hoelder_seminorm holds (64 KB per array).
-# Larger bands were no faster at 1025 samples and raise the peak RSS: bands
-# of model.PAIR_BLOCK = 2^16 pairs by 2 MB in a diagnostics bench run.
+# Most entries one array of hoelder_seminorm holds (64 KB per array): a
+# band of sample pairs, a band of block-pair bounds, or the sample pairs of
+# a group of candidate block pairs.  Bands of model.PAIR_BLOCK = 2^16 pairs
+# were no faster at 1025 samples and raised the peak RSS of a diagnostics
+# bench run by 2 MB.
 SEMINORM_BAND = 2**13
+# Consecutive samples per block of hoelder_seminorm's branch and bound: a
+# group of candidates is SEMINORM_BAND // SEMINORM_BLOCK**2 = 32 block pairs.
+SEMINORM_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -408,43 +413,138 @@ def _lag_windows(a: np.ndarray, start: int, lags: int, count: int) -> np.ndarray
     return np.ndarray((lags, count), a.dtype, a, start * step, (step, step))
 
 
+def _bands(count: int, first: int, stop: int):
+    """(lag, width, lo, hi) of bands over the pairs (i, i + l) of ``count``
+    items with ``first <= l < stop``: entry [k, r] of a band pairs item
+    lo + r with item lo + r + lag + k, for k < width and r < hi - lo, at most
+    ``SEMINORM_BAND`` entries.  Entries past the last item are padding.
+    """
+    lag = first
+    while lag < stop:
+        rows = count - lag
+        width = min(max(SEMINORM_BAND // rows, 1), rows, stop - lag)
+        for lo in range(0, rows, SEMINORM_BAND):
+            yield lag, width, lo, min(lo + SEMINORM_BAND, rows)
+        lag += width
+
+
+def _prune_limit(best: float) -> float:
+    """The block bound at or below which no pair of the block pair can
+    exceed ``best``.
+
+    Subtraction, squares, sums and sqrt round monotonically, so a bound's
+    numerator is at least every covered pair's norm and its gap at most
+    every covered time difference.  Only np.power may break monotonicity,
+    by a few units in the last place, and the quotients then differ by as
+    little; 1e-9 covers that.  Below 1e-300, where quotients may be
+    subnormal and a last place is no longer relative, nothing is pruned.
+    """
+    return best * (1.0 - 1e-9) - 1e-300
+
+
+def _max_ratio(t_late, t_early, late, early, beta: float) -> float:
+    """Largest |x_late - x_early| / (t_late - t_early)^beta over broadcast
+    arrays of times and of values, one array per component in ``late`` and
+    ``early``: a difference per component, squares summed in component
+    order, sqrt, np.power, then divide."""
+    scale = t_late - t_early
+    np.power(scale, beta, out=scale)
+    norm = None
+    for x_late, x_early in zip(late, early):
+        diff = x_late - x_early
+        np.multiply(diff, diff, out=diff)
+        norm = diff if norm is None else np.add(norm, diff, out=norm)
+    np.sqrt(norm, out=norm)
+    np.divide(norm, scale, out=norm)
+    return float(norm.max())
+
+
 def hoelder_seminorm(path: SampledPath, beta: float) -> float:
     """Discrete C^beta seminorm: max over sample pairs of |X_{s,t}| / |t-s|^beta.
 
     Scales linearly in the values and, for spacings <= 1, is nondecreasing
-    in beta.  The pairs are taken in bands of consecutive lags, each an
-    array of at most ``SEMINORM_BAND`` entries; every ratio is formed with the
-    arithmetic of the row norm ``np.linalg.norm(..., axis=1)``, summing
-    the squared components in column order, which is bitwise that norm for
-    d <= 2.
+    in beta.  An exact branch and bound over blocks of ``SEMINORM_BLOCK``
+    consecutive samples.  Every pair in one block or in adjacent blocks is
+    evaluated.  A block pair (I, J) two or more blocks apart is bounded from
+    each block's per-component min and max by
+
+        sqrt(sum_a max(hi_J - lo_I, hi_I - lo_J)^2) / (t_first(J) - t_last(I))^beta,
+
+    and its pairs are evaluated only if the bound exceeds the largest ratio
+    found so far, less the rounding margin of ``_prune_limit``.  The bounds
+    are formed in bands of at most ``SEMINORM_BAND`` block pairs, farthest
+    first, and the candidates of a band are evaluated by falling bound, at
+    most ``SEMINORM_BAND`` sample pairs at a time.  Every evaluated ratio
+    takes the arithmetic of the row norm ``np.linalg.norm(..., axis=1)``,
+    summing the squared components in column order, so the result is
+    bitwise the maximum of that arithmetic over every pair, and bitwise that
+    norm's for d <= 2.
     """
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     m = path.n_samples
     if m < 2:
         raise ValueError("need at least 2 samples")
-    # m padding samples at t = +inf: a band entry past the last sample has
-    # ratio 0 and never raises the maximum
-    times = np.concatenate([path.times, np.full(m, np.inf)])
-    columns = np.concatenate([path.values, np.zeros((m, path.d))]).T.copy()
+    block = SEMINORM_BLOCK
+    blocks = -(-m // block)
+    # padding samples at t = +inf up to two whole blocks past the last: a
+    # pair with one has ratio 0 and never raises the maximum
+    size = (blocks + 2) * block
+    times = np.full(size, np.inf)
+    times[:m] = path.times
+    columns = np.zeros((path.d, size))
+    columns[:, :m] = path.values.T
     best = 0.0
-    lag = 1
-    while lag < m:
-        rows = m - lag
-        width = min(max(SEMINORM_BAND // rows, 1), rows)
-        for lo in range(0, rows, SEMINORM_BAND):
-            hi = min(lo + SEMINORM_BAND, rows)
-            # entry [k, i] pairs sample lo+i with sample lo+i+lag+k
-            start = lo + lag
-            scale = _lag_windows(times, start, width, hi - lo) - times[lo:hi]
-            np.power(scale, beta, out=scale)
-            norm = None
-            for col in columns:
-                diff = _lag_windows(col, start, width, hi - lo) - col[lo:hi]
-                np.multiply(diff, diff, out=diff)
-                norm = diff if norm is None else np.add(norm, diff, out=norm)
-            np.sqrt(norm, out=norm)
-            np.divide(norm, scale, out=norm)
-            best = max(best, float(norm.max()))
-        lag += width
+    # pairs in one block or in adjacent blocks: every lag below two blocks
+    for lag, width, lo, hi in _bands(m, 1, min(m, 2 * block)):
+        start = lo + lag
+        best = max(best, _max_ratio(
+            _lag_windows(times, start, width, hi - lo), times[lo:hi],
+            [_lag_windows(col, start, width, hi - lo) for col in columns],
+            columns[:, lo:hi], beta))
+    if blocks < 3:
+        return best
+    # per-block first and last times and per-component min and max, NaN
+    # past the last block so that a padding bound is never a candidate
+    heads = np.arange(0, m, block)
+    first = np.full(2 * blocks, np.nan)
+    first[:blocks] = path.times[heads]
+    last = np.maximum.reduceat(path.times, heads)
+    low = np.full((path.d, 2 * blocks), np.nan)
+    high = np.full((path.d, 2 * blocks), np.nan)
+    low[:, :blocks] = np.minimum.reduceat(path.values, heads).T
+    high[:, :blocks] = np.maximum.reduceat(path.values, heads).T
+    tile_t = times.reshape(-1, block)
+    tile_x = columns.reshape(path.d, -1, block)
+    # block pairs per group: one at least, should SEMINORM_BAND be set below
+    # a block pair's block**2 sample pairs
+    group = max(SEMINORM_BAND // block**2, 1)
+    for lag, width, lo, hi in reversed(list(_bands(blocks, 2, blocks))):
+        start, rows = lo + lag, hi - lo
+        gap = _lag_windows(first, start, width, rows) - last[lo:hi]
+        np.power(gap, beta, out=gap)
+        bound = None
+        for lows, highs in zip(low, high):
+            rise = _lag_windows(highs, start, width, rows) - lows[lo:hi]
+            fall = highs[lo:hi] - _lag_windows(lows, start, width, rows)
+            np.maximum(rise, fall, out=rise)
+            np.multiply(rise, rise, out=rise)
+            bound = rise if bound is None else np.add(bound, rise, out=bound)
+        np.sqrt(bound, out=bound)
+        np.divide(bound, gap, out=bound)
+        bound = bound.ravel()
+        limit = _prune_limit(best)
+        order = np.flatnonzero(bound > limit)
+        if len(order) > group:
+            order = order[np.argsort(bound[order])[::-1]]
+        for g in range(0, len(order), group):
+            if bound[order[g]] <= limit:
+                break
+            k, r = np.divmod(order[g:g + group], rows)
+            i = lo + r
+            j = i + lag + k
+            best = max(best, _max_ratio(
+                tile_t[j, None, :], tile_t[i, :, None],
+                tile_x[:, j, None, :], tile_x[:, i, :, None], beta))
+            limit = _prune_limit(best)
     return best

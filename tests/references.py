@@ -1,14 +1,17 @@
-"""Single-state formulas kept as bitwise references.
+"""Single-state formulas and exhaustive loops kept as bitwise references.
 
 The package defines each field, driver and map by one stacked or batch
 form, with single calls as its one-row views.  The per-state and
 per-interval formulas below are the ones those views replaced; a test that
 compares a stack with them compares two programs, not one with itself.
+Likewise ``hoelder_band_loop`` evaluates every sample pair that
+``rough_path.hoelder_seminorm`` prunes.
 """
 
 from bisect import bisect_right
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rdesplit.model import _Z_SUBSCRIPTS
 
@@ -112,3 +115,40 @@ def chen_defect(increment, area, s, u, t):
     defect = (area(s, t) - area(s, u) - area(u, t)
               - left[:, None] * right[None, :])
     return float(np.max(np.abs(defect)))
+
+
+def hoelder_band_loop(path, beta, band=2**13):
+    """``hoelder_seminorm`` as one evaluation of every sample pair, in bands
+    of consecutive lags of at most ``band`` entries, each ratio formed by a
+    difference per column, squares summed in column order, sqrt,
+    np.power, then divide."""
+    m = path.n_samples
+    # m padding samples at t = +inf: a band entry past the last sample has
+    # ratio 0 and never raises the maximum
+    times = np.concatenate([path.times, np.full(m, np.inf)])
+    columns = np.concatenate([path.values, np.zeros((m, path.d))]).T.copy()
+
+    def windows(a, start, lags, count):
+        # [k, i] = a[start + k + i]
+        return sliding_window_view(a, count)[start:start + lags]
+
+    best = 0.0
+    lag = 1
+    while lag < m:
+        rows = m - lag
+        width = min(max(band // rows, 1), rows)
+        for lo in range(0, rows, band):
+            hi = min(lo + band, rows)
+            start = lo + lag
+            scale = windows(times, start, width, hi - lo) - times[lo:hi]
+            np.power(scale, beta, out=scale)
+            norm = None
+            for col in columns:
+                diff = windows(col, start, width, hi - lo) - col[lo:hi]
+                np.multiply(diff, diff, out=diff)
+                norm = diff if norm is None else np.add(norm, diff, out=norm)
+            np.sqrt(norm, out=norm)
+            np.divide(norm, scale, out=norm)
+            best = max(best, float(norm.max()))
+        lag += width
+    return best

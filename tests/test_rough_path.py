@@ -16,7 +16,7 @@ from rdesplit.rough_path import chen_defect_many
 
 from builders import with_area
 from references import chen_defect as reference_chen_defect
-from references import lift_area, lift_increment
+from references import hoelder_band_loop, lift_area, lift_increment
 
 
 def l_shaped_path():
@@ -424,18 +424,151 @@ def test_hoelder_seminorm_matches_lag_loop(seed, m, d, beta, block):
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_hoelder_seminorm_memory_is_bounded_in_the_sample_count():
+def seminorm_peak_bytes(m):
     rng = np.random.default_rng(4)
-    path = SampledPath(np.linspace(0.0, 1.0, 4097), rng.standard_normal((4097, 2)))
+    path = SampledPath(np.linspace(0.0, 1.0, m), rng.standard_normal((m, 2)))
     tracemalloc.start()
     try:
         hoelder_seminorm(path, 0.3)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_hoelder_seminorm_memory_is_bounded_in_the_sample_count():
     # bands of 2^13 pairs take about 0.5 MB; the 8.4M pairs at once would
     # take 67 MB per array
-    assert peak < 2e6
+    assert seminorm_peak_bytes(4097) < 2e6
+
+
+def test_hoelder_seminorm_memory_is_bounded_at_16385_samples():
+    # 134M pairs, 525k block pairs: both are taken 2^13 at a time
+    assert seminorm_peak_bytes(16385) < 2e6
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31),
+       m=st.one_of(st.integers(2, 70), st.integers(70, 1100)), d=st.integers(1, 3),
+       beta=st.floats(0.05, 1.0), exponent=st.integers(-150, 150),
+       walk=st.booleans())
+def test_hoelder_seminorm_is_the_band_loop_bitwise(seed, m, d, beta, exponent,
+                                                   walk):
+    # non-uniform times; a walk puts the maximum at long lags, where most
+    # block pairs are candidates, and noise at short ones, where most are
+    # pruned
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.01, 2.0, m))
+    steps = rng.standard_normal((m, d))
+    values = (np.cumsum(steps, axis=0) if walk else steps) * 10.0**exponent
+    path = SampledPath(times, values)
+    assert hoelder_seminorm(path, beta) == hoelder_band_loop(path, beta)
+
+
+def staircase(m, d):
+    """A falling staircase of rising teeth, one tooth per block, each
+    component with its own sign, on [0, 3]: the pair of a block's last
+    sample and a far block's first attains that block pair's bound, and the
+    pair of sample ``SEMINORM_BLOCK - 1`` and ``staircase_top(m)`` the
+    maximum."""
+    block = rough_path.SEMINORM_BLOCK
+    k = np.arange(m)
+    teeth = -(k // block) + 0.5 * (k % block) / (block - 1)
+    return SampledPath(np.linspace(0.0, 3.0, m),
+                       np.outer(teeth, (-1.0) ** np.arange(d)))
+
+
+def staircase_top(m):
+    """The first sample of the staircase's last block."""
+    return (m - 1) // rough_path.SEMINORM_BLOCK * rough_path.SEMINORM_BLOCK
+
+
+@pytest.mark.parametrize("m", [300, 1025])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hoelder_seminorm_bounds_cover_the_maximum(m, d):
+    # a pruning limit held just under the maximum from the start prunes
+    # every block pair but the ones whose bound covers it: the staircase's
+    # bounds are tight, so a bound any lower loses the maximum
+    path = staircase(m, d)
+    top = hoelder_band_loop(path, 0.4)
+    with mock.patch.object(rough_path, "_prune_limit",
+                           lambda best: max(best, top) * (1.0 - 1e-9)):
+        assert hoelder_seminorm(path, 0.4) == top
+
+
+def fixed_seminorm_paths(m, d):
+    """(name, path, pair that attains the maximum or None) for paths whose
+    maximum sits where pruning could miss it."""
+    rng = np.random.default_rng(m + d)
+    times = np.linspace(0.0, 3.0, m)
+    noise = 1e-3 * rng.standard_normal((m, d))
+    line = np.outer(times, np.arange(1, d + 1))
+    spike = noise.copy()
+    spike[m // 2] += 5.0
+    step = noise.copy()
+    step[37:] += 4.0  # samples 36 and 37 share the block of samples 32-47
+    return [
+        ("tight bounds", staircase(m, d),
+         (rough_path.SEMINORM_BLOCK - 1, staircase_top(m))),
+        ("constant", SampledPath(times, np.full((m, d), 3.3)), None),
+        ("spike", SampledPath(times, spike), None),
+        ("linear", SampledPath(times, line), (0, m - 1)),
+        ("largest lag", SampledPath(times, 10.0 * line + noise), (0, m - 1)),
+        ("inside one block", SampledPath(times, step), (36, 37)),
+    ]
+
+
+@pytest.mark.parametrize("m", [300, 1025])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hoelder_seminorm_fixed_paths_are_the_band_loop_bitwise(m, d):
+    beta = 0.4
+    for name, path, pair in fixed_seminorm_paths(m, d):
+        got = hoelder_seminorm(path, beta)
+        assert got == hoelder_band_loop(path, beta), name
+        if pair is not None:
+            s, t = pair
+            at_pair = hoelder_band_loop(
+                SampledPath(path.times[[s, t]], path.values[[s, t]]), beta)
+            assert got == at_pair, name
+        if name == "constant":
+            assert got == 0.0
+
+
+def test_hoelder_seminorm_prunes_far_block_pairs():
+    # white noise peaks at lag 1, so every block pair two or more blocks
+    # apart is pruned: only the lags below two blocks are evaluated
+    rng = np.random.default_rng(6)
+    m = 4097
+    path = SampledPath(np.linspace(0.0, 1.0, m), rng.standard_normal((m, 2)))
+    evaluated = []
+
+    def counting(t_late, t_early, *rest):
+        evaluated.append(np.broadcast(t_late, t_early).size)
+        return max_ratio(t_late, t_early, *rest)
+
+    max_ratio = rough_path._max_ratio
+    with mock.patch.object(rough_path, "_max_ratio", counting):
+        got = hoelder_seminorm(path, 0.3)
+    assert got == hoelder_band_loop(path, 0.3)
+    assert sum(evaluated) <= 2 * rough_path.SEMINORM_BLOCK * m
+
+
+def test_numpy_power_is_one_function_on_every_layout():
+    # hoelder_seminorm and its band-loop reference raise differently placed
+    # and shaped time gaps to beta; their bits agree only because np.power
+    # gives each entry the same result wherever it sits in an array
+    rng = np.random.default_rng(0)
+    gaps = rng.uniform(1e-6, 3e3, 4099)
+    for beta in (0.05, 0.3, 0.45, 0.5, 0.99, 1.0):
+        whole = np.power(gaps, beta)
+        for part in (slice(1, None), slice(3, -5), slice(None, None, 3),
+                     slice(2, None, 7)):
+            assert np.array_equal(np.power(gaps[part], beta), whole[part])
+        square = whole[:4096].reshape(64, 64)
+        assert np.array_equal(np.power(gaps[:4096].reshape(64, 64).T, beta),
+                              square.T)
+        for k in range(0, 4099, 97):
+            assert np.power(gaps[k], beta) == whole[k]
+            assert np.power(np.float64(gaps[k]), beta) == whole[k]
 
 
 def test_hoelder_seminorm_validation():
