@@ -18,9 +18,9 @@ import click
 import numpy as np
 
 from .config import ConfigError, ProblemConfig, build_problem
-from .convergence_lab import (EXACT_AGREEMENT, davie_defect, dyadic_sup_rate,
-                              fit_rate, holder_rate, rational_rate,
-                              rates_summary)
+from .convergence_lab import (EXACT_AGREEMENT, _sup_rows, davie_defect,
+                              dyadic_sup_rate, fit_rate, holder_rate,
+                              rational_rate, rates_summary)
 from .errors import NumericFailure
 from .model import check_z_bound, check_z_cocycle, check_z_lipschitz
 from .rough_path import Grid
@@ -109,8 +109,7 @@ def solve(config_path, out, seed, oracle):
     if oracle:
         reference = solve_ode_reference(problem.path, problem.field,
                                         problem.y0, grid, substeps=64)
-        summary["max_oracle_deviation"] = float(
-            np.max(np.linalg.norm(traj.u - reference, axis=1)))
+        summary["max_oracle_deviation"] = _sup_rows(traj.u - reference)
     _write_json(out_dir, "summary.json", summary)
 
 
@@ -222,7 +221,7 @@ def compare_schemes(config_path, out, seed):
             f"{scheme} solve at N={levels[exc.member % 3]} failed: {exc}",
             step=exc.step) from exc
     splits, milsteins = trajs[:3], trajs[3:]
-    diffs = [float(np.max(np.linalg.norm(split.u - milstein.values, axis=1)))
+    diffs = [_sup_rows(split.u - milstein.values)
              for split, milstein in zip(splits, milsteins)]
     with open(out_dir / "split.csv", "w", encoding="utf-8") as fh:
         write_trajectory_csv(splits[0], fh)

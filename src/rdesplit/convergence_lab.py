@@ -11,16 +11,16 @@ stays relative to |t_m - t_k|^(gamma*alpha).  Rates are fitted by least
 squares on log2 differences against the level index; exact agreement is
 reported through a sentinel slope instead of a fit.  The rate experiments
 take a list of problems sharing T (the seeds of a synthetic driver) and
-solve every level of all of them, the coarse and fine levels of the
-rational experiment included, in one march, with one report per problem,
-bitwise that of the problem run alone.  The Davie sweep measures a
-trajectory against a given map, with the trajectory's own field and
-driver; it takes its base increments from one batch query and evaluates
-Z one row of pairs at a time, never once per pair.  On a lifted driver with its own
-area-linear map it first screens every row with two small matmuls
-against increments and areas queried once about t_0 (Chen's relation),
-then evaluates only the rows that may hold the maximum, with the same
-report.  The Hölder experiment samples each joined path with one array
+solve the coarse and the fine level of every comparison for all of them
+in one march, with one report per problem, bitwise that of the problem
+run alone; the dyadic sup experiment is the step-ratio one at q = 2.
+The Davie sweep measures a trajectory against a given map, with the
+trajectory's own field and driver; it takes its base increments from
+one batch query and evaluates Z one row of pairs at a time, never once
+per pair.  On a lifted driver with its own area-linear map it first
+screens every row with two small matmuls against increments and areas
+queried once about t_0 (Chen's relation), then evaluates only the rows
+that may hold the maximum, with the same report.  The Hölder experiment samples each joined path with one array
 call of ``eval_joined`` and takes the seminorm over blocks of sample
 pairs.
 """
@@ -139,19 +139,21 @@ def fit_rate(levels, diffs) -> float:
     return float(-coeff[0])
 
 
-def _solve_levels(problems, Ns):
-    """Split trajectories [level][problem] from one march of every problem
-    at every level, each bitwise its own ``solve_split``.
+def _level_pairs(problems, coarse, fine):
+    """Each problem's (coarse, fine) split trajectory pairs, one per level,
+    from one march of every problem at every distinct N of ``coarse +
+    fine``, each bitwise its own ``solve_split``.
 
-    A blow-up names the N and the problem (as ``member``) of the earliest
-    failing step, the lowest level and then the lowest problem at equal
-    steps.
+    The N are marched in first-occurrence order.  A blow-up names the N
+    and the problem (as ``member``) of the earliest failing step, the first
+    N and then the lowest problem at equal steps.
     """
     if not problems:
         raise ValueError("need at least one problem")
     T = problems[0].T
     if any(p.T != T for p in problems):
         raise ValueError("problems of one rate experiment must share T")
+    Ns = list(dict.fromkeys(coarse + fine))
     members = [(p.driver, p.field, p.z, p.y0) for p in problems]
     P = len(problems)
     try:
@@ -162,7 +164,9 @@ def _solve_levels(problems, Ns):
         level, k = divmod(exc.member, P)
         raise NumericFailure(f"solve at N={Ns[level]} failed: {exc}",
                              step=exc.step, member=k) from exc
-    return [trajs[i:i + P] for i in range(0, len(trajs), P)]
+    at = {N: trajs[i * P:(i + 1) * P] for i, N in enumerate(Ns)}
+    return [[(at[c][k], at[f][k]) for c, f in zip(coarse, fine)]
+            for k in range(P)]
 
 
 def rates_summary(reports, seeds) -> dict:
@@ -197,8 +201,33 @@ def _report(problem, Ns, diffs, target, norm_kind, **meta) -> RateReport:
                       norm_kind=norm_kind, meta=meta)
 
 
-def _sup_rows(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(a - b, axis=1)))
+def _sup_rows(delta: np.ndarray) -> float:
+    """Largest Euclidean norm over the rows of a difference of paths."""
+    return float(np.max(np.linalg.norm(delta, axis=1)))
+
+
+def _coarse_levels(base_N: int, levels: int, least: int) -> list:
+    """The coarse step counts base_N * 2^n, n < levels, of a rate experiment
+    that needs at least ``least`` levels."""
+    if levels < least:
+        raise ValueError(f"need at least {least} levels, got {levels}")
+    if base_N < 4:
+        raise ValueError(f"base_N must be >= 4, got {base_N}")
+    return [base_N * 2**n for n in range(levels)]
+
+
+def _ratio_rate(problems, q_num: int, q_den: int, Ns, **meta) -> list:
+    """Sup difference of step-h and step-h/q trajectories, q = q_num/q_den
+    in lowest terms, at the times both grids share (``common_indices``):
+    every q_den-th coarse point and every q_num-th fine point.  One report
+    per problem on the coarse levels ``Ns``; target gamma*alpha - 1.
+    """
+    pairs = _level_pairs(problems, Ns, [N * q_num // q_den for N in Ns])
+    return [_report(problem, Ns,
+                    [_sup_rows(coarse.u[::q_den] - fine.u[::q_num])
+                     for coarse, fine in level_pairs],
+                    problem.gamma_capped * problem.alpha - 1.0, "sup", **meta)
+            for problem, level_pairs in zip(problems, pairs)]
 
 
 def dyadic_sup_rate(problems, base_N: int, levels: int) -> list:
@@ -209,22 +238,10 @@ def dyadic_sup_rate(problems, base_N: int, levels: int) -> list:
     Level n compares N*2^n against N*2^(n+1) steps at the coarse grid
     points only: interval midpoints of the joined paths carry the slower
     joined-path discrepancy (see the README note on cross-consistency with
-    the rational-ratio experiment).  Target exponent: gamma*alpha - 1.
+    the rational-ratio experiment).  This is the rational comparison at
+    q = 2/1.  Target exponent: gamma*alpha - 1.
     """
-    if levels < 3:
-        raise ValueError(f"need at least 3 levels, got {levels}")
-    if base_N < 4:
-        raise ValueError(f"base_N must be >= 4, got {base_N}")
-    Ns = [base_N * 2**n for n in range(levels + 1)]
-    trajs = _solve_levels(problems, Ns)
-    reports = []
-    for k, problem in enumerate(problems):
-        diffs = [_sup_rows(trajs[n][k].u, trajs[n + 1][k].u[::2])
-                 for n in range(levels)]
-        reports.append(_report(problem, Ns[:levels], diffs,
-                               problem.gamma_capped * problem.alpha - 1.0,
-                               "sup"))
-    return reports
+    return _ratio_rate(problems, 2, 1, _coarse_levels(base_N, levels, 3))
 
 
 def quarter_times(grid: Grid) -> np.ndarray:
@@ -252,26 +269,19 @@ def holder_rate(problems, beta: float, base_N: int, levels: int) -> list:
             raise ValueError(
                 f"beta must lie in (0, alpha) = (0, {problem.alpha}), got {beta}"
             )
-    if levels < 2:
-        raise ValueError(f"need at least 2 levels, got {levels}")
-    if base_N < 4:
-        raise ValueError(f"base_N must be >= 4, got {base_N}")
-    Ns = [base_N * 2**n for n in range(levels + 1)]
-    trajs = _solve_levels(problems, Ns)
+    Ns = _coarse_levels(base_N, levels, 2)
     reports = []
-    for k, problem in enumerate(problems):
-        diffs = []
-        sup_diffs = []
-        spacings = []
-        for n in range(levels):
-            coarse, fine = trajs[n][k], trajs[n + 1][k]
+    for problem, pairs in zip(problems,
+                              _level_pairs(problems, Ns, [2 * N for N in Ns])):
+        diffs, sup_diffs, spacings = [], [], []
+        for coarse, fine in pairs:
             times = quarter_times(coarse.grid)
             delta = joined_samples(coarse, times) - joined_samples(fine, times)
-            sup_diffs.append(float(np.max(np.linalg.norm(delta, axis=1))))
+            sup_diffs.append(_sup_rows(delta))
             spacings.append(float(np.min(np.diff(times))))
             diffs.append(hoelder_seminorm(SampledPath(times, delta), beta))
         reports.append(_report(
-            problem, Ns[:levels], diffs,
+            problem, Ns, diffs,
             min(problem.alpha - beta,
                 problem.gamma_capped * problem.alpha - 1.0),
             f"holder({beta})", sup_diffs=sup_diffs, min_spacings=spacings))
@@ -310,23 +320,8 @@ def rational_rate(problems, q_num: int, q_den: int, base_N: int,
         raise ValueError(f"ratio must lie strictly between 1 and 2, got {q_num}/{q_den}")
     if base_N % q_den != 0:
         raise ValueError(f"base_N={base_N} must be divisible by q_den={q_den}")
-    if base_N < 4:
-        raise ValueError(f"base_N must be >= 4, got {base_N}")
-    if levels < 2:
-        raise ValueError(f"need at least 2 levels, got {levels}")
-    Ns = [base_N * 2**n for n in range(levels)]
-    trajs = _solve_levels(problems, Ns + [N * q_num // q_den for N in Ns])
-    coarse_trajs, fine_trajs = trajs[:levels], trajs[levels:]
-    shared = [common_indices(N, q_num, q_den) for N in Ns]
-    reports = []
-    for k, problem in enumerate(problems):
-        diffs = [_sup_rows(coarse[k].u[ci], fine[k].u[fi])
-                 for coarse, fine, (ci, fi)
-                 in zip(coarse_trajs, fine_trajs, shared)]
-        reports.append(_report(problem, Ns, diffs,
-                               problem.gamma_capped * problem.alpha - 1.0,
-                               "sup", q=f"{q_num}/{q_den}"))
-    return reports
+    return _ratio_rate(problems, q_num, q_den,
+                       _coarse_levels(base_N, levels, 2), q=f"{q_num}/{q_den}")
 
 
 def _row_form_maxima(u, x, areas, f, grad, z, times, exponent):

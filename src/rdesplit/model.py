@@ -50,20 +50,11 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+# numpy's compiled einsum kernel (see above), exported under a private
+# name only, in ``numpy._core`` since numpy 2
+from numpy._core.multiarray import c_einsum
 
-from .rough_path import Grid, RoughDriver
-
-# numpy's compiled einsum kernel (see above).  numpy exports it under a
-# private name only, in ``numpy._core`` in numpy 2 and ``numpy.core`` in
-# 1.x; where neither import works, the public function takes the same
-# positional call.
-try:
-    from numpy._core.multiarray import c_einsum
-except ImportError:
-    try:
-        from numpy.core.multiarray import c_einsum
-    except ImportError:
-        c_einsum = np.einsum
+from .rough_path import Grid, RoughDriver, _ordered_triples
 
 __all__ = [
     "VectorField",
@@ -755,10 +746,7 @@ def check_z_cocycle(z: SecondOrderMap, field: VectorField, driver: RoughDriver,
     expo = 3.0 * alpha
     report = CheckReport("z_cocycle", 0.0, 0, exponents={"time": expo})
     triples = np.asarray(triples, dtype=float).reshape(-1, 3)
-    ordered = (triples[:, 0] <= triples[:, 1]) & (triples[:, 1] <= triples[:, 2])
-    if not ordered.all():
-        bad = tuple(triples[int(np.argmin(ordered))].tolist())
-        raise ValueError(f"triple must satisfy s <= u <= t, got {bad}")
+    _ordered_triples(*triples.T)
     triples = triples[triples[:, 2] != triples[:, 0]]
     f_xs, grad_xs = field.value_and_gradient_many(xs)
     states = list(zip(xs, f_xs, grad_xs))

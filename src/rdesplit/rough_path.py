@@ -17,6 +17,7 @@ piecewise-linear interpolant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,19 +380,24 @@ def chen_defect(driver: RoughDriver, s: float, u: float, t: float) -> float:
     return float(chen_defect_many(driver, (s,), (u,), (t,))[0])
 
 
+def _ordered_triples(ss, uu, tt):
+    """The triples' s, u and t as float arrays; the first that does not
+    satisfy s <= u <= t, NaN included, rejects them all."""
+    ss, uu, tt = (np.asarray(a, dtype=float) for a in (ss, uu, tt))
+    ordered = (ss <= uu) & (uu <= tt)
+    if not ordered.all():
+        k = int(np.argmin(ordered))
+        raise ValueError("triple must satisfy s <= u <= t, got "
+                         f"{(float(ss[k]), float(uu[k]), float(tt[k]))}")
+    return ss, uu, tt
+
+
 def chen_defect_many(driver: RoughDriver, ss, uu, tt) -> np.ndarray:
     """Chen defects for arrays of triples, shape (K,).
 
     An unordered triple rejects the whole call, named in the message.
     """
-    ss = np.asarray(ss, dtype=float)
-    uu = np.asarray(uu, dtype=float)
-    tt = np.asarray(tt, dtype=float)
-    unordered = (ss > uu) | (uu > tt)
-    if unordered.any():
-        k = int(np.argmax(unordered))
-        raise ValueError("triple must satisfy s <= u <= t, got "
-                         f"{(float(ss[k]), float(uu[k]), float(tt[k]))}")
+    ss, uu, tt = _ordered_triples(ss, uu, tt)
     left = driver.increment_many(ss, uu)
     right = driver.increment_many(uu, tt)
     defect = (driver.area_many(ss, tt)
@@ -478,13 +484,21 @@ def hoelder_seminorm(path: SampledPath, beta: float) -> float:
     takes the arithmetic of the row norm ``np.linalg.norm(..., axis=1)``,
     summing the squared components in column order, so the result is
     bitwise the maximum of that arithmetic over every pair, and bitwise that
-    norm's for d <= 2.
+    norm's for d <= 2.  A path reaching 2^500, whose squares would
+    overflow, is first scaled by a power of two and its seminorm back.
     """
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     m = path.n_samples
     if m < 2:
         raise ValueError("need at least 2 samples")
+    top = float(np.abs(path.values).max())
+    if top >= 2.0**500:
+        # squared differences overflow from about 1.3e154: scale by a power
+        # of two, which every rounding step of a ratio commutes with
+        shift = math.frexp(top)[1]
+        scaled = SampledPath(path.times, np.ldexp(path.values, -shift))
+        return float(np.ldexp(hoelder_seminorm(scaled, beta), shift))
     block = SEMINORM_BLOCK
     blocks = -(-m // block)
     # padding samples at t = +inf up to two whole blocks past the last: a

@@ -304,6 +304,45 @@ def test_non_finite_float_exits_2(tmp_path, key, bad):
     assert not (out / "rates_summary.json").exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    pytest.param(with_value(SMOOTH, "driver", "d", "0"),
+                 "driver.d must be positive", id="driver.d"),
+    pytest.param(with_value(SYNTHETIC, "driver", "levels", "0"),
+                 "driver.levels must be >= 1", id="driver.levels"),
+    pytest.param(with_value(SMOOTH, "driver", "resolution", "0"),
+                 "driver.resolution must be >= 1", id="driver.resolution"),
+    pytest.param(with_value(SMOOTH, "driver", "kind", "file"),
+                 "driver.path is required for kind=file", id="driver.path"),
+    pytest.param(with_value(SMOOTH, "field", "preset", "cubic"),
+                 f"field.preset must be one of {config.FIELD_PRESETS}, "
+                 "got 'cubic'", id="field.preset"),
+    pytest.param(with_value(SMOOTH, "field", "gamma", "2.0"),
+                 "field.gamma must exceed 2", id="field.gamma"),
+    pytest.param(SMOOTH + "\n[z]\nkind = cubic\n",
+                 f"z.kind must be one of {config.Z_KINDS}, got 'cubic'",
+                 id="z.kind"),
+    pytest.param(with_value(SMOOTH, "problem", "t_final", "0"),
+                 "problem.t_final must be positive", id="problem.t_final"),
+    pytest.param(with_value(SMOOTH, "problem", "n_steps", "0"),
+                 "problem.n_steps must be >= 1", id="problem.n_steps"),
+    pytest.param(with_value(SMOOTH, "experiment", "box", "0"),
+                 "experiment.box must be positive", id="experiment.box"),
+    pytest.param(SMOOTH.replace("kind = smooth\n", ""),
+                 "missing required key driver.kind", id="driver.kind"),
+    pytest.param(SMOOTH.replace("y0 = 0.1, -0.2\n", ""),
+                 "missing required key problem.y0", id="problem.y0"),
+    pytest.param(with_value(SMOOTH, "experiment", "seeds", "0"),
+                 "experiment counts must be positive", id="experiment.seeds"),
+    pytest.param(SMOOTH.replace("n_steps = 16", "n_steps = 16\nwibble = 3"),
+                 "unknown key 'wibble' in [problem]", id="unknown-key"),
+])
+def test_invalid_config_value_exits_2_naming_it(tmp_path, text, message):
+    result, out = run_cli(tmp_path, text, ["solve"])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"invalid run: {message}\n"
+    assert not (out / "config.ini").exists()
+
+
 @pytest.mark.parametrize("args,outputs", [
     (["solve"], ["summary.json", "trajectory.csv"]),
     (["rates", "--kind", "sup"], ["rates_summary.json", "rates_seed5.csv"]),

@@ -164,6 +164,14 @@ def test_missing_required_key_is_error():
         ProblemConfig.parse("[problem]\ny0 = 1.0\n")
 
 
+def test_empty_y0_is_an_error():
+    # no INI file reaches this check: the vector parser rejects "y0 =" first
+    cfg = ProblemConfig.parse(BASE)
+    cfg.problem.y0 = ()
+    with pytest.raises(ConfigError, match="^problem.y0 must be nonempty$"):
+        cfg.validate()
+
+
 def test_bad_values_are_errors():
     with pytest.raises(ConfigError):
         ProblemConfig.parse(BASE.replace("n_steps = 16", "n_steps = zero"))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -101,9 +102,9 @@ def test_dyadic_smooth_slope_and_target():
 
 
 def test_dyadic_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least 3 levels, got 2$"):
         dyadic_sup_rate([smooth_problem()], 16, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^base_N must be >= 4, got 2$"):
         dyadic_sup_rate([smooth_problem()], 2, 3)
 
 
@@ -287,6 +288,41 @@ def test_rational_slope_close_to_dyadic_on_smooth():
     [rational] = rational_rate([prob], 3, 2, 16, 4)
     assert abs(rational.slope - dyadic.slope) <= 0.2
     assert rational.target == dyadic.target
+    assert (dyadic.meta, rational.meta) == ({}, {"q": "3/2"})
+
+
+def test_rate_size_and_ratio_checks_name_the_fault():
+    ps = [smooth_problem()]
+    ratio_parts = "ratio parts must be positive integers"
+    cases = [
+        (holder_rate, (ps, 0.2, 16, 1), "need at least 2 levels, got 1"),
+        (holder_rate, (ps, 0.2, 2, 3), "base_N must be >= 4, got 2"),
+        (rational_rate, (ps, 3, 2, 16, 1), "need at least 2 levels, got 1"),
+        (rational_rate, (ps, 3, 2, 2, 3), "base_N must be >= 4, got 2"),
+        (rational_rate, (ps, 0, 1, 16, 3), ratio_parts),
+        (rational_rate, (ps, 3, 0, 16, 3), ratio_parts),
+        (rational_rate, (ps, -3, -2, 16, 3), ratio_parts),
+        (fit_rate, ([1, 2], [0.1, -0.1]), "differences must be nonnegative"),
+        (common_indices, (7, 3, 2), "coarse step count 7 not divisible by 2"),
+    ]
+    for fn, args, message in cases:
+        with pytest.raises(ValueError) as err:
+            fn(*args)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("experiment", [
+    pytest.param(lambda ps: dyadic_sup_rate(ps, 4, 3), id="dyadic"),
+    pytest.param(lambda ps: holder_rate(ps, 0.2, 4, 2), id="holder"),
+    pytest.param(lambda ps: rational_rate(ps, 3, 2, 4, 2), id="rational"),
+])
+def test_rate_experiments_need_problems_of_one_T(experiment):
+    with pytest.raises(ValueError, match="^need at least one problem$"):
+        experiment([])
+    prob = zero_problem()
+    with pytest.raises(ValueError,
+                       match="^problems of one rate experiment must share T$"):
+        experiment([prob, dataclasses.replace(prob, T=0.5)])
 
 
 # ---------------------------------------------------------------- davie

@@ -1,6 +1,7 @@
 import ast
 import gc
 import json
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -56,6 +57,15 @@ def test_field_validation():
         linear_field(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         VectorField(2, 2, lambda x: x, lambda x: x, gamma=2.0)
+    for n, d in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="^dimensions must be positive$"):
+            VectorField(n, d, lambda x: x, lambda x: x)
+    with pytest.raises(ValueError, match=re.escape(
+            "tensor must be (n, d, n), got (2, 1, 3)")):
+        linear_field(np.zeros((2, 1, 3)))
+    with pytest.raises(ValueError, match=re.escape(
+            "offset must be (n, d), got (1, 2)")):
+        linear_field(np.zeros((2, 1, 2)), offset=np.zeros((1, 2)))
     # a field needs a gradient and values, per state or stacked
     for forms in ({}, {"fn": lambda x: x},
                   {"value_many_fn": lambda xs: xs}):
@@ -516,6 +526,13 @@ def test_check_z_cocycle_rejects_unordered_triples():
     z = canonical_z(field, drv)
     with pytest.raises(ValueError):
         check_z_cocycle(z, field, drv, [np.zeros(2)], [(0.5, 0.2, 0.8)], 0.5)
+
+
+def test_check_z_cocycle_rejects_an_empty_sample_set():
+    field = sine_field(2, 2, seed=3)
+    with pytest.raises(ValueError, match="^empty sample set$"):
+        check_z_cocycle(zero_z(2), field, l_driver(), [], [(0.0, 0.1, 0.2)],
+                        0.5)
 
 
 def test_relaxed_exponent_overrides():

@@ -1,4 +1,6 @@
 import io
+import math
+import re
 import tracemalloc
 from functools import partial
 from unittest import mock
@@ -335,6 +337,22 @@ def test_chen_defect_rejects_unordered_times():
         chen_defect(drv, 0.5, 0.2, 0.8)
 
 
+@pytest.mark.parametrize("triple", [(np.nan, 0.5, 0.6), (0.1, np.nan, 0.6),
+                                    (0.1, 0.5, np.nan)])
+def test_nan_triples_are_rejected_by_name(triple):
+    # one check for the Chen defect and the cocycle checker: NaN is not ordered
+    from rdesplit import check_z_cocycle, sine_field, zero_z
+
+    drv = lift_piecewise_linear(l_shaped_path())
+    message = f"^triple must satisfy s <= u <= t, got {re.escape(str(triple))}$"
+    with pytest.raises(ValueError, match=message):
+        chen_defect_many(drv, *([v] for v in triple))
+    field = sine_field(2, 2, seed=3)
+    with pytest.raises(ValueError, match=message):
+        check_z_cocycle(zero_z(2), field, drv, [np.zeros(2)],
+                        [(0.0, 0.1, 0.2), triple], 0.5)
+
+
 def test_chen_defect_of_zeroed_area_equals_outer_product():
     drv = lift_piecewise_linear(l_shaped_path())
     broken = with_area(drv, lambda s, t: np.zeros((2, 2)))
@@ -571,6 +589,22 @@ def test_numpy_power_is_one_function_on_every_layout():
             assert np.power(np.float64(gaps[k]), beta) == whole[k]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hoelder_seminorm_of_a_huge_path_is_the_scaled_band_loop():
+    # squared differences of values near 1e155 overflow: the path is scaled
+    # by 2^-k before squaring and its seminorm by 2^k after, bitwise
+    times = np.linspace(0.0, 1.0, 100)
+    noise = np.random.default_rng(3).standard_normal((100, 2))
+    path = SampledPath(times, noise * 1e155)
+    shift = math.frexp(float(np.max(np.abs(path.values))))[1]
+    scaled = SampledPath(times, np.ldexp(path.values, -shift))
+    got = hoelder_seminorm(path, 0.3)
+    assert got == np.ldexp(hoelder_band_loop(scaled, 0.3), shift)
+    assert got == pytest.approx(
+        1e5 * hoelder_seminorm(SampledPath(times, noise * 1e150), 0.3),
+        rel=1e-12)
+
+
 def test_hoelder_seminorm_validation():
     path = l_shaped_path()
     with pytest.raises(ValueError):
@@ -622,9 +656,18 @@ def test_sampled_path_csv_rejects_garbage():
         SampledPath.from_csv(io.StringIO("a,b\n1,2\n"))
     with pytest.raises(ValueError):
         SampledPath.from_csv(io.StringIO(""))
+    # rows wider or narrower than the header
+    for text in ("t,x1\n0,1,2\n1,2,3\n", "t,x1,x2\n0,1\n1,2\n"):
+        with pytest.raises(ValueError, match="^malformed path rows$"):
+            SampledPath.from_csv(io.StringIO(text))
 
 
 def test_sampled_path_validation():
+    for times, values in ((np.zeros((2, 1)), np.zeros((2, 1))),
+                          (np.zeros(2), np.zeros((2, 1, 1)))):
+        with pytest.raises(ValueError,
+                           match="^times must be 1-d and values 2-d$"):
+            SampledPath(times, values)
     with pytest.raises(ValueError):
         SampledPath([0.0, 0.0], [[1.0], [2.0]])
     with pytest.raises(ValueError):
@@ -633,8 +676,24 @@ def test_sampled_path_validation():
         SampledPath([0.0, 1.0], [[np.nan], [1.0]])
 
 
+def test_path_builders_and_drivers_reject_bad_dimensions():
+    with pytest.raises(ValueError, match="^d must be >= 1, got 0$"):
+        synth_midpoint_path(0, 0.45, 4, 0)
+    for d, segments in ((0, 8), (2, 0)):
+        with pytest.raises(ValueError,
+                           match="^d and segments must be positive$"):
+            smooth_path(d=d, segments=segments)
+    for dim in (0, 1.5):
+        with pytest.raises(ValueError, match="^dimension must be a positive "
+                                             f"integer, got {dim}$"):
+            rough_path.RoughDriver(dim, 0.5, lambda s, t: 0, lambda s, t: 0)
+
+
 def test_driver_needs_an_increment_and_an_area_evaluator():
     with pytest.raises(ValueError, match="increment and an area"):
         rough_path.RoughDriver(2, 0.5, area_fn=lambda s, t: np.zeros((2, 2)))
     with pytest.raises(ValueError, match="increment and an area"):
         rough_path.RoughDriver(2, 0.5, increment_many_fn=lambda ss, tt: ss)
+    drv = rough_path.RoughDriver(1, 0.5, lambda s, t: 0, lambda s, t: 0)
+    with pytest.raises(ValueError, match="^driver has no base-point evaluator$"):
+        drv.value(0.5)

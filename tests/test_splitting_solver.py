@@ -658,6 +658,24 @@ def test_solves_query_a_batch_driver_once_per_solve():
               solve_milstein(driver, field, z, Y0, grids[2]).values)
 
 
+def test_solve_many_needs_a_grid_and_a_known_scheme_per_member():
+    _, driver, field, z = smooth_setup(segments=64)
+    member, grid = (driver, field, z, Y0), Grid(1.0, 4)
+    cases = [
+        (([], [], []), "need at least one member"),
+        (([member] * 2, [grid], ["split"] * 2),
+         "2 members need as many grids, got 1"),
+        (([member] * 2, [grid] * 2, ["split"] * 3),
+         "2 members need as many schemes, got 3"),
+        (([member], [grid], ["euler"]),
+         f"scheme must be one of {SCHEMES}, got 'euler'"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as err:
+            solve_many(*args)
+        assert str(err.value) == message
+
+
 # ---------------------------------------------------------------- joined path
 
 def test_eval_joined_matches_grid_and_half_points():
@@ -1055,6 +1073,76 @@ def test_a_wrong_non_finite_prediction_raises_nothing(monkeypatch, strict,
     assert heights[0] == first and len(heights) <= 64
     if strict:
         assert heights[-1] == 1
+
+
+class Refusal(Exception):
+    """A field's own error, raised at a finite state."""
+
+
+def refusing_field(limit):
+    """f = 1 (n = d = 1), called per state, refusing states above ``limit``."""
+    def fn(x):
+        if x[0] > limit:
+            raise Refusal(f"state {x[0]} above {limit}")
+        return np.ones((1, 1))
+
+    return VectorField(1, 1, fn, lambda x: np.zeros((1, 1, 1)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_field_error_at_a_finite_state_leaves_the_march_unchanged(scheme):
+    # u_j = j / 64 along X_t = t: the field refuses the state of step 33
+    field = refusing_field(0.5)
+    drv = scalar_driver(lambda t: t)
+    with pytest.raises(Refusal, match=r"^state 0.515625 above 0.5$"):
+        _march([(drv, field, zero_z(1), np.zeros(1))], [Grid(1.0, 64)],
+               [scheme])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_field_error_at_a_finite_state_leaves_the_reference_unchanged(
+        monkeypatch):
+    # a field called per state runs as one window; y(t) = t crosses 0.5
+    path = SampledPath(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
+    heights = sweep_heights(monkeypatch)
+    with pytest.raises(Refusal, match=r"above 0.5$"):
+        solve_ode_reference(path, refusing_field(0.5), np.zeros(1),
+                            Grid(1.0, 64), substeps=4)
+    assert heights == [1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_field_error_in_the_frontier_window_leaves_the_reference_unchanged(
+        monkeypatch):
+    # the field refuses the initial state, the frontier window's start, once
+    # the probe has taken the windows: the stacked sweep raises, the rest
+    # runs as one window from the frontier, which raises the same error
+    sine, _ = oracle_fields("sine", 1, 2, 2)
+    armed = []
+    windows = splitting_solver._windows
+
+    def arm(*args):
+        taken = windows(*args)
+        armed.append(True)
+        return taken
+
+    def refusing(hook):
+        def call(xs):
+            if armed and (xs == Y0).all(axis=1).any():
+                raise Refusal("initial state refused")
+            return hook(xs)
+        return call
+
+    field = VectorField(2, 2, value_many_fn=refusing(sine._value_many_fn),
+                        value_and_grad_many_fn=refusing(
+                            sine._value_and_grad_many_fn))
+    monkeypatch.setattr(splitting_solver, "_windows", arm)
+    heights = sweep_heights(monkeypatch)
+    with pytest.raises(Refusal, match="^initial state refused$"):
+        solve_ode_reference(smooth_path(d=2, segments=512), field, Y0,
+                            Grid(1.0, 128), substeps=4)
+    assert heights == [64, 1]
 
 
 def test_the_probe_takes_windows_only_where_they_pay():
