@@ -9,11 +9,13 @@ produces the canonical form (fixed section and key order, full-precision
 floats) and ``parse(emit(cfg))`` reproduces ``cfg`` exactly.
 """
 
+import collections
 import configparser
 import functools
 import io
 import math
 import os
+import threading
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -245,18 +247,61 @@ def _read_section(parser, section: str, spec):
     return spec(**values)
 
 
+# The (driver, path) pairs _build_driver has lifted from generated specs,
+# least recently used first, so that a process running several commands on
+# one driver (a bench pass, a test suite, a notebook) lifts it once.
+# Drivers are immutable (read-only path and lift tables), so sharing them
+# is safe.  The least recently used are evicted until the held lift entries
+# are at most MAX_LIFT_ENTRIES: the cache never keeps more than one largest
+# admitted driver beyond what its callers hold.  The lock makes a lookup,
+# and an insertion with its evictions, atomic; the build runs outside it.
+_DRIVERS = collections.OrderedDict()
+_DRIVERS_LOCK = threading.Lock()
+
+
+def _lift_entries(path: SampledPath) -> int:
+    return (path.n_samples - 1) * path.d * path.d
+
+
+def clear_driver_cache() -> None:
+    """Forget every cached driver."""
+    with _DRIVERS_LOCK:
+        _DRIVERS.clear()
+
+
 def _build_driver(spec: DriverSpec, seed_override=None):
-    seed = spec.seed if seed_override is None else int(seed_override)
-    if spec.kind == "smooth":
-        path = smooth_path(spec.d, spec.resolution)
-    elif spec.kind == "synthetic":
-        path = synth_midpoint_path(seed, spec.alpha, spec.levels, spec.d)
-    else:
-        with open(spec.path, "r", encoding="utf-8") as fh:
-            path = SampledPath.from_csv(fh)
+    if spec.kind == "file":
+        # a file can change between commands: read and lift it every time
+        try:
+            with open(spec.path, "r", encoding="utf-8") as fh:
+                path = SampledPath.from_csv(fh)
+        except ValueError as exc:
+            raise ConfigError(f"driver file {spec.path}: {exc}") from exc
         _check_driver_size(f"a driver file of {path.n_samples - 1} segments",
                            path.n_samples - 1, path.d)
-    return lift_piecewise_linear(path, alpha=spec.alpha), path
+        return lift_piecewise_linear(path, alpha=spec.alpha), path
+    if spec.kind == "smooth":
+        key = (spec.kind, spec.d, spec.alpha, spec.resolution)
+    else:
+        seed = spec.seed if seed_override is None else int(seed_override)
+        key = (spec.kind, spec.d, spec.alpha, seed, spec.levels)
+    with _DRIVERS_LOCK:
+        if key in _DRIVERS:
+            _DRIVERS.move_to_end(key)
+            return _DRIVERS[key]
+    if spec.kind == "smooth":
+        path = smooth_path(spec.d, spec.resolution)
+    else:
+        path = synth_midpoint_path(seed, spec.alpha, spec.levels, spec.d)
+    built = lift_piecewise_linear(path, alpha=spec.alpha), path
+    with _DRIVERS_LOCK:
+        _DRIVERS[key] = built
+        _DRIVERS.move_to_end(key)
+        held = sum(_lift_entries(p) for _, p in _DRIVERS.values())
+        while held > MAX_LIFT_ENTRIES:
+            _, (_, evicted) = _DRIVERS.popitem(last=False)
+            held -= _lift_entries(evicted)
+    return built
 
 
 # One instance per distinct field: the problems of the seeds of one rate

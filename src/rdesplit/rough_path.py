@@ -111,16 +111,25 @@ class SampledPath:
 
     @classmethod
     def from_csv(cls, fileobj) -> "SampledPath":
-        lines = [ln.strip() for ln in fileobj if ln.strip()]
+        # (line number, stripped text) of every nonblank line
+        lines = [(k, ln.strip()) for k, ln in enumerate(fileobj, 1)
+                 if ln.strip()]
         if not lines:
             raise ValueError("empty path file")
-        header = lines[0].split(",")
+        header = lines[0][1].split(",")
         if header[0] != "t" or any(not c.startswith("x") for c in header[1:]):
-            raise ValueError(f"unexpected path header: {lines[0]!r}")
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+            raise ValueError(f"unexpected path header: {lines[0][1]!r}")
+        rows = []
+        for k, ln in lines[1:]:
+            row = ln.split(",")
+            if len(row) != len(header):
+                raise ValueError(
+                    f"malformed path rows: line {k} has {len(row)} fields, "
+                    f"the header has {len(header)}")
+            rows.append([float(v) for v in row])
+        if not rows:
+            raise ValueError("malformed path rows: none under the header")
         arr = np.asarray(rows, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != len(header):
-            raise ValueError("malformed path rows")
         return cls(arr[:, 0], arr[:, 1:])
 
 
@@ -206,7 +215,7 @@ class _PiecewiseLinearLift:
     one pair (a, b) at a time, with the operations of the broadcast
     formulas in their order, so they are bitwise those formulas' tables.
     numpy's loop over a trailing (d, d) broadcast runs d entries at a
-    time, and every CLI command lifts a 2^14-segment path: the broadcasts
+    time, and a CLI process lifts a 2^14-segment path: the broadcasts
     took 3-4 times as long at d = 2.  What a driver keeps is unchanged
     (1.7 MB at 2^14 segments, see below), and the build's peak is lower.
     """
@@ -247,6 +256,10 @@ class _PiecewiseLinearLift:
                 np.cumsum(seg, out=self.base_area[1:, a, b])
                 np.multiply(self.slopes[:, a], self.slopes[:, b],
                             out=self.seg_outer[:, a, b])
+        # a driver may be shared (config caches generated drivers): no
+        # caller may alter its tables under another, as for SampledPath
+        for table in (self.slopes, self.base_area, self.seg_outer):
+            table.flags.writeable = False
         self._lo = float(self.times[0])
         self._hi = float(self.times[-1])
         self._top = m - 2

@@ -224,13 +224,21 @@ def test_out_of_memory_exits_2(tmp_path, monkeypatch):
                                      "Unable to allocate 64.0 TiB for an array")
 
 
+@pytest.fixture
 def refuse_to_build(monkeypatch):
-    """Make building any driver path or lift a test failure (exit 1)."""
+    """Make building any driver path or lift a test failure (exit 1).
+
+    The driver cache is cleared on both sides, so that no driver an earlier
+    test cached stands in for a build and none built here outlives the test.
+    """
     def build(*args, **kwargs):
         raise AssertionError("a driver above the cap was built")
 
+    config.clear_driver_cache()
     for name in ("smooth_path", "synth_midpoint_path", "lift_piecewise_linear"):
         monkeypatch.setattr(config, name, build)
+    yield
+    config.clear_driver_cache()
 
 
 @pytest.mark.parametrize("text,what", [
@@ -245,9 +253,9 @@ def refuse_to_build(monkeypatch):
                  "driver.levels = 8 at d = 100000", id="d"),
 ])
 @pytest.mark.parametrize("args", [["solve"], ["rates", "--kind", "sup"]])
-def test_driver_above_the_cap_exits_2_before_it_is_built(tmp_path, monkeypatch,
+def test_driver_above_the_cap_exits_2_before_it_is_built(tmp_path,
+                                                         refuse_to_build,
                                                          text, what, args):
-    refuse_to_build(monkeypatch)
     result, out = run_cli(tmp_path, text, args)
     assert result.exit_code == 2, result.output
     assert result.output == (f"invalid run: driver too large: {what} exceeds "
@@ -256,20 +264,31 @@ def test_driver_above_the_cap_exits_2_before_it_is_built(tmp_path, monkeypatch,
     assert not (out / "config.ini").exists()
 
 
-def test_driver_file_above_the_cap_exits_2_before_it_is_lifted(tmp_path,
-                                                               monkeypatch):
+def test_driver_file_above_the_cap_exits_2_before_it_is_lifted(
+        tmp_path, refuse_to_build):
     # one segment at d = 4097: 4097² = 2^24 + 8193 entries
     d = 4097
     (tmp_path / "path.csv").write_text(
         "t," + ",".join(f"x{a + 1}" for a in range(d)) + "\n"
         + "0" + ",0" * d + "\n" + "1" + ",1" * d + "\n")
     text = SMOOTH.replace("kind = smooth", f"kind = file\npath = path.csv")
-    refuse_to_build(monkeypatch)
     result, _ = run_cli(tmp_path, text.replace("d = 2", f"d = {d}"), ["solve"])
     assert result.exit_code == 2, result.output
     assert result.output == ("invalid run: driver too large: a driver file of "
                              f"1 segments at d = {d} exceeds the cap of 2^24 "
                              "lift entries (segments × d², MAX_LIFT_ENTRIES)\n")
+
+
+def test_ragged_driver_file_exits_2_naming_the_file_and_the_line(tmp_path):
+    # one short row among full ones
+    (tmp_path / "path.csv").write_text("t,x1,x2\n0,0,0\n0.5,1\n1,1,1\n")
+    text = SMOOTH.replace("kind = smooth", "kind = file\npath = path.csv")
+    result, out = run_cli(tmp_path, text, ["solve"])
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"invalid run: driver file {tmp_path / 'path.csv'}"
+                             ": malformed path rows: line 3 has 2 fields, "
+                             "the header has 3\n")
+    assert not (out / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize("key,message", [

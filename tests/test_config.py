@@ -1,8 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdesplit.config as config
+from rdesplit import SampledPath
+from rdesplit.cli import main
 from rdesplit.config import (DRIVER_KINDS, FIELD_PRESETS, MAX_LIFT_ENTRIES,
                              Z_KINDS, ConfigError, DriverSpec, ExperimentSpec,
                              FieldSpec, ProblemConfig, SolveSpec, ZSpec,
@@ -249,3 +255,149 @@ def test_z_kind_variants_build():
         cfg = ProblemConfig.parse(BASE + f"\n[z]\nkind = {kind}\n")
         problem, _ = build_problem(cfg)
         assert np.all(problem.z(problem.y0, 0.5, 0.5) == 0.0)
+
+
+# ---------------------------------------------------------------- driver cache
+
+SYNTHETIC = BASE.replace(
+    "kind = smooth", "kind = synthetic\nseed = 4\nlevels = 6").replace(
+    "resolution = 256", "alpha = 0.45")
+
+
+@pytest.fixture
+def driver_cache():
+    """The driver cache, empty, and emptied again after the test: no test
+    reads a driver an earlier one cached, or leaves one built under its
+    patches."""
+    config.clear_driver_cache()
+    yield config._DRIVERS
+    config.clear_driver_cache()
+
+
+def count_builds(monkeypatch):
+    """Count the calls of the driver builders build_problem looks up."""
+    calls = Counter()
+    for name in ("smooth_path", "synth_midpoint_path", "lift_piecewise_linear"):
+        def counted(*args, _build=getattr(config, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(config, name, counted)
+    return calls
+
+
+def held_entries(cache):
+    return sum((path.n_samples - 1) * path.d ** 2 for _, path in cache.values())
+
+
+def test_generated_drivers_are_lifted_once(driver_cache, monkeypatch):
+    calls = count_builds(monkeypatch)
+    for text in (BASE, SYNTHETIC):
+        cfg = ProblemConfig.parse(text)
+        first, _ = build_problem(cfg)
+        again, _ = build_problem(cfg)
+        assert again.driver is first.driver and again.path is first.path
+    assert calls == {"smooth_path": 1, "synth_midpoint_path": 1,
+                     "lift_piecewise_linear": 2}
+
+
+def test_the_cache_key_is_the_driver_spec(driver_cache):
+    cfg = ProblemConfig.parse(SYNTHETIC)
+    driver = build_problem(cfg)[0].driver
+    # the effective seed is the key, however it is given; the field, Z and
+    # problem sections are not part of it
+    other = ProblemConfig.parse(SYNTHETIC.replace("seed = 4", "seed = 9")
+                                .replace("scale = 0.8", "scale = 0.5")
+                                .replace("n_steps = 16", "n_steps = 8")
+                                + "\n[z]\nkind = zero\n")
+    assert build_problem(other, seed_override=4)[0].driver is driver
+    # (text, seed_override, the driver's alpha, d and sample count)
+    variants = [
+        (SYNTHETIC, 5, 0.45, 2, 65),
+        (SYNTHETIC.replace("alpha = 0.45", "alpha = 0.4"), None, 0.4, 2, 65),
+        (SYNTHETIC.replace("levels = 6", "levels = 7"), None, 0.45, 2, 129),
+        (SYNTHETIC.replace("d = 2", "d = 3"), None, 0.45, 3, 65),
+        (BASE, None, 0.5, 2, 257),
+        (BASE.replace("resolution = 256", "resolution = 128"), None, 0.5, 2,
+         129),
+        (BASE.replace("resolution = 256", "resolution = 256\nalpha = 0.4"),
+         None, 0.4, 2, 257),
+        (BASE.replace("d = 2", "d = 3"), None, 0.5, 3, 257),
+    ]
+    drivers = [driver]
+    for text, seed, alpha, d, samples in variants:
+        problem, _ = build_problem(ProblemConfig.parse(text), seed)
+        assert (problem.driver.alpha, problem.driver.dim,
+                problem.path.n_samples) == (alpha, d, samples)
+        drivers.append(problem.driver)
+    assert len({id(d) for d in drivers}) == len(drivers) == len(driver_cache)
+    # seed 5 given in the spec is the override's driver
+    spec_seed = ProblemConfig.parse(SYNTHETIC.replace("seed = 4", "seed = 5"))
+    assert build_problem(spec_seed)[0].driver is drivers[1]
+
+
+def test_file_drivers_are_lifted_on_every_call(driver_cache, tmp_path,
+                                               monkeypatch):
+    calls = count_builds(monkeypatch)
+    p = tmp_path / "path.csv"
+    cfg = ProblemConfig.parse(BASE.replace("kind = smooth",
+                                           f"kind = file\npath = {p}"))
+    built = []
+    for scale in (1.0, 2.0):
+        with open(p, "w") as fh:
+            SampledPath(np.linspace(0, 1, 5),
+                        scale * np.arange(10.0).reshape(5, 2)).to_csv(fh)
+        built.append(build_problem(cfg)[0])
+    assert np.array_equal(built[1].path.values, 2.0 * built[0].path.values)
+    assert built[1].driver is not built[0].driver
+    assert calls == {"lift_piecewise_linear": 2}
+    assert not driver_cache
+
+
+def test_eviction_keeps_the_held_lift_entries_under_the_cap(driver_cache,
+                                                            monkeypatch):
+    # levels = 6 at d = 2 holds 2^6 × 4 = 256 entries, levels = 7 holds 512
+    monkeypatch.setattr(config, "MAX_LIFT_ENTRIES", 1024)
+    built = {}
+
+    def build(seed, levels):
+        text = SYNTHETIC.replace("levels = 6", f"levels = {levels}")
+        built[seed] = build_problem(ProblemConfig.parse(text), seed)[0].driver
+        assert held_entries(driver_cache) <= 1024
+        return {id(driver) for driver, _ in driver_cache.values()}
+
+    build(0, 6)
+    build(1, 6)
+    assert build(0, 6) == {id(built[0]), id(built[1])}
+    # 1024 entries: the cap is reached, not exceeded
+    assert build(2, 7) == {id(built[s]) for s in (0, 1, 2)}
+    # seed 1 is the least recently used
+    assert build(3, 6) == {id(built[s]) for s in (0, 2, 3)}
+    assert build(4, 7) == {id(built[s]) for s in (3, 4)}
+    assert held_entries(driver_cache) == 768
+    # a levels = 8 driver (1024 entries) displaces every other
+    assert build(5, 8) == {id(built[5])}
+
+
+def test_a_second_run_in_one_process_writes_the_same_bytes(driver_cache,
+                                                           tmp_path,
+                                                           monkeypatch):
+    calls = count_builds(monkeypatch)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(SYNTHETIC + "\n[experiment]\nlevels = 3\nbase_n = 4\n")
+    runs = []
+    for run in range(2):
+        outputs = {}
+        for command in (["solve"], ["rates", "--kind", "sup"], ["davie"]):
+            out = tmp_path / f"{command[0]}-{run}"
+            result = CliRunner().invoke(
+                main, command + ["--config", str(cfg), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.update({(command[0], f.name): f.read_bytes()
+                            for f in sorted(out.iterdir())})
+        runs.append(outputs)
+        # the first run lifts the drivers of seeds 4, 5 and 6; the second
+        # lifts none
+        assert calls["lift_piecewise_linear"] == 3
+    assert len(runs[0]) == 10
+    assert runs[1] == runs[0]

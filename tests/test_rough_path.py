@@ -124,6 +124,24 @@ def test_batch_evaluators_match_scalar_bitwise():
             assert np.array_equal(inc, lift_increment(lift, s, t))
 
 
+def test_lift_tables_are_read_only():
+    # a built driver may be shared between callers: none may alter it
+    rng = np.random.default_rng(5)
+    drv = lift_piecewise_linear(random_path(rng, 17, 2))
+    lift = drv._area_many_fn.__self__
+    qs = np.sort(rng.uniform(0, 1, (20, 2)), axis=1)
+    before = (drv.increment_many(qs[:, 0], qs[:, 1]).tobytes(),
+              drv.area_many(qs[:, 0], qs[:, 1]).tobytes())
+    for table in (lift.slopes, lift.base_area, lift.seg_outer, lift.times,
+                  lift.values):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.fill(0.0)
+    assert (drv.increment_many(qs[:, 0], qs[:, 1]).tobytes(),
+            drv.area_many(qs[:, 0], qs[:, 1]).tobytes()) == before
+
+
 def test_chen_defect_many_matches_scalar():
     rng = np.random.default_rng(4)
     path = random_path(rng, 9, 2)
@@ -656,10 +674,20 @@ def test_sampled_path_csv_rejects_garbage():
         SampledPath.from_csv(io.StringIO("a,b\n1,2\n"))
     with pytest.raises(ValueError):
         SampledPath.from_csv(io.StringIO(""))
-    # rows wider or narrower than the header
-    for text in ("t,x1\n0,1,2\n1,2,3\n", "t,x1,x2\n0,1\n1,2\n"):
-        with pytest.raises(ValueError, match="^malformed path rows$"):
+    # rows wider or narrower than the header, all of them or one (a ragged
+    # file); lines are counted in the file, blank ones included
+    for text, line, width, header in (
+            ("t,x1\n0,1,2\n1,2,3\n", 2, 3, 2),
+            ("t,x1,x2\n0,1\n1,2\n", 2, 2, 3),
+            ("t,x1,x2\n0,1,2\n\n0.5,1\n1,2,3\n", 4, 2, 3),
+            ("t,x1,x2\n0,1,2\n0.5,1,2,3\n", 3, 4, 3)):
+        with pytest.raises(ValueError, match=(
+                f"^malformed path rows: line {line} has {width} fields, "
+                f"the header has {header}$")):
             SampledPath.from_csv(io.StringIO(text))
+    with pytest.raises(ValueError,
+                       match="^malformed path rows: none under the header$"):
+        SampledPath.from_csv(io.StringIO("t,x1,x2\n"))
 
 
 def test_sampled_path_validation():
