@@ -18,11 +18,11 @@ The Davie sweep measures a trajectory against a given map, with the
 trajectory's own field and driver; it takes its base increments from
 one batch query and evaluates Z one row of pairs at a time, never once
 per pair.  On a lifted driver with its own area-linear map it first
-screens every row with two small matmuls against increments and areas
-queried once about t_0 (Chen's relation), then evaluates only the rows
-that may hold the maximum, with the same report.  The Hölder experiment samples each joined path with one array
-call of ``eval_joined`` and takes the seminorm over blocks of sample
-pairs.
+screens the rows against increments and areas queried once about t_0
+(Chen's relation), a block of rows in a few batched contractions, then
+evaluates only the rows that may hold the maximum, with the same report.
+The Hölder experiment samples each joined path with one array call of
+``eval_joined`` and takes the seminorm over blocks of sample pairs.
 """
 
 from __future__ import annotations
@@ -334,9 +334,15 @@ def _row_form_maxima(u, x, areas, f, grad, z, times, exponent):
 
         J_{k,m} = Δu - P_k Δx - K(u_k) : ΔA,   P_k = f(u_k) - K(u_k)·x_k,
 
-    so row k is two small matmuls: the weights [I | -P_k | -K(u_k)]
-    applied to the columns [u; x; A] at every m > k, less the same weights
-    applied at k.  A row makes no area query and no Z contraction.
+    so row k is the weights [I | -P_k | -K(u_k)] applied to the columns
+    [u; x; A] at every m > k, less the same weights applied at k.  Rows
+    are taken in blocks of PAIR_BLOCK // (N + 1) (at least one): a block
+    k0..k1-1 is one matmul of its weights against the columns from k0 on,
+    less each row's own column, one contraction for the squared norms and
+    one power of the gaps, with the entries m <= k set to -inf before the
+    maximum of each row.  So the screen holds a few arrays of at most
+    PAIR_BLOCK (n + 1) entries at any N, and makes no area query and no Z
+    contraction.
 
     This sums in another order than the exact row.  Either form adds at
     most n d^2 + n + d terms per component (the exact contraction has
@@ -358,13 +364,22 @@ def _row_form_maxima(u, x, areas, f, grad, z, times, exponent):
     weights = np.concatenate([np.broadcast_to(np.eye(n), (N, n, n)), -P,
                               -coeff.reshape(N, n, d * d)], axis=2)
     squares = np.empty(N)
-    for k in range(N):
-        w = weights[k]
-        residual = w @ columns[:, k + 1:]
-        residual -= w @ columns[:, k:k + 1]
+    for rows in _chunks(0, N, N + 1):
+        k0, size = rows.start, rows.stop - rows.start
+        # [k, :, m - k0] = the weights of row k applied at m >= k0
+        residual = np.matmul(weights[rows], columns[:, k0:])
+        own = np.arange(size)
+        residual -= residual[own, :, own][:, :, None]
+        # the entries m <= k, all in the block's leading square: a gap of 1
+        # keeps their power finite, and -inf keeps them out of the maxima
+        upto_k = np.tri(size, dtype=bool)
+        gaps = times[k0:] - times[rows, None]
+        gaps[:, :size][upto_k] = 1.0
         # np.power: the screen need not be bitwise the scalar pow
-        squares[k] = np.max(c_einsum("ij,ij->j", residual, residual)
-                            / np.power(times[k + 1:] - times[k], 2 * exponent))
+        ratios = c_einsum("kij,kij->kj", residual, residual)
+        ratios /= np.power(gaps, 2 * exponent, out=gaps)
+        ratios[:, :size][upto_k] = -np.inf
+        squares[rows] = ratios.max(axis=1)
 
     def total(a):
         return np.abs(a).reshape(N, -1).sum(axis=1)
@@ -394,9 +409,9 @@ def davie_defect(traj: SplitTrajectory, z: SecondOrderMap) -> DavieReport:
 
     When ``z`` is area-linear on that field and driver and the driver is a
     lift (``lift_piecewise_linear``), every row is first screened in the
-    Chen-formed row form of ``_row_form_maxima``, from one
-    ``increment_many`` and one ``area_many`` query about t_0 and one
-    stacked evaluation of f and ∇f, and only the rows that may hold the
+    Chen-formed row form of ``_row_form_maxima``, blocks of rows at a time,
+    from one ``increment_many`` and one ``area_many`` query about t_0 and
+    one stacked evaluation of f and ∇f, and only the rows that may hold the
     largest ratio within their rounding bounds (normally one) are
     evaluated as above.  The report is the same.
     """

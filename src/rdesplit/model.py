@@ -616,10 +616,12 @@ def _pair_blocks(m: int):
         yield ii, flat - starts[ii] + ii + 1
 
 
-def _chunks(start: int, stop: int):
-    """Slices covering range(start, stop), each at most PAIR_BLOCK long."""
-    return (slice(lo, min(lo + PAIR_BLOCK, stop))
-            for lo in range(start, stop, PAIR_BLOCK))
+def _chunks(start: int, stop: int, width: int = 1):
+    """Slices covering range(start, stop), each of at most PAIR_BLOCK //
+    width entries (at least one): at most PAIR_BLOCK pairs when each entry
+    stands for ``width`` of them."""
+    step = max(1, PAIR_BLOCK // width)
+    return (slice(lo, min(lo + step, stop)) for lo in range(start, stop, step))
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

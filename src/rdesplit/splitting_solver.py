@@ -372,21 +372,23 @@ def write_trajectory_csv(traj, fileobj) -> None:
     n = u.shape[1]
     fileobj.write("j,t," + ",".join(f"u{i + 1}" for i in range(n)) + ","
                   + ",".join(f"v{i + 1}" for i in range(n)) + "\n")
-    # the cells are Python floats from tolist(), whose str is repr(float(x)),
-    # and empty strings for the empty v columns
-    blank = [""] * n
+    # one % format per block: %r of a Python float from tolist() is its
+    # str, and %d of a float j < 2^53 that of int j; row 0 and every
+    # Milstein row leave the v columns empty
     pts = traj.grid.points
-    for lo in range(0, len(pts), CSV_BLOCK):
-        hi = lo + CSV_BLOCK
-        us = u[lo:hi].tolist()
-        if v is None:
-            vs = [blank] * len(us)
-        else:
-            vs = [blank] * (lo == 0) + v[max(lo - 1, 0):hi - 1].tolist()
-        fileobj.write("".join(
-            ",".join(map(str, [j, t, *u_j, *v_j])) + "\n"
-            for j, t, u_j, v_j in zip(range(lo, hi), pts[lo:hi].tolist(),
-                                      us, vs)))
+    blank = "%d" + ",%r" * (n + 1) + "," * n + "\n"
+    if v is None:
+        row, start = blank, 0
+    else:
+        fileobj.write(blank % (0, float(pts[0]), *u[0].tolist()))
+        row, start = "%d" + ",%r" * (2 * n + 1) + "\n", 1
+    for lo in range(start, len(pts), CSV_BLOCK):
+        hi = min(lo + CSV_BLOCK, len(pts))
+        cells = [np.arange(lo, hi, dtype=float), pts[lo:hi], u[lo:hi]]
+        if v is not None:
+            cells.append(v[lo - 1:hi - 1])
+        block = np.column_stack(cells)
+        fileobj.write(row * (hi - lo) % tuple(block.ravel().tolist()))
 
 
 # The RK4 reference integrates up to REFERENCE_WINDOWS time windows of

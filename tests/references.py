@@ -5,7 +5,10 @@ form, with single calls as its one-row views.  The per-state and
 per-interval formulas below are the ones those views replaced; a test that
 compares a stack with them compares two programs, not one with itself.
 Likewise ``hoelder_band_loop`` evaluates every sample pair that
-``rough_path.hoelder_seminorm`` prunes.
+``rough_path.hoelder_seminorm`` prunes, ``davie_row_form_loop`` screens
+the Davie rows one at a time where ``convergence_lab._row_form_maxima``
+takes blocks of rows, and ``trajectory_csv_joined`` joins each CSV row
+from its cells where ``write_trajectory_csv`` formats a block at once.
 """
 
 from bisect import bisect_right
@@ -13,7 +16,7 @@ from bisect import bisect_right
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from rdesplit.model import _Z_SUBSCRIPTS
+from rdesplit.model import _Z_SUBSCRIPTS, c_einsum
 
 
 def sine_coefficients(n, d, seed=0, amplitude=1.0, frequency=1.0):
@@ -152,3 +155,45 @@ def hoelder_band_loop(path, beta, band=2**13):
             best = max(best, float(norm.max()))
         lag += width
     return best
+
+
+def davie_row_form_loop(u, x, areas, f, grad, z, times, exponent):
+    """The row-form maxima of ``_row_form_maxima``, one row at a time: the
+    weights [I | -P_k | -K(u_k)] of row k applied to the columns [u; x; A]
+    at every m > k less the same weights applied at k, as two matmuls."""
+    N, n, d = f.shape
+    coeff = z.coefficient_many(f, grad)
+    P = f - c_einsum("kiab,ka->kib", coeff, x[:N])
+    columns = np.concatenate([u, x, areas.reshape(N + 1, d * d)], axis=1).T
+    columns = np.ascontiguousarray(columns)
+    weights = np.concatenate([np.broadcast_to(np.eye(n), (N, n, n)), -P,
+                              -coeff.reshape(N, n, d * d)], axis=2)
+    squares = np.empty(N)
+    for k in range(N):
+        w = weights[k]
+        residual = w @ columns[:, k + 1:]
+        residual -= w @ columns[:, k:k + 1]
+        squares[k] = np.max(c_einsum("ij,ij->j", residual, residual)
+                            / np.power(times[k + 1:] - times[k], 2 * exponent))
+    return np.sqrt(squares)
+
+
+def trajectory_csv_joined(u, v, points, block):
+    """The trajectory CSV with each row joined from its cells' ``str``,
+    ``block`` rows per write; ``v`` is None for the Milstein layout."""
+    n = u.shape[1]
+    out = ["j,t," + ",".join(f"u{i + 1}" for i in range(n)) + ","
+           + ",".join(f"v{i + 1}" for i in range(n)) + "\n"]
+    blank = [""] * n
+    for lo in range(0, len(points), block):
+        hi = lo + block
+        us = u[lo:hi].tolist()
+        if v is None:
+            vs = [blank] * len(us)
+        else:
+            vs = [blank] * (lo == 0) + v[max(lo - 1, 0):hi - 1].tolist()
+        out.append("".join(
+            ",".join(map(str, [j, t, *u_j, *v_j])) + "\n"
+            for j, t, u_j, v_j in zip(range(lo, hi), points[lo:hi].tolist(),
+                                      us, vs)))
+    return "".join(out)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,7 @@ from rdesplit.convergence_lab import _row_form_maxima, quarter_times
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
                       build_field, build_z, steep_field)
+from references import davie_row_form_loop
 
 Y0 = np.array([0.1, -0.2])
 
@@ -521,6 +523,85 @@ def test_davie_row_form_bound_covers_every_rows_gap(seed, N, n, d, kind,
                         for m in range(k + 1, N + 1))
         if np.isfinite(exact):
             assert abs(maxima[k] - exact) <= bound[k]
+
+
+def row_form_inputs(driver, field, z, traj):
+    """The arguments of ``_row_form_maxima`` as ``davie_defect`` forms them."""
+    pts, u = traj.grid.points, traj.u
+    starts = np.zeros(len(pts))
+    f, grad = field.value_and_gradient_many(u[:-1])
+    return (u, driver.increment_many(starts, pts),
+            driver.area_many(starts, pts), f, grad, z, pts,
+            3.0 * driver.alpha)
+
+
+def exact_row_maxima(driver, field, z, traj, exponent):
+    """Each row's largest exact ratio, formed as ``davie_defect``'s exact
+    rows form it (bitwise a per-pair loop), one Z row per k."""
+    pts, u, N = traj.grid.points, traj.u, traj.grid.N
+    base = driver.increment_many(np.zeros(N + 1), pts)
+    out = np.empty(N)
+    for k in range(N):
+        t_m = pts[k + 1:]
+        z_row = z.on_grid(np.full(N - k, pts[k]), t_m).every(u[k])
+        residual = (u[k + 1:] - u[k]
+                    - model._matvec(field(u[k]), base[k + 1:] - base[k])
+                    - z_row)
+        out[k] = np.max(model._row_norms(residual)
+                        / model._powers(t_m - pts[k], exponent))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(**{**STEEP, "N": st.integers(1, 150)})
+# every row's squares overflow
+@example(seed=9, N=64, n=3, d=2, kind="linear", decades=2, transpose=False)
+# three rows' squared ratios overflow, their exact ratios do not
+@example(seed=875, N=30, n=2, d=2, kind="linear", decades=6, transpose=True)
+def test_blocked_davie_screen_keeps_the_report_and_the_bound_at_every_block(
+        seed, N, n, d, kind, decades, transpose):
+    # the screen takes rows in blocks of PAIR_BLOCK // (N + 1): one row, 7
+    # rows (the last block ragged unless 7 divides N) and all N rows
+    driver, field, z, traj = steep_case(seed, N, n, d, kind,
+                                        steep_slope(kind, decades), transpose)
+    args = row_form_inputs(driver, field, z, traj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = davie_defect(traj, z)
+        loop = davie_row_form_loop(*args)
+        exact = exact_row_maxima(driver, field, z, traj, args[-1])
+    for rows in (1, 7, N):
+        with pytest.MonkeyPatch.context() as patch, \
+                np.errstate(over="ignore", invalid="ignore"):
+            patch.setattr(model, "PAIR_BLOCK", rows * (N + 1))
+            maxima, bound = _row_form_maxima(*args)
+            assert davie_defect(traj, z) == report
+        # a row scored finite lies within its bound of the exact row; one
+        # scored inf or NaN is kept, as where a squared ratio overflows and
+        # the exact ratio does not
+        finite = np.isfinite(maxima) & np.isfinite(exact)
+        assert np.all(np.abs(maxima[finite] - exact[finite]) <= bound[finite])
+        # the per-row loop is a reference for the maxima within the bound,
+        # and a row that is not finite there stays not finite
+        finite = np.isfinite(loop)
+        assert np.all(np.abs(maxima[finite] - loop[finite]) <= bound[finite])
+        assert not np.any(np.isfinite(maxima[~finite]))
+
+
+def test_davie_screen_memory_is_bounded_by_its_blocks():
+    # an unblocked screen holds N (N + 1) (n + 1) floats, 100 MB here
+    path = synth_midpoint_path(17, 0.45, 12, 2)
+    driver = lift_piecewise_linear(path, alpha=0.45)
+    field = sine_field(2, 2, seed=1, amplitude=0.8)
+    z = canonical_z(field, driver)
+    traj = solve_split(driver, field, z, Y0, Grid(1.0, 2048))
+    args = row_form_inputs(driver, field, z, traj)
+    tracemalloc.start()
+    try:
+        _row_form_maxima(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * model.PAIR_BLOCK * (2 + 1) * 8
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,10 +17,12 @@ from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
                       zero_z)
 from rdesplit import model, splitting_solver
 from rdesplit.convergence_lab import joined_samples, quarter_times
-from rdesplit.splitting_solver import SCHEMES, _march
+from rdesplit.splitting_solver import (CSV_BLOCK, SCHEMES, MilsteinTrajectory,
+                                       SplitTrajectory, _march)
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
                       build_field, build_z, with_area)
+from references import trajectory_csv_joined
 
 Y0 = np.array([0.1, -0.2])
 
@@ -1272,6 +1274,30 @@ def test_trajectory_csv_blocks_are_the_per_cell_rows(monkeypatch, N):
         buf = io.StringIO()
         write_trajectory_csv(traj, buf)
         assert buf.getvalue() == reference_csv(u, v, grid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       N=st.one_of(st.integers(1, 24),
+                   st.integers(CSV_BLOCK - 2, 2 * CSV_BLOCK + 2)),
+       T=st.floats(1e-6, 1e6), specials=st.integers(0, 12))
+def test_trajectory_csv_is_the_joined_cells_for_any_values(seed, n, N, T,
+                                                           specials):
+    # values over the whole exponent range, with signed zeros, NaN,
+    # infinities and subnormals at random cells
+    rng = np.random.default_rng(seed)
+    grid = Grid(T, N)
+    u, v = (rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            for shape in ((N + 1, n), (N, n)))
+    odd = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310])
+    for a in (u, v):
+        a.flat[rng.integers(0, a.size, specials)] = rng.choice(odd, specials)
+    for traj, v_cols in ((SplitTrajectory(grid, u, v, None, None, None), v),
+                         (MilsteinTrajectory(grid, u), None)):
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        assert buf.getvalue() == trajectory_csv_joined(u, v_cols, grid.points,
+                                                       CSV_BLOCK)
 
 
 def test_milstein_csv_has_empty_v_columns():
