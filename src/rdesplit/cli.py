@@ -180,8 +180,7 @@ def check_z(config_path, out, seed):
     for report, name in ((bound, "z_bound.json"),
                          (lipschitz, "z_lipschitz.json"),
                          (cocycle, "z_cocycle.json")):
-        report.box = tuple(box_spec)
-        _write_json(out_dir, name, report.to_json_dict())
+        _write_json(out_dir, name, {**report.to_json_dict(), "box": box_spec})
 
 
 @main.command()

@@ -342,7 +342,10 @@ def _row_form_maxima(u, x, areas, f, grad, z, times, exponent):
     one power of the gaps, with the entries m <= k set to -inf before the
     maximum of each row.  So the screen holds a few arrays of at most
     PAIR_BLOCK (n + 1) entries at any N, and makes no area query and no Z
-    contraction.
+    contraction.  A row whose largest squared ratio overflows, as a ratio
+    above about 1.3e154 does, is scored again as
+    sqrt(Σ J²) / (t_m - t_k)^exponent, so it is finite where its exact
+    ratios are.
 
     This sums in another order than the exact row.  Either form adds at
     most n d^2 + n + d terms per component (the exact contraction has
@@ -363,7 +366,7 @@ def _row_form_maxima(u, x, areas, f, grad, z, times, exponent):
     columns = np.ascontiguousarray(columns)
     weights = np.concatenate([np.broadcast_to(np.eye(n), (N, n, n)), -P,
                               -coeff.reshape(N, n, d * d)], axis=2)
-    squares = np.empty(N)
+    maxima = np.empty(N)
     for rows in _chunks(0, N, N + 1):
         k0, size = rows.start, rows.stop - rows.start
         # [k, :, m - k0] = the weights of row k applied at m >= k0
@@ -379,7 +382,13 @@ def _row_form_maxima(u, x, areas, f, grad, z, times, exponent):
         ratios = c_einsum("kij,kij->kj", residual, residual)
         ratios /= np.power(gaps, 2 * exponent, out=gaps)
         ratios[:, :size][upto_k] = -np.inf
-        squares[rows] = ratios.max(axis=1)
+        maxima[rows] = np.sqrt(ratios.max(axis=1))
+        # a squared ratio above about 1.3e154 overflows where the ratio
+        # need not: such a row is scored again as norms over powers
+        for j in np.flatnonzero(maxima[rows] == np.inf):
+            k = k0 + j
+            maxima[k] = np.max(_row_norms(residual[j, :, j + 1:].T)
+                               / np.power(times[k + 1:] - times[k], exponent))
 
     def total(a):
         return np.abs(a).reshape(N, -1).sum(axis=1)
@@ -389,7 +398,7 @@ def _row_form_maxima(u, x, areas, f, grad, z, times, exponent):
     size = 2.0 * (n * mag_u + mag_x * (total(f) + total(P))
                   + (mag_a + mag_x * mag_x) * terms)
     ulps = 16 * (n * d * d + n + d + 10) * np.finfo(float).eps
-    return (np.sqrt(squares),
+    return (maxima,
             ulps * size / _powers(times[1:] - times[:-1], exponent))
 
 

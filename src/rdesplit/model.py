@@ -11,11 +11,13 @@ they report empirical constants with a worst-case witness, since the
 underlying conditions quantify over continua.
 
 The checkers and ``convention_defect_max`` evaluate Z on blocks of at most
-``PAIR_BLOCK`` intervals at once (``on_grid(ss, tt).every(x)``): the areas
-of a block come from one batch query and do not depend on x.  Their
-ratios are bitwise those of a loop calling ``z(x, s, t)`` once per pair,
-and so are their witnesses: the first strict maximum in (state, s, t)
-order.
+``PAIR_BLOCK`` intervals at once (``on_grid(ss, tt).every(x)``), the grid
+pairs coming from one walk, ``_grid_pairs``: the areas of a block come
+from one batch query and do not depend on x.  Their ratios are bitwise
+those of a loop calling ``z(x, s, t)`` once per pair, and so are their
+witnesses: the first strict maximum in (state, s, t) order.  A
+``CheckReport`` holds just what it writes, its witness already in JSON
+form.
 
 Every field and map has one form, on a leading state axis, and its single
 calls are one-row views of it: a field is evaluated on a (K, n) stack of
@@ -47,7 +49,7 @@ row, so the kernel gives bitwise the same numbers for less.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 # numpy's compiled einsum kernel (see above), exported under a private
@@ -571,49 +573,22 @@ def rough_probe_z(n: int, alpha: float, scale: float = 1.0) -> SecondOrderMap:
 
 @dataclass
 class CheckReport:
-    """Empirical maximum of a sampled condition ratio with its witness."""
+    """Empirical maximum of a sampled condition ratio with its witness.
+
+    A report holds exactly what ``to_json_dict`` writes.  ``witness`` is
+    the sample attaining ``max_ratio`` first, in JSON form: the state
+    ``x``, the times ``s``, ``u`` and ``t`` (``u`` null for the two pair
+    checks) and, for the Lipschitz check, the second state ``y``; all null
+    when no ratio exceeds 0.
+    """
 
     condition: str
     max_ratio: float
     samples: int
-    witness_x: np.ndarray | None = None
-    witness_y: np.ndarray | None = None
-    witness_s: float | None = None
-    witness_u: float | None = None
-    witness_t: float | None = None
-    box: tuple | None = None
-    exponents: dict = dataclass_field(default_factory=dict)
+    witness: dict
 
     def to_json_dict(self) -> dict:
-        witness = {
-            "x": None if self.witness_x is None else [float(v) for v in self.witness_x],
-            "s": self.witness_s,
-            "u": self.witness_u,
-            "t": self.witness_t,
-        }
-        if self.witness_y is not None:
-            witness["y"] = [float(v) for v in self.witness_y]
-        out = {
-            "condition": self.condition,
-            "max_ratio": self.max_ratio,
-            "samples": self.samples,
-            "witness": witness,
-        }
-        if self.box is not None:
-            out["box"] = list(self.box)
-        return out
-
-
-def _pair_blocks(m: int):
-    """Index pairs (i, j) with 0 <= i < j < m in row order, as arrays of at
-    most PAIR_BLOCK pairs each."""
-    rows = np.arange(m - 1)
-    starts = rows * (m - 1) - rows * (rows - 1) // 2  # flat index of (i, i+1)
-    total = m * (m - 1) // 2
-    for lo in range(0, total, PAIR_BLOCK):
-        flat = np.arange(lo, min(lo + PAIR_BLOCK, total))
-        ii = np.searchsorted(starts, flat, side="right") - 1
-        yield ii, flat - starts[ii] + ii + 1
+        return asdict(self)
 
 
 def _chunks(start: int, stop: int, width: int = 1):
@@ -622,6 +597,20 @@ def _chunks(start: int, stop: int, width: int = 1):
     stands for ``width`` of them."""
     step = max(1, PAIR_BLOCK // width)
     return (slice(lo, min(lo + step, stop)) for lo in range(start, stop, step))
+
+
+def _grid_pairs(z: SecondOrderMap, pts: np.ndarray):
+    """The pairs pts[i] < pts[j] (i < j) in row order, in blocks of at most
+    PAIR_BLOCK: each block as its index arrays (ii, jj) and the grid form
+    ``z.on_grid(pts[ii], pts[jj])``."""
+    m = len(pts)
+    rows = np.arange(m - 1)
+    starts = rows * (m - 1) - rows * (rows - 1) // 2  # flat index of (i, i+1)
+    for block in _chunks(0, m * (m - 1) // 2):
+        flat = np.arange(block.start, block.stop)
+        ii = np.searchsorted(starts, flat, side="right") - 1
+        jj = flat - starts[ii] + ii + 1
+        yield ii, jj, z.on_grid(pts[ii], pts[jj])
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -646,18 +635,16 @@ def _first_max(ratios: np.ndarray):
     return float(ratios[j]), j
 
 
-def _worst(report: CheckReport, per_state) -> None:
-    """Record the first strict maximum over states in order.
+def _worst(per_state) -> tuple:
+    """The first strict maximum over states in order, as (ratio, witness).
 
-    ``per_state`` holds each state's own first strict maximum as
-    (ratio, witness fields), so this is the first strict maximum of the
-    whole (state, interval) sequence.
+    ``per_state`` holds each state's own first strict maximum, (0.0, None)
+    where no ratio exceeds 0, so this is the first strict maximum of the
+    whole (state, interval) sequence: ``max`` keeps the first of equal
+    ratios.
     """
-    for ratio, witness in per_state:
-        if ratio > report.max_ratio:
-            report.max_ratio = ratio
-            for key, value in witness.items():
-                setattr(report, key, value)
+    ratio, witness = max(per_state, key=lambda best: best[0])
+    return ratio, witness or {"x": None, "s": None, "u": None, "t": None}
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -677,21 +664,19 @@ def check_z_bound(z: SecondOrderMap, xs, grid: Grid, alpha: float,
     if not xs:
         raise ValueError("empty sample set")
     expo = 2.0 * alpha if exponent is None else float(exponent)
-    report = CheckReport("z_bound", 0.0, 0, exponents={"time": expo})
     pts = grid.points
-    best = [(0.0, {})] * len(xs)
-    for ii, jj in _pair_blocks(len(pts)):
+    best = [(0.0, None)] * len(xs)
+    for ii, jj, grid_z in _grid_pairs(z, pts):
         ss, tt = pts[ii], pts[jj]
-        grid_z = z.on_grid(ss, tt)
         scale = _powers(tt - ss, expo)
         for q, x in enumerate(xs):
             ratio, j = _first_max(_row_norms(grid_z.every(x)) / scale)
             if ratio > best[q][0]:
-                best[q] = (ratio, {"witness_x": x, "witness_s": float(ss[j]),
-                                   "witness_t": float(tt[j])})
-    _worst(report, best)
-    report.samples = len(xs) * grid.N * (grid.N + 1) // 2
-    return report
+                best[q] = (ratio, {"x": x.tolist(), "s": float(ss[j]),
+                                   "u": None, "t": float(tt[j])})
+    max_ratio, witness = _worst(best)
+    return CheckReport("z_bound", max_ratio,
+                       len(xs) * grid.N * (grid.N + 1) // 2, witness)
 
 
 def check_z_lipschitz(z: SecondOrderMap, x_pairs, grid: Grid, alpha: float,
@@ -703,8 +688,6 @@ def check_z_lipschitz(z: SecondOrderMap, x_pairs, grid: Grid, alpha: float,
     """
     expo_t = 2.0 * alpha
     expo_x = gamma - 2.0
-    report = CheckReport("z_lipschitz", 0.0, 0,
-                         exponents={"time": expo_t, "space": expo_x})
     states = []
     for x, y in x_pairs:
         x = np.asarray(x, dtype=float)
@@ -715,21 +698,20 @@ def check_z_lipschitz(z: SecondOrderMap, x_pairs, grid: Grid, alpha: float,
     if not states:
         raise ValueError("all sample pairs degenerate (x == y)")
     pts = grid.points
-    best = [(0.0, {})] * len(states)
-    for ii, jj in _pair_blocks(len(pts)):
+    best = [(0.0, None)] * len(states)
+    for ii, jj, grid_z in _grid_pairs(z, pts):
         ss, tt = pts[ii], pts[jj]
-        grid_z = z.on_grid(ss, tt)
         scale = _powers(tt - ss, expo_t)
         for q, (x, y, dist_scale) in enumerate(states):
             num = _row_norms(grid_z.every(x) - grid_z.every(y))
             ratio, j = _first_max(num / (dist_scale * scale))
             if ratio > best[q][0]:
-                best[q] = (ratio, {"witness_x": x, "witness_y": y,
-                                   "witness_s": float(ss[j]),
-                                   "witness_t": float(tt[j])})
-    _worst(report, best)
-    report.samples = len(states) * grid.N * (grid.N + 1) // 2
-    return report
+                best[q] = (ratio, {"x": x.tolist(), "y": y.tolist(),
+                                   "s": float(ss[j]), "u": None,
+                                   "t": float(tt[j])})
+    max_ratio, witness = _worst(best)
+    return CheckReport("z_lipschitz", max_ratio,
+                       len(states) * grid.N * (grid.N + 1) // 2, witness)
 
 
 def check_z_cocycle(z: SecondOrderMap, field: VectorField, driver: RoughDriver,
@@ -746,17 +728,15 @@ def check_z_cocycle(z: SecondOrderMap, field: VectorField, driver: RoughDriver,
     if not xs:
         raise ValueError("empty sample set")
     expo = 3.0 * alpha
-    report = CheckReport("z_cocycle", 0.0, 0, exponents={"time": expo})
     triples = np.asarray(triples, dtype=float).reshape(-1, 3)
     _ordered_triples(*triples.T)
     triples = triples[triples[:, 2] != triples[:, 0]]
     f_xs, grad_xs = field.value_and_gradient_many(xs)
     states = list(zip(xs, f_xs, grad_xs))
-    best = [(0.0, {})] * len(xs)
+    best = [(0.0, None)] * len(xs)
     # three intervals per triple go into one batched Z
-    step = PAIR_BLOCK // 3
-    for lo in range(0, len(triples), step):
-        ss, uu, tt = triples[lo:lo + step].T
+    for block in _chunks(0, len(triples), 3):
+        ss, uu, tt = triples[block].T
         x_su = driver.increment_many(ss, uu)
         x_ut = driver.increment_many(uu, tt)
         grid_z = z.on_grid(np.concatenate([ss, ss, uu]),
@@ -769,12 +749,11 @@ def check_z_cocycle(z: SecondOrderMap, field: VectorField, driver: RoughDriver,
             corr = c_einsum("ibm,km,kb->ki", grad_x, z_su, x_ut)
             ratio, j = _first_max(_row_norms(d_z - quad - corr) / scale)
             if ratio > best[q][0]:
-                best[q] = (ratio, {"witness_x": x, "witness_s": float(ss[j]),
-                                   "witness_u": float(uu[j]),
-                                   "witness_t": float(tt[j])})
-    _worst(report, best)
-    report.samples = len(xs) * len(triples)
-    return report
+                best[q] = (ratio, {"x": x.tolist(), "s": float(ss[j]),
+                                   "u": float(uu[j]), "t": float(tt[j])})
+    max_ratio, witness = _worst(best)
+    return CheckReport("z_cocycle", max_ratio, len(xs) * len(triples),
+                       witness)
 
 
 def convention_defect_max(z: SecondOrderMap, field: VectorField,
@@ -797,8 +776,8 @@ def convention_defect_max(z: SecondOrderMap, field: VectorField,
     base = driver.increment_many(np.full(m, pts[0]), pts)
     incr = base[None, :, :] - base[:, None, :]  # (m, m, d)
     zmat = np.zeros((m, m, z.n))
-    for ii, jj in _pair_blocks(m):
-        zmat[ii, jj] = z.on_grid(pts[ii], pts[jj]).every(x)
+    for ii, jj, grid_z in _grid_pairs(z, pts):
+        zmat[ii, jj] = grid_z.every(x)
     (f_x,), (grad_x,) = field.value_and_gradient_many(x[None])
     best, witness = -np.inf, (0, 0, 0)
     for i in range(m):

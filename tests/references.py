@@ -160,7 +160,9 @@ def hoelder_band_loop(path, beta, band=2**13):
 def davie_row_form_loop(u, x, areas, f, grad, z, times, exponent):
     """The row-form maxima of ``_row_form_maxima``, one row at a time: the
     weights [I | -P_k | -K(u_k)] of row k applied to the columns [u; x; A]
-    at every m > k less the same weights applied at k, as two matmuls."""
+    at every m > k less the same weights applied at k, as two matmuls.  A
+    row whose largest squared ratio overflows is scored again as norms over
+    powers, as there."""
     N, n, d = f.shape
     coeff = z.coefficient_many(f, grad)
     P = f - c_einsum("kiab,ka->kib", coeff, x[:N])
@@ -168,14 +170,17 @@ def davie_row_form_loop(u, x, areas, f, grad, z, times, exponent):
     columns = np.ascontiguousarray(columns)
     weights = np.concatenate([np.broadcast_to(np.eye(n), (N, n, n)), -P,
                               -coeff.reshape(N, n, d * d)], axis=2)
-    squares = np.empty(N)
+    maxima = np.empty(N)
     for k in range(N):
         w = weights[k]
         residual = w @ columns[:, k + 1:]
         residual -= w @ columns[:, k:k + 1]
-        squares[k] = np.max(c_einsum("ij,ij->j", residual, residual)
-                            / np.power(times[k + 1:] - times[k], 2 * exponent))
-    return np.sqrt(squares)
+        norms = c_einsum("ij,ij->j", residual, residual)
+        gaps = times[k + 1:] - times[k]
+        maxima[k] = np.sqrt(np.max(norms / np.power(gaps, 2 * exponent)))
+        if maxima[k] == np.inf:
+            maxima[k] = np.max(np.sqrt(norms) / np.power(gaps, exponent))
+    return maxima
 
 
 def trajectory_csv_joined(u, v, points, block):

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rdesplit.convergence_lab as lab
 from rdesplit import Grid, solve_split
@@ -76,17 +77,14 @@ def test_traced_problem_gives_the_untraced_joined_path():
     assert tracer.calls("model.z") > 0 and tracer.calls("model.field") > 0
 
 
-def test_traced_rates_write_the_untraced_files(tmp_path):
-    # traced problems carry a field per seed and an opaque Z, so their
-    # march takes the per-row fallback; untraced seeds share one stacked
-    # field
+def run_plain_and_traced(tmp_path, workload, command):
+    """``command``'s output files, run plain and under the bench's tracer,
+    and the tracer."""
     from rdesplit.cli import main
     spans = _bench_module("spans")
     config = _bench_module("workloads")
-    command = config.Command("rates_sup_s", ("rates", "--kind", "sup"), {},
-                             {"base_n": 8, "levels": 3, "seeds": 3})
-    cfg = tmp_path / "rates.ini"
-    cfg.write_text(config.config_text("trajectory", command, 17))
+    cfg = tmp_path / "command.ini"
+    cfg.write_text(config.config_text(workload, command, 17))
     outputs = []
     for traced in (False, True):
         out = tmp_path / ("traced" if traced else "untraced")
@@ -98,8 +96,38 @@ def test_traced_rates_write_the_untraced_files(tmp_path):
             assert tracer.calls("model.z") > 0
         else:
             main(argv, standalone_mode=False)
-        outputs.append({p.name: p.read_bytes() for p in out.iterdir()
-                        if p.name.startswith("rates_")})
-    assert sorted(outputs[0]) == ["rates_seed17.csv", "rates_seed18.csv",
-                                  "rates_seed19.csv", "rates_summary.json"]
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    return outputs, tracer
+
+
+def test_traced_rates_write_the_untraced_files(tmp_path):
+    # traced problems carry a field per seed and an opaque Z, so their
+    # march takes the per-row fallback; untraced seeds share one stacked
+    # field
+    config = _bench_module("workloads")
+    command = config.Command("rates_sup_s", ("rates", "--kind", "sup"), {},
+                             {"base_n": 8, "levels": 3, "seeds": 3})
+    outputs, _ = run_plain_and_traced(tmp_path, "trajectory", command)
+    assert sorted(outputs[0]) == ["config.ini", "rates_seed17.csv",
+                                  "rates_seed18.csv", "rates_seed19.csv",
+                                  "rates_summary.json"]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("metric, files, counter", [
+    ("check_z_s", ["z_bound.json", "z_cocycle.json", "z_lipschitz.json"],
+     ("model.checker.samples", "samples")),
+    ("davie_s", ["davie.json"], ("convergence_lab.davie.pairs", "pairs")),
+])
+def test_traced_checks_write_the_untraced_files(tmp_path, metric, files,
+                                                counter):
+    # the tracer reads a field of every checker and Davie report, and its
+    # problems take the per-row fallbacks: the files must not change
+    config = _bench_module("workloads")
+    command = next(c for c in config.SMOKE_COMMANDS if c.metric == metric)
+    outputs, tracer = run_plain_and_traced(tmp_path, "diagnostics", command)
+    assert sorted(outputs[0]) == ["config.ini"] + files
+    assert outputs[0] == outputs[1]
+    name, key = counter
+    assert tracer.counts[name] == sum(
+        json.loads(outputs[0][f])[key] for f in files)

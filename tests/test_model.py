@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import gc
 import json
 import re
@@ -14,10 +15,11 @@ from hypothesis.extra.numpy import arrays
 
 from rdesplit import (Grid, RoughDriver, SampledPath, VectorField, canonical_z,
                       check_z_bound, check_z_cocycle, check_z_lipschitz,
-                      constant_field, convention_defect_max,
+                      constant_field, convention_defect_max, davie_defect,
                       lift_piecewise_linear, linear_field, rough_probe_z,
-                      scalar_driver, sine_field, synth_midpoint_path,
-                      transposed_z, validate_gradient, zero_z)
+                      scalar_driver, sine_field, solve_split,
+                      synth_midpoint_path, transposed_z, validate_gradient,
+                      zero_z)
 from rdesplit import model, rough_path
 from rdesplit.model import _Z_SUBSCRIPTS, SecondOrderMap, c_einsum, stack_grids
 
@@ -543,7 +545,8 @@ def test_relaxed_exponent_overrides():
     grid = Grid(0.5, 8)  # pair distances < 1, so the exponent matters
     default = check_z_bound(z, xs, grid, 0.5)
     relaxed = check_z_bound(z, xs, grid, 0.5, exponent=(2.5 - 1.0) * 0.5)
-    assert relaxed.exponents["time"] == pytest.approx(0.75)
+    assert relaxed.max_ratio == pytest.approx(
+        reference_bound(z, xs, grid.points, 0.75)[0], rel=1e-12)
     assert relaxed.max_ratio != default.max_ratio
 
 
@@ -554,8 +557,9 @@ def test_check_report_witness_reproduces_maximum():
     rng = np.random.default_rng(8)
     xs = sample_points(rng, 2, count=5)
     rep = check_z_bound(z, xs, Grid(1.0, 12), 0.5)
-    re_ratio = (np.linalg.norm(z(rep.witness_x, rep.witness_s, rep.witness_t))
-                / (rep.witness_t - rep.witness_s) ** 1.0)
+    w = rep.witness
+    re_ratio = (np.linalg.norm(z(np.array(w["x"]), w["s"], w["t"]))
+                / (w["t"] - w["s"]) ** 1.0)
     assert re_ratio == pytest.approx(rep.max_ratio, rel=1e-12)
 
 
@@ -568,6 +572,24 @@ def test_check_report_json_schema():
     assert set(payload["witness"]) == {"x", "s", "u", "t"}
     assert payload["condition"] == "z_bound"
     assert payload["witness"]["u"] is None
+
+
+def test_reports_hold_what_they_write():
+    # a field that no JSON payload carries is dead weight on the report
+    drv = l_driver()
+    field = sine_field(2, 2, seed=3)
+    z = canonical_z(field, drv)
+    grid = Grid(1.0, 4)
+    xs = [np.zeros(2), np.ones(2)]
+    reports = [
+        check_z_bound(z, xs, grid, 0.5),
+        check_z_lipschitz(z, [(xs[0], xs[1])], grid, 0.5, 3.0),
+        check_z_cocycle(z, field, drv, xs, [(0.0, 0.5, 1.0)], 0.5),
+        davie_defect(solve_split(drv, field, z, np.zeros(2), grid), z),
+    ]
+    for report in reports:
+        assert ({f.name for f in dataclasses.fields(report)}
+                == set(report.to_json_dict()))
 
 
 # ---------------------------------------------------------------- batched checkers
@@ -625,13 +647,15 @@ def reference_cocycle(z, field, driver, xs, triples, expo):
     return best, witness, count
 
 
-def same_witness(got, expected):
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        if isinstance(e, np.ndarray):
-            assert g is not None and np.array_equal(g, e)
-        else:
-            assert g == e
+def same_witness(witness, keys, expected):
+    """The report's JSON witness holds the reference's ``expected`` under
+    ``keys``: ``u`` null for the pair checks, and no ``y`` where the
+    Lipschitz check found no ratio above 0."""
+    want = dict.fromkeys("xsut")
+    want.update((key, e.tolist() if isinstance(e, np.ndarray) else e)
+                for key, e in zip(keys, expected)
+                if not (key == "y" and e is None))
+    assert witness == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -659,23 +683,21 @@ def test_checkers_match_per_pair_reference_loops(seed, N, states, driver_kind,
     rep = check_z_bound(z, xs, grid, alpha)
     best, witness, count = reference_bound(z, xs, pts, 2.0 * alpha)
     assert rep.max_ratio == pytest.approx(best, rel=1e-12, abs=0.0)
-    same_witness((rep.witness_x, rep.witness_s, rep.witness_t), witness)
+    same_witness(rep.witness, "xst", witness)
     assert rep.samples == count
 
     rep = check_z_lipschitz(z, x_pairs, grid, alpha, 3.0)
     best, witness, count = reference_lipschitz(z, x_pairs, pts, 2.0 * alpha,
                                                1.0)
     assert rep.max_ratio == pytest.approx(best, rel=1e-12, abs=0.0)
-    same_witness((rep.witness_x, rep.witness_y, rep.witness_s, rep.witness_t),
-                 witness)
+    same_witness(rep.witness, "xyst", witness)
     assert rep.samples == count
 
     rep = check_z_cocycle(z, field, driver, xs, triples, alpha)
     best, witness, count = reference_cocycle(z, field, driver, xs, triples,
                                              3.0 * alpha)
     assert rep.max_ratio == pytest.approx(best, rel=1e-12, abs=0.0)
-    same_witness((rep.witness_x, rep.witness_s, rep.witness_u, rep.witness_t),
-                 witness)
+    same_witness(rep.witness, "xsut", witness)
     assert rep.samples == count
 
 
@@ -687,8 +709,8 @@ def test_bound_ratio_is_exact_for_a_map_on_its_budget():
     z = SecondOrderMap(2, lambda x, s, t: np.array([abs(t - s) ** (2 * alpha), 0.0]))
     rep = check_z_bound(z, [np.zeros(2), np.ones(2)], Grid(1.0, 64), alpha)
     assert rep.max_ratio == 1.0
-    assert (rep.witness_s, rep.witness_t) == (0.0, 1.0 / 64)
-    assert np.array_equal(rep.witness_x, np.zeros(2))
+    assert rep.witness == {"x": [0.0, 0.0], "s": 0.0, "u": None,
+                           "t": 1.0 / 64}
 
 
 def test_cocycle_validates_every_triple_before_evaluating():
