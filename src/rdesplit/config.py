@@ -275,11 +275,13 @@ def _build_driver(spec: DriverSpec, seed_override=None):
         try:
             with open(spec.path, "r", encoding="utf-8") as fh:
                 path = SampledPath.from_csv(fh)
+            _check_driver_size(f"a driver file of {path.n_samples - 1} "
+                               "segments", path.n_samples - 1, path.d)
+            return lift_piecewise_linear(path, alpha=spec.alpha), path
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"driver file {spec.path}: {exc}") from exc
-        _check_driver_size(f"a driver file of {path.n_samples - 1} segments",
-                           path.n_samples - 1, path.d)
-        return lift_piecewise_linear(path, alpha=spec.alpha), path
     if spec.kind == "smooth":
         key = (spec.kind, spec.d, spec.alpha, spec.resolution)
     else:
@@ -345,6 +347,11 @@ def build_problem(cfg: ProblemConfig, seed_override=None):
     field = _preset_field(spec.preset, spec.gamma, spec.seed, spec.scale,
                           len(y0), driver.dim)
     z = _build_z(cfg.z, field, driver)
+    # generated paths start at 0: only a file can start later
+    if path.times[0] > 0.0:
+        raise ConfigError(
+            f"driver file {cfg.driver.path}: path span [{path.times[0]}, "
+            f"{path.times[-1]}] starts after t = 0")
     if cfg.problem.t_final > path.times[-1] + 1e-12:
         raise ConfigError(
             f"t_final={cfg.problem.t_final} exceeds the driver span "

@@ -223,9 +223,12 @@ def _ratio_rate(problems, q_num: int, q_den: int, Ns, **meta) -> list:
     per problem on the coarse levels ``Ns``; target gamma*alpha - 1.
     """
     pairs = _level_pairs(problems, Ns, [N * q_num // q_den for N in Ns])
+    # each level's (coarse, fine) rows as one index array, shared by the
+    # problems
+    shared = [np.array(common_indices(N, q_num, q_den)) for N in Ns]
     return [_report(problem, Ns,
-                    [_sup_rows(coarse.u[::q_den] - fine.u[::q_num])
-                     for coarse, fine in level_pairs],
+                    [_sup_rows(coarse.u[ci] - fine.u[fi])
+                     for (coarse, fine), (ci, fi) in zip(level_pairs, shared)],
                     problem.gamma_capped * problem.alpha - 1.0, "sup", **meta)
             for problem, level_pairs in zip(problems, pairs)]
 
@@ -295,12 +298,13 @@ def common_indices(n_coarse: int, q_num: int, q_den: int):
     shared times are every q_den-th coarse point and every q_num-th fine
     point.
     """
+    if q_num < 1 or q_den < 1:
+        raise ValueError("ratio parts must be positive integers")
     if n_coarse % q_den != 0:
         raise ValueError(f"coarse step count {n_coarse} not divisible by {q_den}")
     count = n_coarse // q_den
-    coarse = [j * q_den for j in range(count + 1)]
-    fine = [j * q_num for j in range(count + 1)]
-    return coarse, fine
+    return (list(range(0, n_coarse + 1, q_den)),
+            list(range(0, count * q_num + 1, q_num)))
 
 
 def rational_rate(problems, q_num: int, q_den: int, base_N: int,

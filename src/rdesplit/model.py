@@ -12,7 +12,8 @@ underlying conditions quantify over continua.
 
 The checkers and ``convention_defect_max`` evaluate Z on blocks of at most
 ``PAIR_BLOCK`` intervals at once (``on_grid(ss, tt).every(x)``), the grid
-pairs coming from one walk, ``_grid_pairs``: the areas of a block come
+pairs coming from one walk, ``_grid_pairs``, which the bound and
+Lipschitz checks share as one pair check: the areas of a block come
 from one batch query and do not depend on x.  Their ratios are bitwise
 those of a loop calling ``z(x, s, t)`` once per pair, and so are their
 witnesses: the first strict maximum in (state, s, t) order.  A
@@ -578,8 +579,9 @@ class CheckReport:
     A report holds exactly what ``to_json_dict`` writes.  ``witness`` is
     the sample attaining ``max_ratio`` first, in JSON form: the state
     ``x``, the times ``s``, ``u`` and ``t`` (``u`` null for the two pair
-    checks) and, for the Lipschitz check, the second state ``y``; all null
-    when no ratio exceeds 0.
+    checks) and, for the Lipschitz check, the second state ``y``.  Its
+    keys are the condition's whatever the data: every one is null when no
+    ratio exceeds 0.
     """
 
     condition: str
@@ -635,22 +637,50 @@ def _first_max(ratios: np.ndarray):
     return float(ratios[j]), j
 
 
-def _worst(per_state) -> tuple:
+def _worst(per_state, keys) -> tuple:
     """The first strict maximum over states in order, as (ratio, witness).
 
     ``per_state`` holds each state's own first strict maximum, (0.0, None)
     where no ratio exceeds 0, so this is the first strict maximum of the
     whole (state, interval) sequence: ``max`` keeps the first of equal
-    ratios.
+    ratios.  With no ratio above 0 the witness holds every one of the
+    condition's ``keys`` as None.
     """
     ratio, witness = max(per_state, key=lambda best: best[0])
-    return ratio, witness or {"x": None, "s": None, "u": None, "t": None}
+    return ratio, witness or dict.fromkeys(keys)
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """mats[k] @ vecs[k] for every k (mats may be one shared matrix),
     bitwise the single matrix-vector products."""
     return np.matmul(mats, vecs[..., None])[..., 0]
+
+
+def _pair_check(condition: str, z: SecondOrderMap, samples, grid: Grid,
+                expo: float) -> CheckReport:
+    """Empirical constant of |Z(x) - Σ Z(y)|_{s,t} <= c C |t-s|^expo over
+    the grid pairs, one ratio per (sample, pair).
+
+    Each sample is (x, ys, c, entries): the state x, the states ys whose Z
+    it subtracts, its own scale c and its witness entries in JSON form,
+    which precede ``s``, ``u`` (null) and ``t`` in its witness.
+    """
+    pts = grid.points
+    best = [(0.0, None)] * len(samples)
+    for ii, jj, grid_z in _grid_pairs(z, pts):
+        ss, tt = pts[ii], pts[jj]
+        scale = _powers(tt - ss, expo)
+        for q, (x, ys, c, entries) in enumerate(samples):
+            rows = grid_z.every(x)
+            for y in ys:
+                rows = rows - grid_z.every(y)
+            ratio, j = _first_max(_row_norms(rows) / (c * scale))
+            if ratio > best[q][0]:
+                best[q] = (ratio, {**entries, "s": float(ss[j]), "u": None,
+                                   "t": float(tt[j])})
+    max_ratio, witness = _worst(best, [*samples[0][3], "s", "u", "t"])
+    return CheckReport(condition, max_ratio,
+                       len(samples) * grid.N * (grid.N + 1) // 2, witness)
 
 
 def check_z_bound(z: SecondOrderMap, xs, grid: Grid, alpha: float,
@@ -664,19 +694,8 @@ def check_z_bound(z: SecondOrderMap, xs, grid: Grid, alpha: float,
     if not xs:
         raise ValueError("empty sample set")
     expo = 2.0 * alpha if exponent is None else float(exponent)
-    pts = grid.points
-    best = [(0.0, None)] * len(xs)
-    for ii, jj, grid_z in _grid_pairs(z, pts):
-        ss, tt = pts[ii], pts[jj]
-        scale = _powers(tt - ss, expo)
-        for q, x in enumerate(xs):
-            ratio, j = _first_max(_row_norms(grid_z.every(x)) / scale)
-            if ratio > best[q][0]:
-                best[q] = (ratio, {"x": x.tolist(), "s": float(ss[j]),
-                                   "u": None, "t": float(tt[j])})
-    max_ratio, witness = _worst(best)
-    return CheckReport("z_bound", max_ratio,
-                       len(xs) * grid.N * (grid.N + 1) // 2, witness)
+    return _pair_check("z_bound", z, [(x, (), 1.0, {"x": x.tolist()})
+                                      for x in xs], grid, expo)
 
 
 def check_z_lipschitz(z: SecondOrderMap, x_pairs, grid: Grid, alpha: float,
@@ -686,32 +705,18 @@ def check_z_lipschitz(z: SecondOrderMap, x_pairs, grid: Grid, alpha: float,
     Pairs with x == y are skipped; if every pair is degenerate the check is
     ill-posed.
     """
-    expo_t = 2.0 * alpha
     expo_x = gamma - 2.0
-    states = []
+    samples = []
     for x, y in x_pairs:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         dist = float(np.linalg.norm(x - y))
         if dist != 0.0:
-            states.append((x, y, dist**expo_x))
-    if not states:
+            samples.append((x, (y,), dist**expo_x,
+                            {"x": x.tolist(), "y": y.tolist()}))
+    if not samples:
         raise ValueError("all sample pairs degenerate (x == y)")
-    pts = grid.points
-    best = [(0.0, None)] * len(states)
-    for ii, jj, grid_z in _grid_pairs(z, pts):
-        ss, tt = pts[ii], pts[jj]
-        scale = _powers(tt - ss, expo_t)
-        for q, (x, y, dist_scale) in enumerate(states):
-            num = _row_norms(grid_z.every(x) - grid_z.every(y))
-            ratio, j = _first_max(num / (dist_scale * scale))
-            if ratio > best[q][0]:
-                best[q] = (ratio, {"x": x.tolist(), "y": y.tolist(),
-                                   "s": float(ss[j]), "u": None,
-                                   "t": float(tt[j])})
-    max_ratio, witness = _worst(best)
-    return CheckReport("z_lipschitz", max_ratio,
-                       len(states) * grid.N * (grid.N + 1) // 2, witness)
+    return _pair_check("z_lipschitz", z, samples, grid, 2.0 * alpha)
 
 
 def check_z_cocycle(z: SecondOrderMap, field: VectorField, driver: RoughDriver,
@@ -751,7 +756,7 @@ def check_z_cocycle(z: SecondOrderMap, field: VectorField, driver: RoughDriver,
             if ratio > best[q][0]:
                 best[q] = (ratio, {"x": x.tolist(), "s": float(ss[j]),
                                    "u": float(uu[j]), "t": float(tt[j])})
-    max_ratio, witness = _worst(best)
+    max_ratio, witness = _worst(best, ["x", "s", "u", "t"])
     return CheckReport("z_cocycle", max_ratio, len(xs) * len(triples),
                        witness)
 

@@ -81,6 +81,8 @@ class SampledPath:
             values = values[:, None]
         if times.ndim != 1 or values.ndim != 2:
             raise ValueError("times must be 1-d and values 2-d")
+        if values.shape[1] < 1:
+            raise ValueError("values must have at least one component")
         if len(times) != len(values):
             raise ValueError(
                 f"length mismatch: {len(times)} times vs {len(values)} values"

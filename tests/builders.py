@@ -2,10 +2,10 @@
 
 import numpy as np
 
-from rdesplit import (RoughDriver, SecondOrderMap, VectorField, canonical_z,
-                      constant_field, lift_piecewise_linear, linear_field,
-                      rough_probe_z, scalar_driver, sine_field, smooth_path,
-                      synth_midpoint_path, transposed_z, zero_z)
+from rdesplit import (RoughDriver, SampledPath, SecondOrderMap, VectorField,
+                      canonical_z, constant_field, lift_piecewise_linear,
+                      linear_field, rough_probe_z, scalar_driver, sine_field,
+                      smooth_path, synth_midpoint_path, transposed_z, zero_z)
 
 from references import constant_forms, linear_forms, sine_forms
 
@@ -29,6 +29,35 @@ def with_area(driver, area_fn):
     queries fall back to one scalar query per interval."""
     return RoughDriver(driver.dim, driver.alpha, driver.increment, area_fn,
                        driver.value, span=driver.span)
+
+
+def coordinate_changed(field, M):
+    """f'(y) = f(y) M⁻¹ as a field of stacked hooks.
+
+    Driven by X' = M X it is the same equation: f' X' = f X, and on the
+    lift's areas M 𝕏 Mᵀ the canonical and transposed maps of f' are those
+    of f, term by term.
+    """
+    inverse = np.linalg.inv(M)
+
+    def value_and_grad_many_fn(xs):
+        f, grad = field.value_and_gradient_many(xs)
+        return f @ inverse, np.einsum("kibm,ba->kiam", grad, inverse)
+
+    return VectorField(field.n, field.d, gamma=field.gamma,
+                       name=f"{field.name}-changed",
+                       value_and_grad_many_fn=value_and_grad_many_fn)
+
+
+def midpoints_inserted(path):
+    """``path`` with every segment's midpoint inserted: the same
+    piecewise-linear path on twice the segments."""
+    times = np.empty(2 * path.n_samples - 1)
+    values = np.empty((len(times), path.d))
+    times[::2], values[::2] = path.times, path.values
+    times[1::2] = 0.5 * (path.times[:-1] + path.times[1:])
+    values[1::2] = 0.5 * (path.values[:-1] + path.values[1:])
+    return SampledPath(times, values)
 
 
 def _field_parameters(kind, seed, d, n):

@@ -291,6 +291,38 @@ def test_ragged_driver_file_exits_2_naming_the_file_and_the_line(tmp_path):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("text, fault", [
+    pytest.param("t\n0\n1\n", "values must have at least one component",
+                 id="no-component"),
+    pytest.param("t,x1,x2\n0,0,0\n", "need at least 2 samples to interpolate",
+                 id="one-row"),
+])
+def test_unliftable_driver_file_exits_2_naming_the_file(tmp_path, text,
+                                                         fault):
+    (tmp_path / "path.csv").write_text(text)
+    config_text = SMOOTH.replace("kind = smooth", "kind = file\npath = path.csv")
+    result, out = run_cli(tmp_path, config_text, ["solve"])
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"invalid run: driver file {tmp_path / 'path.csv'}"
+                             f": {fault}\n")
+    assert [p.name for p in out.iterdir()] == ["config.ini"]
+
+
+@pytest.mark.parametrize("args", [
+    ["solve"], ["solve", "--oracle"], ["davie"], ["check-z"],
+    ["rates", "--kind", "sup"], ["rates", "--kind", "rational"],
+    ["compare-schemes"]], ids=" ".join)
+def test_driver_file_after_t0_exits_2_naming_the_file_and_span(tmp_path, args):
+    # the run starts at t = 0: every command would fail at its first query
+    (tmp_path / "path.csv").write_text("t,x1,x2\n0.5,0,0\n1.5,1,1\n")
+    text = SMOOTH.replace("kind = smooth", "kind = file\npath = path.csv")
+    result, out = run_cli(tmp_path, text, args)
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"invalid run: driver file {tmp_path / 'path.csv'}"
+                             ": path span [0.5, 1.5] starts after t = 0\n")
+    assert [p.name for p in out.iterdir()] == ["config.ini"]
+
+
 @pytest.mark.parametrize("key,message", [
     # rng.uniform cannot sample [y0 - box, y0 + box]
     pytest.param("experiment.box", "high - low range exceeds valid bounds",
@@ -486,6 +518,22 @@ def test_check_z_zero_map_reports_zero_ratios(tmp_path):
     assert result.exit_code == 0, result.output
     for name in ("z_bound.json", "z_lipschitz.json", "z_cocycle.json"):
         assert json.loads((out / name).read_text())["max_ratio"] == 0.0
+
+
+def test_check_z_witness_keys_do_not_depend_on_the_data(tmp_path):
+    # the zero map finds no bound or Lipschitz ratio above 0: those
+    # witnesses keep every key of their condition, each null
+    keys = {"z_bound.json": "xsut", "z_lipschitz.json": "xysut",
+            "z_cocycle.json": "xsut"}
+    for kind in ("canonical", "zero"):
+        text = SMOOTH + f"\n[z]\nkind = {kind}\n"
+        result, out = run_cli(tmp_path, text, ["check-z"], name=f"{kind}.ini")
+        assert result.exit_code == 0, result.output
+        for name, want in keys.items():
+            witness = strict_json(out / name)["witness"]
+            assert list(witness) == sorted(want), (kind, name)
+    for name in ("z_bound.json", "z_lipschitz.json"):
+        assert strict_json(out / name)["witness"] == dict.fromkeys(keys[name])
 
 
 def test_davie_report(tmp_path):

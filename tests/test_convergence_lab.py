@@ -306,6 +306,8 @@ def test_rate_size_and_ratio_checks_name_the_fault():
         (rational_rate, (ps, -3, -2, 16, 3), ratio_parts),
         (fit_rate, ([1, 2], [0.1, -0.1]), "differences must be nonnegative"),
         (common_indices, (7, 3, 2), "coarse step count 7 not divisible by 2"),
+        (common_indices, (6, 3, 0), ratio_parts),
+        (common_indices, (6, -3, 2), ratio_parts),
     ]
     for fn, args, message in cases:
         with pytest.raises(ValueError) as err:

@@ -702,6 +702,9 @@ def test_sampled_path_validation():
         SampledPath([0.0, 1.0], [[1.0]])
     with pytest.raises(ValueError):
         SampledPath([0.0, 1.0], [[np.nan], [1.0]])
+    with pytest.raises(ValueError,
+                       match="^values must have at least one component$"):
+        SampledPath([0.0, 1.0], np.zeros((2, 0)))
 
 
 def test_path_builders_and_drivers_reject_bad_dimensions():
