@@ -347,15 +347,15 @@ def build_problem(cfg: ProblemConfig, seed_override=None):
     field = _preset_field(spec.preset, spec.gamma, spec.seed, spec.scale,
                           len(y0), driver.dim)
     z = _build_z(cfg.z, field, driver)
+    span = f"[{path.times[0]}, {path.times[-1]}]"
+    where = (f"driver file {cfg.driver.path}: " if cfg.driver.kind == "file"
+             else "")
     # generated paths start at 0: only a file can start later
     if path.times[0] > 0.0:
-        raise ConfigError(
-            f"driver file {cfg.driver.path}: path span [{path.times[0]}, "
-            f"{path.times[-1]}] starts after t = 0")
+        raise ConfigError(f"{where}path span {span} starts after t = 0")
     if cfg.problem.t_final > path.times[-1] + 1e-12:
-        raise ConfigError(
-            f"t_final={cfg.problem.t_final} exceeds the driver span "
-            f"[{path.times[0]}, {path.times[-1]}]")
+        raise ConfigError(f"{where}t_final={cfg.problem.t_final} exceeds the "
+                          f"driver span {span}")
     problem = Problem(driver=driver, field=field, z=z, y0=y0,
                       T=cfg.problem.t_final, path=path)
     grid = Grid(cfg.problem.t_final, cfg.problem.n_steps)

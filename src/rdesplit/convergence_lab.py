@@ -173,24 +173,21 @@ def rates_summary(reports, seeds) -> dict:
     """The summary of one rate experiment run on several seeds.
 
     ``slopes`` holds each seed's slope, None where its differences vanish
-    identically.  Exact agreement is reported (``slope`` None,
-    ``exact_agreement`` true) only when every seed agrees exactly;
-    otherwise ``slope`` is the median of the finite slopes.  Target and
-    norm kind are the last report's, as every seed shares them.
+    identically.  ``exact_agreement`` is true, with ``slope`` None, only
+    when every seed agrees exactly; otherwise it is false and ``slope`` is
+    the median of the finite slopes.  Target and norm kind are the last
+    report's, as every seed shares them.
     """
     slopes = [None if r.slope == EXACT_AGREEMENT else r.slope for r in reports]
     finite = [s for s in slopes if s is not None]
-    summary = {
+    return {
         "target": reports[-1].target,
         "norm_kind": reports[-1].norm_kind,
         "seeds": list(seeds),
         "slopes": slopes,
+        "slope": float(statistics.median(finite)) if finite else None,
+        "exact_agreement": not finite,
     }
-    if finite:
-        summary["slope"] = float(statistics.median(finite))
-    else:
-        summary.update(slope=None, exact_agreement=True)
-    return summary
 
 
 def _report(problem, Ns, diffs, target, norm_kind, **meta) -> RateReport:

@@ -508,23 +508,14 @@ def _windows(field: VectorField, y0, slopes, dt: float, N: int,
     return edges, starts, guesses, G
 
 
-def _layout(slopes, edges, substeps: int):
-    """(W, rows, lengths) of the windows between the grid-interval
-    ``edges``: substep s of interval i of window k takes the slope
-    ``W[i, s, k]``, shape (d, 1), and ends that interval at grid row
-    ``rows[i, k]``; the intervals past a shorter window's end are padding."""
-    lengths = np.diff(edges)
-    at = np.minimum(edges[:-1] + np.arange(lengths[0])[:, None],
-                    edges[-1] - 1)
-    W = slopes[substeps * at[:, None] + np.arange(substeps)[:, None]]
-    return W[..., None], at + 1, lengths
-
-
-def _rk4_sweep(f, dt: float, W, rows, lengths, y, out, check) -> None:
-    """RK4 on an (m, n) stack of window starts ``y``, window p for
-    ``lengths[p]`` grid intervals (non-increasing), substep s of its
-    interval i taking the slope ``W[i, s, p]`` (shape (d, 1)) and interval
-    i ending at grid row ``rows[i, p]`` of ``out``.
+def _rk4_sweep(f, dt: float, slopes, substeps: int, edges, y, out,
+               check) -> None:
+    """RK4 on an (m, n) stack of window starts ``y``: window p runs the
+    grid intervals ``edges[p]`` to ``edges[p + 1] - 1``, the windows
+    longest first.  Substep s of interval j takes the slope
+    ``slopes[substeps * j + s]``, shape (d,), and interval j ends at row
+    j + 1 of ``out``.  Each step of the sweep, one interval of every
+    window still running, gathers their slopes in one index.
 
     ``check(i0, i1)`` runs after every ``FINITE_BLOCK`` intervals on the
     rows window 0 reached in them, and, before the exception goes on, on
@@ -532,7 +523,9 @@ def _rk4_sweep(f, dt: float, W, rows, lengths, y, out, check) -> None:
     """
     matmul, add, multiply = np.matmul, np.add, np.multiply
     half, sixth = 0.5 * dt, dt / 6.0
+    lengths = np.diff(edges)
     live = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0).tolist()
+    at = np.arange(substeps)[:, None]
     # the stage slopes go into (m, n, 1) buffers, read through (m, n) views
     # made once: a fresh view per stage costs about 5 % of a one-window
     # substep
@@ -546,14 +539,15 @@ def _rk4_sweep(f, dt: float, W, rows, lengths, y, out, check) -> None:
                     y = y[:m]
                     k1s, k2s, k3s, k4s = slots[:, :m]
                     k1, k2, k3, k4 = slots[:, :m, :, 0]
-                for w in W[i, :, :m]:
+                    first = edges[:m]
+                for w in slopes[substeps * (first + i) + at][..., None]:
                     matmul(f(y), w, k1s)
                     matmul(f(add(y, multiply(half, k1))), w, k2s)
                     matmul(f(add(y, multiply(half, k2))), w, k3s)
                     matmul(f(add(y, multiply(dt, k3))), w, k4s)
                     y = add(y, multiply(sixth,
                                         k1 + 2.0 * k2 + 2.0 * k3 + k4))
-                out[rows[i, :m]] = y
+                out[first + i + 1] = y
         except Exception:
             # a field may reject the non-finite state of an earlier row
             check(i0, i)
@@ -617,8 +611,9 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
     its step, the row of the sequential loop.  The frontier window is
     checked every ``FINITE_BLOCK`` grid intervals, so with one window no
     later block is integrated.  A non-finite value past the frontier
-    raises nothing, and a field that raises there makes the rest run as
-    one window from the frontier.
+    raises nothing.  A field that raises in a sweep of several windows,
+    whichever sweep it is, makes the rest of the grid run as one window
+    from the frontier, which raises only what the sequential loop would.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -651,12 +646,11 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
     with np.errstate(over="ignore", invalid="ignore"):
         edges, starts, guesses, G = _windows(field, y0, slopes, dt, grid.N,
                                              substeps)
-        W, rows, lengths = _layout(slopes, edges, substeps)
         lo = 0
         while lo < len(starts):
             try:
-                _rk4_sweep(f, dt, W[:, :, lo:], rows[:, lo:], lengths[lo:],
-                           starts[lo:], out, check_frontier)
+                _rk4_sweep(f, dt, slopes, substeps, edges[lo:], starts[lo:],
+                           out, check_frontier)
                 hi = _correct(out, edges[1:], starts, guesses, G, lo)
             except NumericFailure:
                 raise
@@ -664,9 +658,7 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
                 if len(starts) - lo == 1:
                     raise
                 # a window past the frontier raised: the rest as one window
-                edges = np.append(edges[:lo + 1], grid.N)
-                starts = starts[:lo + 1]
-                W, rows, lengths = _layout(slopes, edges, substeps)
+                edges, starts, lo = edges[[lo, -1]], starts[lo:lo + 1], 0
                 continue
             check_finite(edges[lo + 1] + 1, edges[hi] + 1)
             lo = hi

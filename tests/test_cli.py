@@ -308,6 +308,23 @@ def test_unliftable_driver_file_exits_2_naming_the_file(tmp_path, text,
     assert [p.name for p in out.iterdir()] == ["config.ini"]
 
 
+def test_a_t_final_past_the_driver_span_names_a_driver_file(tmp_path):
+    # a generated driver keeps the message without a file
+    (tmp_path / "path.csv").write_text("t,x1,x2\n0,0,0\n0.5,1,1\n")
+    text = SMOOTH.replace("kind = smooth", "kind = file\npath = path.csv")
+    result, out = run_cli(tmp_path, text, ["solve"])
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"invalid run: driver file {tmp_path / 'path.csv'}"
+                             ": t_final=1.0 exceeds the driver span "
+                             "[0.0, 0.5]\n")
+    assert [p.name for p in out.iterdir()] == ["config.ini"]
+    text = with_value(SMOOTH, "problem", "t_final", "2.0")
+    result, _ = run_cli(tmp_path, text, ["solve"])
+    assert result.exit_code == 2, result.output
+    assert result.output == ("invalid run: t_final=2.0 exceeds the driver "
+                             "span [0.0, 1.0]\n")
+
+
 @pytest.mark.parametrize("args", [
     ["solve"], ["solve", "--oracle"], ["davie"], ["check-z"],
     ["rates", "--kind", "sup"], ["rates", "--kind", "rational"],
@@ -451,7 +468,8 @@ def test_rates_sup_smooth(tmp_path):
     result, out = run_cli(tmp_path, SMOOTH, ["rates", "--kind", "sup"])
     assert result.exit_code == 0, result.output
     summary = json.loads((out / "rates_summary.json").read_text())
-    assert set(summary) == {"target", "slope", "slopes", "norm_kind", "seeds"}
+    assert set(summary) == {"target", "slope", "slopes", "norm_kind", "seeds",
+                            "exact_agreement"}
     assert summary["target"] == pytest.approx(0.5)
     assert summary["seeds"] == [0]
     csv = (out / "rates_seed0.csv").read_text().splitlines()
@@ -465,6 +483,18 @@ def test_rates_exact_agreement_is_strict_json(tmp_path):
     summary = strict_json(out / "rates_summary.json")
     assert summary["slope"] is None
     assert summary["exact_agreement"] is True
+
+
+def test_rates_summary_keys_do_not_depend_on_the_data(tmp_path):
+    keys = {}
+    for name, text in (("exact", ZERO_FIELD), ("ordinary", SMOOTH)):
+        (tmp_path / name).mkdir()
+        result, out = run_cli(tmp_path / name, text, ["rates", "--kind", "sup"])
+        assert result.exit_code == 0, result.output
+        summary = strict_json(out / "rates_summary.json")
+        assert summary["exact_agreement"] is (name == "exact")
+        keys[name] = list(summary)
+    assert keys["exact"] == keys["ordinary"]
 
 
 def test_rates_holder_synthetic_runs_three_seeds(tmp_path):

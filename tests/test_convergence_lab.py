@@ -199,7 +199,9 @@ def test_rate_report_csv():
     assert cells[1] == "16"
     assert float(cells[3]) == report.diffs[0]
     summary = rates_summary([report], [0])
-    assert set(summary) == {"target", "slope", "slopes", "norm_kind", "seeds"}
+    assert set(summary) == {"target", "slope", "slopes", "norm_kind", "seeds",
+                            "exact_agreement"}
+    assert summary["exact_agreement"] is False
     assert summary["slopes"] == [report.slope] == [summary["slope"]]
 
 
@@ -213,7 +215,7 @@ def test_rates_summary_agrees_exactly_only_when_every_seed_does():
     # one exact seed of two: the median of all slopes would be inf
     mixed = summary(EXACT_AGREEMENT, 1.0)
     assert mixed["slope"] == 1.0 and mixed["slopes"] == [None, 1.0]
-    assert "exact_agreement" not in mixed
+    assert mixed["exact_agreement"] is False
     assert summary(0.25, EXACT_AGREEMENT, 0.75)["slope"] == 0.5
     assert summary(0.4, 0.2, 0.3)["slope"] == 0.3
     exact = summary(EXACT_AGREEMENT, EXACT_AGREEMENT)

@@ -818,7 +818,8 @@ def test_joined_path_hoelder_bounded_under_refinement():
 SAME_EQUATION_ULPS = 4096
 
 SAME_EQUATION = dict(seed=st.integers(0, 2**16), N=st.integers(4, 64),
-                     kind=st.sampled_from(["constant", "linear", "sine"]))
+                     kind=st.sampled_from(["constant", "linear", "sine",
+                                           "callable"]))
 
 
 def assert_same_solutions(driver, field, other_driver, other_field, y0,
@@ -1065,9 +1066,9 @@ def sweep_heights(mp):
     heights = []
     sweep = splitting_solver._rk4_sweep
 
-    def counted(f, dt, W, rows, lengths, y, out, check):
+    def counted(f, dt, slopes, substeps, edges, y, out, check):
         heights.append(len(y))
-        return sweep(f, dt, W, rows, lengths, y, out, check)
+        return sweep(f, dt, slopes, substeps, edges, y, out, check)
 
     mp.setattr(splitting_solver, "_rk4_sweep", counted)
     return heights
@@ -1254,6 +1255,75 @@ def test_a_field_error_in_the_frontier_window_leaves_the_reference_unchanged(
     assert heights == [64, 1]
 
 
+def refused_sweeps(mp, refuse=None):
+    """``sweep_heights``, and the number of field hook calls of each sweep;
+    the hook raises Refusal at the ``refuse = (sweep, call)`` pair, both
+    counted from 1.  Returns the two lists."""
+    heights, calls = sweep_heights(mp), []
+    counted = splitting_solver._rk4_sweep
+
+    def refusing(f, *args):
+        calls.append(0)
+
+        def hook(xs):
+            calls[-1] += 1
+            if (len(calls), calls[-1]) == refuse:
+                raise Refusal(f"call {calls[-1]} of sweep {len(calls)}")
+            return f(xs)
+
+        return counted(hook, *args)
+
+    mp.setattr(splitting_solver, "_rk4_sweep", refusing)
+    return heights, calls
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_field_error_past_the_first_sweep_leaves_the_reference_unchanged():
+    # the second sweep stacks windows 1 to 63 of 2 intervals each; the
+    # refused call makes the rest run as one window from window 1
+    field, _ = oracle_fields("sine", 1, 2, 2)
+    path, grid = smooth_path(d=2, segments=512), Grid(1.0, 128)
+    expected = solve_ode_reference(path, field, Y0, grid, substeps=4)
+    with pytest.MonkeyPatch.context() as mp:
+        heights, _ = refused_sweeps(mp, refuse=(2, 5))
+        got = solve_ode_reference(path, field, Y0, grid, substeps=4)
+    same_bits(got, expected)
+    assert heights == [64, 63, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(2, 40), windows=st.integers(2, 9), data=st.data())
+def test_a_field_error_in_a_later_sweep_leaves_the_reference_unchanged(
+        N, windows, data):
+    # a refusal in a sweep of several windows makes the rest run as one
+    # window from the frontier; in a sweep of the frontier window alone it
+    # is the sequential loop's own error
+    field, _ = oracle_fields("sine", 1, 2, 2)
+    path, grid = smooth_path(d=2, segments=512), Grid(1.0, N)
+
+    def reference(refuse=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitting_solver, "REFERENCE_WINDOWS", windows)
+            mp.setattr(splitting_solver, "PROBE_LIMIT", np.inf)
+            heights, calls = refused_sweeps(mp, refuse)
+            try:
+                return solve_ode_reference(path, field, Y0, grid,
+                                           substeps=2), heights, calls
+            except Refusal:
+                return None, heights, calls
+
+    expected, plain, calls = reference()
+    assume(len(plain) >= 2)
+    sweep = data.draw(st.integers(2, len(plain)), label="sweep")
+    call = data.draw(st.integers(1, calls[sweep - 1]), label="call")
+    got, heights, _ = reference(refuse=(sweep, call))
+    if plain[sweep - 1] == 1:
+        assert got is None and heights == plain[:sweep]
+    else:
+        same_bits(got, expected)
+        assert heights == plain[:sweep] + [1]
+
+
 def test_the_probe_takes_windows_only_where_they_pay():
     # criterion 3's smooth reference runs as 64 windows; the synthetic
     # alpha = 0.45 driver of the acceptance suite and the bench, and a
@@ -1293,18 +1363,17 @@ def test_stacked_rk4_rows_are_the_one_row_stage(kind):
             rng = np.random.default_rng(10 * n + d)
             for m in (1, 2, 7, 64, 333):
                 y = rng.standard_normal((m, n))
-                W = rng.standard_normal((1, substeps, m, d, 1))
-                rows = np.arange(1, m + 1)[None]
-                lengths = np.ones(m, dtype=int)
+                # m windows of one interval each
+                slopes = rng.standard_normal((m * substeps, d))
+                edges = np.arange(m + 1)
                 stacked = np.zeros((m + 1, n))
-                splitting_solver._rk4_sweep(f, 0.01, W, rows, lengths, y,
-                                            stacked, lambda i0, i1: None)
+                splitting_solver._rk4_sweep(f, 0.01, slopes, substeps, edges,
+                                            y, stacked, lambda i0, i1: None)
                 one = np.zeros((m + 1, n))
                 for p in range(m):
                     splitting_solver._rk4_sweep(
-                        f, 0.01, W[:, :, p:p + 1], rows[:, p:p + 1],
-                        lengths[p:p + 1], y[p:p + 1], one,
-                        lambda i0, i1: None)
+                        f, 0.01, slopes, substeps, edges[p:p + 2],
+                        y[p:p + 1], one, lambda i0, i1: None)
                 same_bits(stacked, one)
 
 
