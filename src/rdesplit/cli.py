@@ -40,63 +40,64 @@ def _write_json(directory: Path, name: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _prepare(config_path: str, out: str, seed):
-    """Parse the config, apply ``--seed`` to it and copy it into ``out``."""
-    cfg = ProblemConfig.from_file(config_path)
-    if seed is not None:
-        cfg.driver.seed = seed
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "config.ini", "w", encoding="utf-8") as fh:
-        fh.write(cfg.emit())
-    return cfg, out_dir
-
-
-def _exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            fn(*args, **kwargs)
-        except NumericFailure as exc:
-            click.echo(f"numeric failure: {exc}", err=True)
-            sys.exit(EXIT_NUMERIC)
-        except (ConfigError, ValueError, OSError) as exc:
-            click.echo(f"invalid run: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
-        except (MemoryError, OverflowError) as exc:
-            # numpy's failed allocations included: a run too large for the
-            # memory or the float range is an invalid run, not a crash
-            kind = ("out of memory" if isinstance(exc, MemoryError)
-                    else "overflow")
-            click.echo(f"invalid run: {kind}: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
-
-    return wrapper
-
-
-config_option = click.option("--config", "config_path", required=True,
-                             type=click.Path(exists=False), help="Config file (INI).")
-out_option = click.option("--out", required=True, type=click.Path(),
-                          help="Output directory for this run.")
-seed_option = click.option("--seed", type=int, default=None,
-                           help="Override the driver seed.")
-
-
 @click.group()
 def main():
     """Splitting-scheme solver and experiment runner for rough differential equations."""
 
 
-@main.command()
-@config_option
-@out_option
-@seed_option
-@click.option("--oracle", is_flag=True,
-              help="Also integrate the interpolant ODE (RK4, 64 substeps per step).")
-@_exit_codes
-def solve(config_path, out, seed, oracle):
+def _command(*options):
+    """Register a command of ``main`` with the three shared options before
+    ``options``.  The command runs as ``fn(cfg, out_dir, **extra)`` on the
+    parsed config, with ``--seed`` applied and a copy written into ``--out``
+    first, and its failures map to the exit codes."""
+    shared = (
+        click.option("--config", "config_path", required=True,
+                     type=click.Path(exists=False), help="Config file (INI)."),
+        click.option("--out", required=True, type=click.Path(),
+                     help="Output directory for this run."),
+        click.option("--seed", type=int, default=None,
+                     help="Override the driver seed."))
+
+    def register(fn):
+        @functools.wraps(fn)
+        def run(config_path, out, seed, **extra):
+            try:
+                cfg = ProblemConfig.from_file(config_path)
+                if seed is not None:
+                    cfg.driver.seed = seed
+                out_dir = Path(out)
+                out_dir.mkdir(parents=True, exist_ok=True)
+                with open(out_dir / "config.ini", "w", encoding="utf-8") as fh:
+                    fh.write(cfg.emit())
+                fn(cfg, out_dir, **extra)
+            except NumericFailure as exc:
+                click.echo(f"numeric failure: {exc}", err=True)
+                sys.exit(EXIT_NUMERIC)
+            except (ConfigError, ValueError, OSError) as exc:
+                click.echo(f"invalid run: {exc}", err=True)
+                sys.exit(EXIT_VALIDATION)
+            except (MemoryError, OverflowError) as exc:
+                # numpy's failed allocations included: a run too large for
+                # the memory or the float range is an invalid run, not a crash
+                kind = ("out of memory" if isinstance(exc, MemoryError)
+                        else "overflow")
+                click.echo(f"invalid run: {kind}: {exc}", err=True)
+                sys.exit(EXIT_VALIDATION)
+
+        # click lists the options of the innermost decorator first
+        for option in reversed(shared + options):
+            run = option(run)
+        # the name is the function's, underscores made dashes
+        return main.command()(run)
+
+    return register
+
+
+@_command(click.option(
+    "--oracle", is_flag=True,
+    help="Also integrate the interpolant ODE (RK4, 64 substeps per step)."))
+def solve(cfg, out_dir, oracle):
     """Run the split scheme once and write the trajectory."""
-    cfg, out_dir = _prepare(config_path, out, seed)
     problem, grid = build_problem(cfg)
     traj = solve_split(problem.driver, problem.field, problem.z, problem.y0, grid)
     with open(out_dir / "trajectory.csv", "w", encoding="utf-8") as fh:
@@ -113,16 +114,11 @@ def solve(config_path, out, seed, oracle):
     _write_json(out_dir, "summary.json", summary)
 
 
-@main.command()
-@config_option
-@out_option
-@seed_option
-@click.option("--kind", type=click.Choice(["sup", "holder", "rational"]),
-              required=True, help="Which rate experiment to run.")
-@_exit_codes
-def rates(config_path, out, seed, kind):
+@_command(click.option(
+    "--kind", type=click.Choice(["sup", "holder", "rational"]), required=True,
+    help="Which rate experiment to run."))
+def rates(cfg, out_dir, kind):
     """Measure a convergence rate across refining grids."""
-    cfg, out_dir = _prepare(config_path, out, seed)
     exp = cfg.experiment
     base_seed = cfg.driver.seed
     # a single rough sample path gives a noisy slope; deterministic drivers
@@ -150,14 +146,9 @@ def rates(config_path, out, seed, kind):
     _write_json(out_dir, "rates_summary.json", rates_summary(reports, seeds))
 
 
-@main.command("check-z")
-@config_option
-@out_option
-@seed_option
-@_exit_codes
-def check_z(config_path, out, seed):
+@_command()
+def check_z(cfg, out_dir):
     """Estimate the three condition constants of the configured Z map."""
-    cfg, out_dir = _prepare(config_path, out, seed)
     problem, grid = build_problem(cfg)
     exp = cfg.experiment
     rng = np.random.default_rng(cfg.field.seed + 1)
@@ -183,28 +174,18 @@ def check_z(config_path, out, seed):
         _write_json(out_dir, name, {**report.to_json_dict(), "box": box_spec})
 
 
-@main.command()
-@config_option
-@out_option
-@seed_option
-@_exit_codes
-def davie(config_path, out, seed):
+@_command()
+def davie(cfg, out_dir):
     """Measure the Davie-solution defect of the split trajectory."""
-    cfg, out_dir = _prepare(config_path, out, seed)
     problem, grid = build_problem(cfg)
     traj = solve_split(problem.driver, problem.field, problem.z, problem.y0, grid)
     report = davie_defect(traj, problem.z)
     _write_json(out_dir, "davie.json", report.to_json_dict())
 
 
-@main.command("compare-schemes")
-@config_option
-@out_option
-@seed_option
-@_exit_codes
-def compare_schemes(config_path, out, seed):
+@_command()
+def compare_schemes(cfg, out_dir):
     """Compare split and one-step (Milstein) trajectories over three doublings."""
-    cfg, out_dir = _prepare(config_path, out, seed)
     problem, grid = build_problem(cfg)
     levels = [grid.N, 2 * grid.N, 4 * grid.N]
     grids = [Grid(grid.T, N) for N in levels]

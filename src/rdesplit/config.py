@@ -187,8 +187,9 @@ class ProblemConfig:
         if len(p.y0) < 1:
             raise ConfigError("problem.y0 must be nonempty")
         e = self.experiment
-        if e.levels < 1 or e.base_n < 1 or e.seeds < 1 or e.samples < 1:
-            raise ConfigError("experiment counts must be positive")
+        for key in ("levels", "base_n", "seeds", "samples"):
+            if getattr(e, key) < 1:
+                raise ConfigError(f"experiment.{key} must be >= 1")
         if not (0.0 < e.beta < 1.0):
             raise ConfigError("experiment.beta must lie in (0, 1)")
         if e.box <= 0:
@@ -208,10 +209,8 @@ class ProblemConfig:
 
 
 def _parse_vector(raw: str) -> tuple:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty vector")
-    return tuple(float(p) for p in parts)
+    # float rejects a blank part: dropping it would change the dimension
+    return tuple(float(part) for part in raw.split(","))
 
 
 def _format_vector(values) -> str:
@@ -353,7 +352,7 @@ def build_problem(cfg: ProblemConfig, seed_override=None):
     # generated paths start at 0: only a file can start later
     if path.times[0] > 0.0:
         raise ConfigError(f"{where}path span {span} starts after t = 0")
-    if cfg.problem.t_final > path.times[-1] + 1e-12:
+    if not path.covers(cfg.problem.t_final):
         raise ConfigError(f"{where}t_final={cfg.problem.t_final} exceeds the "
                           f"driver span {span}")
     problem = Problem(driver=driver, field=field, z=z, y0=y0,

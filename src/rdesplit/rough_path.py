@@ -104,6 +104,14 @@ class SampledPath:
     def n_samples(self) -> int:
         return len(self.times)
 
+    def covers(self, T: float) -> bool:
+        """Whether the path spans a run on [0, T]: it starts at or before 0
+        and ends at or after T - 1e-12 * max(1, T).  ``build_problem`` and
+        ``solve_ode_reference`` share this rule; the lift's query slack is
+        wider, so a covering path answers every query on [0, T]."""
+        return (self.times[0] <= 0.0
+                and self.times[-1] >= T - 1e-12 * max(1.0, T))
+
     def to_csv(self, fileobj) -> None:
         """Write "t,x1,...,xd" rows with full-precision decimal floats."""
         header = "t," + ",".join(f"x{i + 1}" for i in range(self.d))

@@ -621,7 +621,7 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
     if y0.shape != (field.n,):
         raise ValueError(f"initial state must have shape ({field.n},), "
                          f"got {y0.shape}")
-    if path.times[0] > 0.0 or path.times[-1] < grid.T - 1e-9 * grid.T:
+    if not path.covers(grid.T):
         raise ValueError("path does not cover the grid span")
     slopes, dt = _substep_slopes(path, grid, substeps)
     out = np.empty((grid.N + 1, field.n))

@@ -325,6 +325,28 @@ def test_a_t_final_past_the_driver_span_names_a_driver_file(tmp_path):
                              "span [0.0, 1.0]\n")
 
 
+@pytest.mark.parametrize("args", [["solve"], ["solve", "--oracle"]],
+                         ids=" ".join)
+def test_a_t_final_within_the_span_slack_runs_the_reference_too(tmp_path,
+                                                                args):
+    # the slack is 1e-12 * max(1, T) for build_problem and the reference
+    # alike: a t_final 8e-13 past a path ending at 5e-4 passes both checks
+    from rdesplit import SampledPath
+
+    times = np.linspace(0.0, 5e-4, 65)
+    with open(tmp_path / "path.csv", "w") as fh:
+        SampledPath(times, np.column_stack([np.sin(4e3 * times),
+                                            np.cos(4e3 * times)])).to_csv(fh)
+    text = with_value(SMOOTH.replace("kind = smooth",
+                                     "kind = file\npath = path.csv"),
+                      "problem", "t_final", repr(5e-4 + 8e-13))
+    result, out = run_cli(tmp_path, text, args)
+    assert result.exit_code == 0, result.output
+    summary = strict_json(out / "summary.json")
+    assert summary["t_final"] == 5e-4 + 8e-13
+    assert ("max_oracle_deviation" in summary) == ("--oracle" in args)
+
+
 @pytest.mark.parametrize("args", [
     ["solve"], ["solve", "--oracle"], ["davie"], ["check-z"],
     ["rates", "--kind", "sup"], ["rates", "--kind", "rational"],
@@ -399,8 +421,13 @@ def test_non_finite_float_exits_2(tmp_path, key, bad):
                  "missing required key driver.kind", id="driver.kind"),
     pytest.param(SMOOTH.replace("y0 = 0.1, -0.2\n", ""),
                  "missing required key problem.y0", id="problem.y0"),
-    pytest.param(with_value(SMOOTH, "experiment", "seeds", "0"),
-                 "experiment counts must be positive", id="experiment.seeds"),
+    *[pytest.param(with_value(SMOOTH, "experiment", key, "0"),
+                   f"experiment.{key} must be >= 1", id=f"experiment.{key}")
+      for key in ("levels", "base_n", "seeds", "samples")],
+    # a blank part would silently drop a state: n would change
+    *[pytest.param(with_value(SMOOTH, "problem", "y0", raw),
+                   f"bad value for problem.y0: {raw!r}", id=f"problem.y0={raw}")
+      for raw in ("0.1, , -0.2", "0.1, -0.2,", ",0.1")],
     pytest.param(SMOOTH.replace("n_steps = 16", "n_steps = 16\nwibble = 3"),
                  "unknown key 'wibble' in [problem]", id="unknown-key"),
 ])
@@ -409,6 +436,31 @@ def test_invalid_config_value_exits_2_naming_it(tmp_path, text, message):
     assert result.exit_code == 2, result.output
     assert result.output == f"invalid run: {message}\n"
     assert not (out / "config.ini").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["solve"], ["rates", "--kind", "sup"], ["check-z"], ["davie"],
+    ["compare-schemes"]], ids=" ".join)
+def test_every_command_copies_its_config_and_maps_failures_alike(tmp_path,
+                                                                args):
+    text = with_value(SMOOTH, "problem", "y0", "0.1, , -0.2")
+    result, out = run_cli(tmp_path, text, args)
+    assert result.exit_code == 2, result.output
+    assert result.output == ("invalid run: bad value for problem.y0: "
+                             "'0.1, , -0.2'\n")
+    assert not out.exists()
+    # an --out that names a file: the copy cannot be written
+    out.write_text("")
+    result, _ = run_cli(tmp_path, SMOOTH, args)
+    assert result.exit_code == 2, result.output
+    assert re.fullmatch(r"invalid run: .+\n", result.output), result.output
+    assert str(out) in result.output
+    out.unlink()
+    result, out = run_cli(tmp_path, SMOOTH, args + ["--seed", "5"])
+    assert result.exit_code == 0, result.output
+    copy = configparser.ConfigParser(interpolation=None)
+    copy.read(out / "config.ini")
+    assert copy["driver"]["seed"] == "5"
 
 
 @pytest.mark.parametrize("args,outputs", [

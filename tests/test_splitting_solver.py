@@ -936,6 +936,22 @@ def test_split_converges_to_ode_reference():
     assert errs[2] < 1e-3
 
 
+def test_ode_reference_refuses_a_path_that_ends_early_or_starts_late():
+    # the span rule of build_problem: a slack of 1e-12 * max(1, T) at the end
+    field = linear_field(np.ones((1, 1, 1)))
+    for times in ([0.0, 1.0 - 2e-12], [0.0, 0.5], [1e-9, 1.0]):
+        path = SampledPath(times, np.zeros((2, 1)))
+        assert not path.covers(1.0)
+        with pytest.raises(ValueError,
+                           match="^path does not cover the grid span$"):
+            solve_ode_reference(path, field, np.array([1.0]), Grid(1.0, 4))
+    for T, end in ((1.0, 1.0 - 5e-13), (100.0, 100.0 - 5e-11)):
+        path = SampledPath([0.0, end], np.zeros((2, 1)))
+        assert path.covers(T)
+        assert solve_ode_reference(path, field, np.array([1.0]),
+                                   Grid(T, 4)).shape == (5, 1)
+
+
 def test_ode_reference_validation():
     path = SampledPath(np.linspace(0, 0.5, 3), np.zeros((3, 1)))
     field = linear_field(np.ones((1, 1, 1)))
