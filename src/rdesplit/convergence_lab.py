@@ -125,6 +125,9 @@ def fit_rate(levels, diffs) -> float:
     diffs = [float(d) for d in diffs]
     if len(levels) != len(diffs):
         raise ValueError("levels and diffs must have equal length")
+    for d in diffs:
+        if not math.isfinite(d):
+            raise ValueError(f"differences must be finite, got {d}")
     if any(d < 0 for d in diffs):
         raise ValueError("differences must be nonnegative")
     zeros = sum(1 for d in diffs if d == 0.0)
@@ -199,7 +202,12 @@ def _report(problem, Ns, diffs, target, norm_kind, **meta) -> RateReport:
 
 
 def _sup_rows(delta: np.ndarray) -> float:
-    """Largest Euclidean norm over the rows of a difference of paths."""
+    """Largest Euclidean norm over the rows of a difference of paths; one
+    reaching 2^500 is scaled by a power of two, as in ``hoelder_seminorm``."""
+    top = float(np.abs(delta).max())
+    if 2.0**500 <= top < math.inf:
+        shift = math.frexp(top)[1]
+        return float(np.ldexp(_sup_rows(np.ldexp(delta, -shift)), shift))
     return float(np.max(np.linalg.norm(delta, axis=1)))
 
 

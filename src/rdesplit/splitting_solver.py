@@ -215,9 +215,11 @@ def _check_finite(values, starts, order, lo: int, hi: int) -> None:
                          step=step, member=member)
 
 
-def _march(members, grids, schemes):
-    """Advance M members (driver, field, z, y0), member k over ``grids[k]``
-    with the scheme ``schemes[k]``, "split" or "milstein", together.
+def solve_many(members, grids, schemes) -> list:
+    """Solve every (driver, field, z, y0) member, member k on ``grids[k]``
+    with the scheme ``schemes[k]``: a ``SplitTrajectory`` for "split", a
+    ``MilsteinTrajectory`` for "milstein".  Every member's field has one
+    shape (n, d).
 
     One Python step advances every member whose grid has steps left, as a
     stack of states.  The members are ordered longest grid first, so those
@@ -228,11 +230,11 @@ def _march(members, grids, schemes):
     per member and step, Σ N_k rows in all, step j's rows the window
     starts[j] to starts[j+1].  Every row takes the transport stage
     v = u + f(u) X and adds Z at a point w: the split update takes w = v,
-    the one-step second-order Euler (Milstein) update w = u, since
-    (u + f(u) X) + Z(u) is its u + f(u) X + Z(u).  Every member is bitwise
-    its own single-member march.  Returns, per member in the given order,
-    the grid values, shape (N_k+1, n), and the split stage-1 endpoints,
-    shape (N_k, n), or None for a Milstein member.
+    the Milstein update w = u, since (u + f(u) X) + Z(u) is its
+    u + f(u) X + Z(u).  Every trajectory is bitwise its own ``solve_split``
+    or ``solve_milstein``.  Members that share one preset field and
+    area-linear maps on it (the seeds and levels of one rate experiment, or
+    both schemes of ``compare-schemes``) are evaluated as stacks.
 
     The states are checked every ``FINITE_BLOCK`` steps; a member that left
     the finite range raises NumericFailure with the first failing step and
@@ -315,32 +317,13 @@ def _march(members, grids, schemes):
             _check_finite(values, after, order, j0 + 1, j1 + 1)
     # the stages hold every increment and area: free them before the copies
     del incs, z_rows
-    us, vs = [None] * M, [None] * M
+    trajs = [None] * M
     for p, (k, N) in enumerate(zip(order, Ns)):
-        us[k] = values[after[:N + 1] + p]
-        if schemes[k] == "split":
-            vs[k] = mid[starts[:N] + p]
-    return us, vs
-
-
-def solve_many(members, grids, schemes) -> list:
-    """Solve every (driver, field, z, y0) member, member k on ``grids[k]``
-    with the scheme ``schemes[k]``: a ``SplitTrajectory`` for "split", a
-    ``MilsteinTrajectory`` for "milstein".  Every member's field has one
-    shape (n, d).
-
-    The members are marched together, one Python step for all of them
-    that still have steps left, and each trajectory is bitwise its own
-    ``solve_split`` or ``solve_milstein``.  Members that share one preset
-    field and area-linear maps on it (the seeds and levels of one rate
-    experiment, or both schemes of ``compare-schemes``) are evaluated as
-    stacks.
-    """
-    us, vs = _march(members, grids, schemes)
-    return [SplitTrajectory(grid, u, v, driver, field, z) if v is not None
-            else MilsteinTrajectory(grid, u)
-            for (driver, field, z, _), grid, u, v
-            in zip(members, grids, us, vs)]
+        u = values[after[:N + 1] + p]
+        trajs[k] = (SplitTrajectory(grids[k], u, mid[starts[:N] + p],
+                                    *members[k][:3]) if schemes[k] == "split"
+                    else MilsteinTrajectory(grids[k], u))
+    return trajs
 
 
 def solve_split(driver: RoughDriver, field: VectorField, z: SecondOrderMap,
@@ -508,8 +491,17 @@ def _windows(field: VectorField, y0, slopes, dt: float, N: int,
     return edges, starts, guesses, G
 
 
-def _rk4_sweep(f, dt: float, slopes, substeps: int, edges, y, out,
-               check) -> None:
+def _check_rows(out, lo: int, hi: int) -> None:
+    """Raise NumericFailure at the first non-finite grid row lo..hi-1 of the
+    reference ``out``."""
+    bad = ~np.isfinite(out[lo:hi]).all(axis=1)
+    if bad.any():
+        step = int(lo + np.argmax(bad))
+        raise NumericFailure("reference integration left finite range "
+                             f"at step {step}", step=step)
+
+
+def _rk4_sweep(f, dt: float, slopes, substeps: int, edges, y, out) -> None:
     """RK4 on an (m, n) stack of window starts ``y``: window p runs the
     grid intervals ``edges[p]`` to ``edges[p + 1] - 1``, the windows
     longest first.  Substep s of interval j takes the slope
@@ -517,9 +509,9 @@ def _rk4_sweep(f, dt: float, slopes, substeps: int, edges, y, out,
     j + 1 of ``out``.  Each step of the sweep, one interval of every
     window still running, gathers their slopes in one index.
 
-    ``check(i0, i1)`` runs after every ``FINITE_BLOCK`` intervals on the
-    rows window 0 reached in them, and, before the exception goes on, on
-    those it reached when a field call raised.
+    The rows window 0 reached are checked (``_check_rows``) after every
+    ``FINITE_BLOCK`` intervals and, before the exception goes on, when a
+    field call raised; the other windows' rows are not.
     """
     matmul, add, multiply = np.matmul, np.add, np.multiply
     half, sixth = 0.5 * dt, dt / 6.0
@@ -550,9 +542,9 @@ def _rk4_sweep(f, dt: float, slopes, substeps: int, edges, y, out,
                 out[first + i + 1] = y
         except Exception:
             # a field may reject the non-finite state of an earlier row
-            check(i0, i)
+            _check_rows(out, edges[0] + i0 + 1, edges[0] + i + 1)
             raise
-        check(i0, i1)
+        _check_rows(out, edges[0] + i0 + 1, edges[0] + i1 + 1)
 
 
 def _correct(out, ends, starts, guesses, G, lo: int) -> int:
@@ -615,8 +607,12 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
     whichever sweep it is, makes the rest of the grid run as one window
     from the frontier, which raises only what the sequential loop would.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    if int(substeps) != substeps or substeps < 1:
+        raise ValueError(f"substeps must be a positive integer, got {substeps}")
+    substeps = int(substeps)
+    if field.d != path.d:
+        raise ValueError(f"field driver-dimension {field.d} != path "
+                         f"dimension {path.d}")
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (field.n,):
         raise ValueError(f"initial state must have shape ({field.n},), "
@@ -626,23 +622,9 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
     slopes, dt = _substep_slopes(path, grid, substeps)
     out = np.empty((grid.N + 1, field.n))
     out[0] = y0
-
-    def check_finite(lo: int, hi: int) -> None:
-        """Raise NumericFailure at the first non-finite grid row lo..hi-1."""
-        bad = ~np.isfinite(out[lo:hi]).all(axis=1)
-        if bad.any():
-            step = lo + int(np.argmax(bad))
-            raise NumericFailure("reference integration left finite range "
-                                 f"at step {step}", step=step)
-
-    check_finite(0, 1)
-
-    def check_frontier(i0: int, i1: int) -> None:
-        """check_finite on the rows of intervals i0..i1-1 of window lo."""
-        check_finite(edges[lo] + i0 + 1, edges[lo] + i1 + 1)
-
+    _check_rows(out, 0, 1)
     f = field._value_many_fn
-    # as in the march, check_finite reports a blow-up
+    # as in the march, _check_rows reports a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
         edges, starts, guesses, G = _windows(field, y0, slopes, dt, grid.N,
                                              substeps)
@@ -650,7 +632,7 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
         while lo < len(starts):
             try:
                 _rk4_sweep(f, dt, slopes, substeps, edges[lo:], starts[lo:],
-                           out, check_frontier)
+                           out)
                 hi = _correct(out, edges[1:], starts, guesses, G, lo)
             except NumericFailure:
                 raise
@@ -660,6 +642,6 @@ def solve_ode_reference(path: SampledPath, field: VectorField, y0,
                 # a window past the frontier raised: the rest as one window
                 edges, starts, lo = edges[[lo, -1]], starts[lo:lo + 1], 0
                 continue
-            check_finite(edges[lo + 1] + 1, edges[hi] + 1)
+            _check_rows(out, edges[lo + 1] + 1, edges[hi] + 1)
             lo = hi
     return out

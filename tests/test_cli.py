@@ -549,6 +549,44 @@ def test_rates_summary_keys_do_not_depend_on_the_data(tmp_path):
     assert keys["exact"] == keys["ordinary"]
 
 
+# y0 = 1e200 along a smooth one-component driver: every state stays
+# finite, but the squares of a difference of two trajectories overflow
+HUGE = """
+[driver]
+kind = smooth
+d = 1
+alpha = 0.5
+resolution = 1024
+
+[field]
+preset = linear
+seed = 3
+
+[problem]
+y0 = 1e200
+n_steps = 16
+
+[experiment]
+levels = 3
+base_n = 16
+seeds = 1
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    ["solve", "--oracle"], ["compare-schemes"], ["rates", "--kind", "sup"],
+    ["rates", "--kind", "rational"], ["rates", "--kind", "holder"]],
+    ids=" ".join)
+def test_sup_norms_of_huge_finite_states_write_strict_json(tmp_path, args):
+    result, out = run_cli(tmp_path, HUGE, args)
+    assert result.exit_code == 0, result.output
+    assert result.output == ""
+    name = {"solve": "summary.json", "compare-schemes": "compare.json",
+            "rates": "rates_summary.json"}[args[0]]
+    strict_json(out / name)
+
+
 def test_rates_holder_synthetic_runs_three_seeds(tmp_path):
     text = SMOOTH.replace("kind = smooth", "kind = synthetic\nseed = 17\nlevels = 8")
     text = text.replace("resolution = 256", "alpha = 0.45")

@@ -18,7 +18,7 @@ from rdesplit import (EXACT_AGREEMENT, Grid, NumericFailure, Problem,
                       sine_field, smooth_path, solve_split,
                       synth_midpoint_path, transposed_z, zero_z)
 from rdesplit import model
-from rdesplit.convergence_lab import _row_form_maxima, quarter_times
+from rdesplit.convergence_lab import _row_form_maxima, _sup_rows, quarter_times
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
                       build_field, build_z, steep_field)
@@ -86,6 +86,36 @@ def test_fit_rate_needs_two_points():
         fit_rate([1], [0.1])
     with pytest.raises(ValueError):
         fit_rate([1, 2], [0.1])  # length mismatch
+
+
+# ---------------------------------------------------------------- sup norm
+
+rows = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e3),
+                       st.floats(-1e3, -1e-100)), min_size=n, max_size=n),
+    min_size=1, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(delta=rows, shift=st.integers(-600, 499))
+def test_sup_rows_below_two_to_the_500_keeps_the_row_norm_bits(delta, shift):
+    delta = np.ldexp(np.array(delta), shift)
+    assume(np.abs(delta).max() < 2.0**500)
+    assert (_sup_rows(delta)
+            == float(np.max(np.linalg.norm(delta, axis=1))))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(delta=rows, shift=st.integers(500, 1000))
+def test_sup_rows_of_a_huge_finite_difference_is_the_scaled_norm(delta,
+                                                                 shift):
+    # the row norm squares the entries and overflows from about 1.3e154;
+    # scaled by a power of two, the norm is that of the unscaled rows
+    delta = np.array(delta)
+    assume(np.abs(delta).max() >= 1.0)
+    assert (_sup_rows(np.ldexp(delta, shift))
+            == float(np.ldexp(_sup_rows(delta), shift)))
 
 
 # ---------------------------------------------------------------- dyadic
@@ -307,6 +337,11 @@ def test_rate_size_and_ratio_checks_name_the_fault():
         (rational_rate, (ps, 3, 0, 16, 3), ratio_parts),
         (rational_rate, (ps, -3, -2, 16, 3), ratio_parts),
         (fit_rate, ([1, 2], [0.1, -0.1]), "differences must be nonnegative"),
+        # NaN passes the sign check and an infinite difference fits as NaN
+        (fit_rate, ([0, 1, 2], [1.0, math.nan, 0.5]),
+         "differences must be finite, got nan"),
+        (fit_rate, ([0, 1, 2], [1.0, math.inf, 0.5]),
+         "differences must be finite, got inf"),
         (common_indices, (7, 3, 2), "coarse step count 7 not divisible by 2"),
         (common_indices, (6, 3, 0), ratio_parts),
         (common_indices, (6, -3, 2), ratio_parts),

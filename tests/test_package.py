@@ -147,3 +147,18 @@ def test_grid_forms_have_one_evaluation_method():
                  and node.func.attr == "at"]
         assert not methods(tree, "at"), f"{path.name} defines at"
         assert not calls, f"{path.name} calls .at( at lines {calls}"
+
+
+def test_the_solver_has_one_march_and_a_flat_reference():
+    # ``solve_many`` is the march, and the reference's finite checks are
+    # the module-level ``_check_rows``, not closures over its loop state
+    from rdesplit import splitting_solver
+
+    top = {node.name: node for node in _tree(splitting_solver).body
+           if isinstance(node, ast.FunctionDef)}
+    assert "solve_many" in top and "_march" not in top
+    reference = top["solve_ode_reference"]
+    nested = [getattr(node, "name", "lambda") for node in ast.walk(reference)
+              if isinstance(node, (ast.FunctionDef, ast.Lambda))
+              and node is not reference]
+    assert not nested, nested

@@ -18,7 +18,7 @@ from rdesplit import (Grid, NumericFailure, RoughDriver, SampledPath,
 from rdesplit import model, splitting_solver
 from rdesplit.convergence_lab import joined_samples, quarter_times
 from rdesplit.splitting_solver import (CSV_BLOCK, SCHEMES, MilsteinTrajectory,
-                                       SplitTrajectory, _march)
+                                       SplitTrajectory)
 
 from builders import (DRIVER_KINDS, FIELD_KINDS, Z_KINDS, build_driver,
                       build_field, build_z, coordinate_changed,
@@ -278,7 +278,7 @@ def test_numeric_failure_names_the_failing_member():
     solve_split(*members[0], grid)  # the mild member alone stays finite
     for schemes in scheme_sets(2):
         with pytest.raises(NumericFailure) as err:
-            _march(members, [grid] * len(members), schemes)
+            solve_many(members, [grid] * len(members), schemes)
         # the member is carried on the exception, not in the message
         assert err.value.member == 1 and "member" not in str(err.value)
         assert err.value.step == failure_step(REFERENCES[schemes[1]],
@@ -390,17 +390,18 @@ def assert_march_outcomes(specs, field_kind, shared, n=2):
     failures = [(step, k) for k, (_, step) in enumerate(expected)
                 if step is not None]
     try:
-        u, v = _march(members, grids, schemes)
+        trajs = solve_many(members, grids, schemes)
     except NumericFailure as exc:
         assert (exc.step, exc.member) == min(failures)
         return
     assert not failures
-    for k, ((ref_u, ref_v), _) in enumerate(expected):
-        same_bits(u[k], ref_u)
+    for traj, ((ref_u, ref_v), _) in zip(trajs, expected):
         if ref_v is None:
-            assert v[k] is None
+            assert isinstance(traj, MilsteinTrajectory)
+            same_bits(traj.values, ref_u)
         else:
-            same_bits(v[k], ref_v)
+            same_bits(traj.u, ref_u)
+            same_bits(traj.v, ref_v)
 
 
 @settings(max_examples=80, deadline=None)
@@ -501,15 +502,15 @@ def assert_reference_loops(members, grid):
     """Split, Milstein and mixed marches of ``members``, bitwise their
     reference loops."""
     for schemes in scheme_sets(len(members)):
-        u, v = _march(members, [grid] * len(members), schemes)
-        for k, (member, scheme) in enumerate(zip(members, schemes)):
+        trajs = solve_many(members, [grid] * len(members), schemes)
+        for traj, member, scheme in zip(trajs, members, schemes):
             expected = REFERENCES[scheme](*member, grid)
             if scheme == "milstein":
-                same_bits(u[k], expected)
-                assert v[k] is None
+                assert isinstance(traj, MilsteinTrajectory)
+                same_bits(traj.values, expected)
             else:
-                same_bits(u[k], expected[0])
-                same_bits(v[k], expected[1])
+                same_bits(traj.u, expected[0])
+                same_bits(traj.v, expected[1])
 
 
 def test_maps_on_the_first_members_field_do_not_stack_other_fields():
@@ -584,7 +585,7 @@ def test_maps_of_one_kind_on_a_shared_field_stack(makes, stacks):
     grid = Grid(1.0, N)
     for schemes in scheme_sets(len(members)):
         calls.clear()
-        _march(members, [grid] * len(members), schemes)
+        solve_many(members, [grid] * len(members), schemes)
         # either scheme takes f from the values hook and Z from the fused
         # one, so a Milstein step evaluates f twice
         if stacks:
@@ -615,7 +616,7 @@ def test_maps_that_do_not_read_the_state_are_not_called_per_step(
         members.append((driver, field, build_z(kind, field, driver),
                         Y0 + 0.125 * seed))
     for schemes in scheme_sets(len(members)):
-        _march(members, [Grid(1.0, 16)] * len(members), schemes)
+        solve_many(members, [Grid(1.0, 16)] * len(members), schemes)
     assert not calls
     assert_reference_loops(members, Grid(1.0, 16))
 
@@ -964,6 +965,16 @@ def test_ode_reference_validation():
     with pytest.raises(ValueError, match="initial state must have shape"):
         solve_ode_reference(path2, linear_field(np.ones((2, 1, 2))), [1.0],
                             Grid(1.0, 4))
+    # both refused before any work, in the march's and Grid's words
+    with pytest.raises(ValueError) as err:
+        solve_ode_reference(path2, field, np.array([1.0]), Grid(1.0, 4),
+                            substeps=2.5)
+    assert str(err.value) == "substeps must be a positive integer, got 2.5"
+    path3 = SampledPath(np.linspace(0, 1, 3), np.zeros((3, 3)))
+    with pytest.raises(ValueError) as err:
+        solve_ode_reference(path3, linear_field(np.ones((2, 2, 2))), Y0,
+                            Grid(1.0, 4))
+    assert str(err.value) == "field driver-dimension 2 != path dimension 3"
 
 
 
@@ -1082,9 +1093,9 @@ def sweep_heights(mp):
     heights = []
     sweep = splitting_solver._rk4_sweep
 
-    def counted(f, dt, slopes, substeps, edges, y, out, check):
+    def counted(f, dt, slopes, substeps, edges, y, out):
         heights.append(len(y))
-        return sweep(f, dt, slopes, substeps, edges, y, out, check)
+        return sweep(f, dt, slopes, substeps, edges, y, out)
 
     mp.setattr(splitting_solver, "_rk4_sweep", counted)
     return heights
@@ -1222,8 +1233,8 @@ def test_a_field_error_at_a_finite_state_leaves_the_march_unchanged(scheme):
     field = refusing_field(0.5)
     drv = scalar_driver(lambda t: t)
     with pytest.raises(Refusal, match=r"^state 0.515625 above 0.5$"):
-        _march([(drv, field, zero_z(1), np.zeros(1))], [Grid(1.0, 64)],
-               [scheme])
+        solve_many([(drv, field, zero_z(1), np.zeros(1))], [Grid(1.0, 64)],
+                   [scheme])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1384,13 +1395,36 @@ def test_stacked_rk4_rows_are_the_one_row_stage(kind):
                 edges = np.arange(m + 1)
                 stacked = np.zeros((m + 1, n))
                 splitting_solver._rk4_sweep(f, 0.01, slopes, substeps, edges,
-                                            y, stacked, lambda i0, i1: None)
+                                            y, stacked)
                 one = np.zeros((m + 1, n))
                 for p in range(m):
                     splitting_solver._rk4_sweep(
                         f, 0.01, slopes, substeps, edges[p:p + 2],
-                        y[p:p + 1], one, lambda i0, i1: None)
+                        y[p:p + 1], one)
                 same_bits(stacked, one)
+
+
+def test_a_sweep_checks_the_rows_of_its_first_window_alone():
+    # two windows, grid intervals 4-6 and 7-8: a non-finite start of
+    # window 0 names its first row, one of window 1 is left to the caller
+    field = sine_field(2, 2, seed=1, amplitude=0.8)
+    f = field._value_many_fn
+    slopes = np.random.default_rng(3).standard_normal((9 * 2, 2))
+    edges = np.array([4, 7, 9])
+
+    def sweep(starts):
+        out = np.zeros((10, 2))
+        splitting_solver._rk4_sweep(f, 0.01, slopes, 2, edges,
+                                    np.array(starts), out)
+        return out
+
+    with pytest.raises(NumericFailure) as err:
+        sweep([[np.nan, 0.0], Y0])
+    assert err.value.step == 5
+    assert str(err.value) == "reference integration left finite range at step 5"
+    out = sweep([Y0, [np.nan, 0.0]])
+    assert np.isnan(out[8:]).all(axis=1).all()
+    same_bits(out[5:8], sweep([Y0, Y0])[5:8])
 
 
 def test_stacked_marches_and_windowed_references_fit_the_sine_tiles():
